@@ -20,7 +20,11 @@ r_i = i/n.  Two time integrators:
                        its damping part (cos(2 phi) > 0) is folded into the
                        tridiagonal diagonal; this keeps the scheme
                        first-order consistent while removing the near-origin
-                       step restriction.
+                       step restriction.  The bands, and every other
+                       factor that depends only on the grid, the
+                       coefficients and dt, are built once and cached per
+                       (grid, coeffs, dt); a step then evaluates the
+                       reaction once and calls LAPACK ``dgtsv`` once.
 
 The origin node carries the Dirichlet value phi = 0, so the singular terms
 are never evaluated at r = 0.
@@ -28,12 +32,13 @@ are never evaluated at r = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .coeffs import LeslieCoefficients
 from .errors import SolverHalt
@@ -200,10 +205,31 @@ class SolverParams:
         return 0.5 / grid.dr if self.clip_guard is None else self.clip_guard
 
 
-def default_dt(grid: RadialGrid, c: LeslieCoefficients, scheme: Scheme) -> float:
-    if scheme == "explicit":
-        return min(0.25 * grid.dr**2 * c.lambda1, 1e-5)
-    return 1e-4
+def default_dt(
+    grid: RadialGrid, c: LeslieCoefficients, scheme: Scheme, t_end: float
+) -> float:
+    """1e-4 for Crank-Nicolson; for RK4 the largest dt that takes a whole
+    number of steps to t_end without exceeding min(0.25 dr^2 lambda1, 1e-5)."""
+    if scheme != "explicit":
+        return 1e-4
+    bound = min(0.25 * grid.dr**2 * c.lambda1, 1e-5)
+    steps = math.ceil(t_end / bound)
+    if t_end / steps > bound:  # t_end / bound rounded onto an integer from above
+        steps += 1
+    return t_end / steps
+
+
+def step_count(t0: float, t_end: float, dt: float) -> int:
+    """The number of dt steps from t0 to t_end; ValueError unless it is a
+    positive whole number to a relative 1e-9."""
+    steps = (t_end - t0) / dt
+    n = round(steps)
+    if n < 1 or abs(steps - n) > 1e-9 * n:
+        raise ValueError(
+            f"t_end = {t_end!r} is not a whole number of dt = {dt!r} steps "
+            f"after t0 = {t0!r}"
+        )
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +249,13 @@ def max_gradient(state: RadialState) -> float:
     return float(np.max(np.abs(_phi_r(state.phi, state.grid.dr))))
 
 
+def _reaction(
+    p: np.ndarray, two_p: np.ndarray, two_r2: np.ndarray, lambda2: float
+) -> np.ndarray:
+    """-sin(2 phi)/(2 r^2) - 3 lambda2 sin(phi) cos(phi), given 2 phi and 2 r^2."""
+    return -np.sin(two_p) / two_r2 - 3.0 * lambda2 * np.sin(p) * np.cos(p)
+
+
 def rhs(state: RadialState, c: LeslieCoefficients) -> np.ndarray:
     """phi_t at the interior nodes i = 1..n-1."""
     grid = state.grid
@@ -232,18 +265,8 @@ def rhs(state: RadialState, c: LeslieCoefficients) -> np.ndarray:
     p = phi[1:-1]
     d1 = (phi[2:] - phi[:-2]) / (2.0 * dr)
     d2 = (phi[2:] - 2.0 * p + phi[:-2]) / dr**2
-    reaction = -np.sin(2.0 * p) / (2.0 * r**2) - 3.0 * c.lambda2 * np.sin(p) * np.cos(p)
+    reaction = _reaction(p, 2.0 * p, 2.0 * r**2, c.lambda2)
     return (d2 + d1 / r + reaction) / c.lambda1 - r * d1
-
-
-def _explicit_terms(phi: np.ndarray, grid: RadialGrid, c: LeslieCoefficients) -> np.ndarray:
-    """Interior contributions handled outside the tridiagonal solve."""
-    dr = grid.dr
-    r = grid.r[1:-1]
-    p = phi[1:-1]
-    d1 = (phi[2:] - phi[:-2]) / (2.0 * dr)
-    reaction = -np.sin(2.0 * p) / (2.0 * r**2) - 3.0 * c.lambda2 * np.sin(p) * np.cos(p)
-    return reaction / c.lambda1 - r * d1
 
 
 def step(state: RadialState, c: LeslieCoefficients, p: SolverParams) -> RadialState:
@@ -282,53 +305,81 @@ def _step_rk4(state: RadialState, c: LeslieCoefficients, dt: float) -> np.ndarra
     return out
 
 
-def _step_cn(state: RadialState, c: LeslieCoefficients, dt: float) -> np.ndarray:
-    grid = state.grid
-    phi = state.phi
+@dataclass(frozen=True)
+class _CNBands:
+    """The parts of a Crank-Nicolson step that depend only on
+    (grid, coefficients, dt); every array is read-only."""
+
+    r: np.ndarray  # interior nodes
+    lower: np.ndarray  # sub-diagonal of phi_rr + phi_r/r, per row
+    diag: float
+    upper: np.ndarray  # super-diagonal, per row
+    theta: float  # dt / (2 lambda1)
+    two_r2: np.ndarray  # 2 r^2
+    lambda1_r2: np.ndarray  # lambda1 r^2
+    d_const: np.ndarray  # 1 - theta diag, before the damping is added
+    du: np.ndarray  # -theta upper[:-1]
+    dl: np.ndarray  # -theta lower[1:]
+
+
+@lru_cache(maxsize=32)
+def _cn_bands(grid: RadialGrid, c: LeslieCoefficients, dt: float) -> _CNBands:
     dr = grid.dr
     r = grid.r[1:-1]
-    n = grid.n_cells
     theta = dt / (2.0 * c.lambda1)
-
     lower = 1.0 / dr**2 - 1.0 / (2.0 * dr * r)
-    diag = np.full(n - 1, -2.0 / dr**2)
+    diag = -2.0 / dr**2
     upper = 1.0 / dr**2 + 1.0 / (2.0 * dr * r)
+    arrays = dict(
+        r=r,
+        lower=lower,
+        upper=upper,
+        two_r2=2.0 * r**2,
+        lambda1_r2=c.lambda1 * r**2,
+        d_const=1.0 - theta * np.full(grid.n_cells - 1, diag),
+        du=-theta * upper[:-1],
+        dl=-theta * lower[1:],
+    )
+    for a in arrays.values():
+        a.setflags(write=False)
+    return _CNBands(diag=diag, theta=theta, **arrays)
 
+
+def _step_cn(state: RadialState, c: LeslieCoefficients, dt: float) -> np.ndarray:
+    bands = _cn_bands(state.grid, c, dt)
+    phi = state.phi
     interior = phi[1:-1]
-    l_phi = diag * interior
-    l_phi[:-1] += upper[:-1] * interior[1:]
-    l_phi[1:] += lower[1:] * interior[:-1]
+    two_p = 2.0 * interior
+
+    l_phi = bands.diag * interior
+    l_phi[:-1] += bands.upper[:-1] * interior[1:]
+    l_phi[1:] += bands.lower[1:] * interior[:-1]
     # boundary columns: phi(0) = 0 contributes nothing; phi(1) is constant
-    bvec = np.zeros(n - 1)
-    bvec[-1] = upper[-1] * phi[-1]
+    l_phi[-1] += 2.0 * (bands.upper[-1] * phi[-1])
 
     # Damping part of the singular reaction Jacobian, cos(2 phi)/r^2 where
     # positive, goes on the diagonal (and on the right so fixed points stay
     # zeros of rhs): without it the first node is as stiff as diffusion and
     # the splitting would need dt = O(dr^2).
-    damp = np.maximum(np.cos(2.0 * interior), 0.0) / (c.lambda1 * r**2)
+    dt_damp = dt * (np.maximum(np.cos(two_p), 0.0) / bands.lambda1_r2)
 
-    rhs_vec = (
-        interior * (1.0 + dt * damp)
-        + theta * (l_phi + 2.0 * bvec)
-        + dt * _explicit_terms(phi, grid, c)
-    )
-
-    ab = np.zeros((3, n - 1))
-    ab[0, 1:] = -theta * upper[:-1]
-    ab[1, :] = 1.0 - theta * diag + dt * damp
-    ab[2, :-1] = -theta * lower[1:]
+    d1 = (phi[2:] - phi[:-2]) / (2.0 * state.grid.dr)
+    reaction = _reaction(interior, two_p, bands.two_r2, c.lambda2)
+    explicit = reaction / c.lambda1 - bands.r * d1
+    rhs_vec = interior * (1.0 + dt_damp) + bands.theta * l_phi + dt * explicit
     if not np.all(np.isfinite(rhs_vec)):
         raise SolverHalt("non-finite field", state.t)
-    try:
-        new_interior = solve_banded((1, 1), ab, rhs_vec)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SolverHalt(f"tridiagonal solve breakdown: {exc}", state.t)
+
+    d = bands.d_const + dt_damp
+    _, _, _, new_interior, info = dgtsv(
+        bands.dl, d, bands.du, rhs_vec, overwrite_d=1, overwrite_b=1
+    )
+    if info != 0:  # pragma: no cover - defensive
+        raise SolverHalt(f"tridiagonal solve breakdown: dgtsv info {info}", state.t)
 
     out = phi.copy()
     out[1:-1] = new_interior
     out[0] = 0.0
-    out[-1] = phi[-1]
     return out
 
 
@@ -411,14 +462,18 @@ def simulate(
 ) -> RunTrace:
     """March to t_end, recording every ``snapshot_stride``-th state.
 
-    Halts (without raising) when max|phi_r| exceeds the gradient guard or the
-    field goes non-finite; the offending state is the last snapshot.
+    Step k ends at t0 + k*dt and the last step at t_end itself, which must
+    lie a whole number of steps after t0.  Halts (without raising) when
+    max|phi_r| exceeds the gradient guard or the field goes non-finite; the
+    offending state is the last snapshot.
     """
     state0.validate()
     p.check_stability(state0.grid, c)
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     guard = p.guard_for(state0.grid)
+    t0 = state0.t
+    n_steps = step_count(t0, p.t_end, p.dt)
 
     times = [state0.t]
     phis = [state0.phi.copy()]
@@ -426,7 +481,6 @@ def simulate(
     halt_reason = None
 
     state = state0
-    n_steps = int(round((p.t_end - state0.t) / p.dt))
     if max_gradient(state) > guard:
         halted, halt_reason = True, "gradient guard"
         n_steps = 0
@@ -436,6 +490,7 @@ def simulate(
         except SolverHalt as halt:
             halted, halt_reason = True, halt.reason
             break
+        state.t = p.t_end if k == n_steps else t0 + k * p.dt
         record = (k % snapshot_stride == 0) or (k == n_steps)
         if max_gradient(state) > guard:
             halted, halt_reason = True, "gradient guard"

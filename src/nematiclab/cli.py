@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import glob
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import load_config, serialize_config
 from .errors import ConfigError, SolverHalt
-from .experiments import run, thread_count
+from .experiments import run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,21 +64,14 @@ def _sweep(args) -> int:
 
     plots = None if not args.no_plots else False
     failures: list[str] = []
-
-    def one(item):
-        path, config = item
+    for path, config in configs:
         try:
             run(config, plots=plots)
-            return path, None
+            status = "ok"
         except SolverHalt as exc:  # keep sweeping, report at the end
-            return path, str(exc)
-
-    with ThreadPoolExecutor(max_workers=min(thread_count(), len(configs))) as pool:
-        for path, err in pool.map(one, configs):
-            status = "ok" if err is None else f"halt: {err}"
-            print(f"{path}: {status}")
-            if err is not None:
-                failures.append(path)
+            status = f"halt: {exc}"
+            failures.append(path)
+        print(f"{path}: {status}")
     return EXIT_RUNTIME if failures else EXIT_OK
 
 

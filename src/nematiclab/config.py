@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .axisym import RadialGrid, SolverParams, default_dt, initial_profile
+from .axisym import RadialGrid, SolverParams, default_dt, initial_profile, step_count
 from .barriers import eta_barrier, supersolution
 from .coeffs import LeslieCoefficients, validate as validate_coeffs
 from .errors import ConfigError
@@ -151,6 +151,13 @@ def _as_bool(raw: str) -> bool:
     raise ValueError("expected a boolean")
 
 
+def _as_float(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError("must be finite")
+    return val
+
+
 def _as_points(raw: str) -> tuple[tuple[float, float], ...]:
     pts = []
     for item in raw.split(","):
@@ -158,14 +165,14 @@ def _as_points(raw: str) -> tuple[tuple[float, float], ...]:
         if not item:
             continue
         r_s, _, phi_s = item.partition(":")
-        pts.append((float(r_s), float(phi_s)))
+        pts.append((_as_float(r_s), _as_float(phi_s)))
     if len(pts) < 2:
         raise ValueError("need at least two r:phi pairs")
     return tuple(pts)
 
 
 def _as_floats(raw: str) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in raw.split(",") if v.strip())
+    vals = tuple(_as_float(v) for v in raw.split(",") if v.strip())
     if not vals:
         raise ValueError("need at least one value")
     return vals
@@ -207,11 +214,9 @@ def parse_config(text: str) -> ExperimentConfig:
         if not cp.has_section("coefficients"):
             raise ConfigError(f"{kind} requires a [coefficients] section")
         mus = [
-            _get(cp, "coefficients", f"mu{i}", float, required=True)
+            _get(cp, "coefficients", f"mu{i}", _as_float, required=True)
             for i in range(1, 7)
         ]
-        if not all(math.isfinite(m) for m in mus):
-            raise ConfigError("non-finite viscosity coefficient")
         coeffs = LeslieCoefficients(*mus)
         res = validate_coeffs(coeffs)
         if not res.ok:
@@ -221,19 +226,20 @@ def parse_config(text: str) -> ExperimentConfig:
     if "grid" in used:
         n_cells = _get(cp, "grid", "n_cells", int, default=1024)
         scheme = _get(cp, "time", "scheme", str, default="semi_implicit")
-        if n_cells >= 16 and scheme in ("semi_implicit", "explicit"):
-            dt_default = default_dt(RadialGrid(n_cells), coeffs, scheme)
+        t_end = _get(cp, "time", "t_end", _as_float, default=1.0)
+        if n_cells >= 16 and scheme in ("semi_implicit", "explicit") and t_end > 0.0:
+            dt_default = default_dt(RadialGrid(n_cells), coeffs, scheme, t_end)
         else:
-            dt_default = 1e-4  # grid/scheme validation below will reject
+            dt_default = 1e-4  # grid/scheme/t_end validation below will reject
         axisym = AxisymSection(
             n_cells=n_cells,
-            dt=_get(cp, "time", "dt", float, default=dt_default),
+            dt=_get(cp, "time", "dt", _as_float, default=dt_default),
             scheme=scheme,
-            t_end=_get(cp, "time", "t_end", float, default=1.0),
-            clip_guard=_get(cp, "time", "clip_guard", float),
+            t_end=t_end,
+            clip_guard=_get(cp, "time", "clip_guard", _as_float),
             preset=_get(cp, "initial", "preset", str, default="linear"),
-            beta0=_get(cp, "initial", "beta0", float),
-            amplitude=_get(cp, "initial", "amplitude", float),
+            beta0=_get(cp, "initial", "beta0", _as_float),
+            amplitude=_get(cp, "initial", "amplitude", _as_float),
             points=_get(cp, "initial", "points", _as_points),
         )
         if axisym.preset not in PRESETS:
@@ -257,16 +263,17 @@ def parse_config(text: str) -> ExperimentConfig:
                 clip_guard=axisym.clip_guard,
             )
             params.check_stability(grid, coeffs)
+            step_count(0.0, params.t_end, params.dt)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 
     barrier = None
     if "barrier" in used:
         barrier = BarrierSection(
-            c=_get(cp, "barrier", "c", float, default=0.05),
-            eta_beta0=_get(cp, "barrier", "eta_beta0", float),
+            c=_get(cp, "barrier", "c", _as_float, default=0.05),
+            eta_beta0=_get(cp, "barrier", "eta_beta0", _as_float),
             local_energy_radius=_get(
-                cp, "barrier", "local_energy_radius", float, default=0.05
+                cp, "barrier", "local_energy_radius", _as_float, default=0.05
             ),
         )
         try:
@@ -286,7 +293,7 @@ def parse_config(text: str) -> ExperimentConfig:
             n_sets=_get(cp, "barrier_check", "n_sets", int, default=10),
             n_r=_get(cp, "barrier_check", "n_r", int, default=100),
             n_t=_get(cp, "barrier_check", "n_t", int, default=100),
-            t_max=_get(cp, "barrier_check", "t_max", float, default=5.0),
+            t_max=_get(cp, "barrier_check", "t_max", _as_float, default=5.0),
             seed=_get(cp, "barrier_check", "seed", int, default=20240611),
         )
         if min(barrier_check.n_sets, barrier_check.n_r, barrier_check.n_t) < 1:
@@ -295,14 +302,14 @@ def parse_config(text: str) -> ExperimentConfig:
     poiseuille = None
     if "poiseuille" in used:
         poiseuille = PoiseuilleSection(
-            half_length=_get(cp, "poiseuille", "half_length", float, default=5.0),
+            half_length=_get(cp, "poiseuille", "half_length", _as_float, default=5.0),
             n_cells=_get(cp, "poiseuille", "n_cells", int, default=500),
-            dt=_get(cp, "poiseuille", "dt", float),
-            t_end=_get(cp, "poiseuille", "t_end", float, default=1.0),
+            dt=_get(cp, "poiseuille", "dt", _as_float),
+            t_end=_get(cp, "poiseuille", "t_end", _as_float, default=1.0),
             velocity_amplitude=_get(
-                cp, "poiseuille", "velocity_amplitude", float, default=1.0
+                cp, "poiseuille", "velocity_amplitude", _as_float, default=1.0
             ),
-            a=_get(cp, "poiseuille", "a", float, default=0.0),
+            a=_get(cp, "poiseuille", "a", _as_float, default=0.0),
         )
         try:
             IntervalGrid(poiseuille.half_length, poiseuille.n_cells)

@@ -5,7 +5,6 @@ configured output directory.  Nothing is written until the run finished.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,20 +23,10 @@ from .errors import SolverHalt
 from .reporting import TimeSeries, write_csv, write_json
 from .svgplot import emit_plot
 
-THREAD_ENV_VAR = "NEMATICLAB_THREADS"
-
 # Blow-up runs are allowed to continue past the detection threshold up to
 # the discrete step profile (slope a bit above pi/dr) so the trace covers
 # the analysis window.
 BLOWUP_GUARD_FACTOR = 4.0
-
-
-def thread_count() -> int:
-    raw = os.environ.get(THREAD_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return max(1, min(4, os.cpu_count() or 1))
 
 
 @dataclass

@@ -202,6 +202,25 @@ def test_simulate_records_strictly_increasing_times():
     assert np.all(np.diff(trace.times) > 0)
 
 
+def test_simulate_ends_exactly_at_t_end_without_drift():
+    # a running sum of dt = 1e-4 drifts to 0.3499999999999778 over 3500 steps
+    grid = RadialGrid(64)
+    state0 = make_state(grid, lambda r: 0.5 * r)
+    params = SolverParams(dt=1e-4, scheme="semi_implicit", t_end=0.35)
+    trace = simulate(state0, L2_ZERO, params, snapshot_stride=250)
+    assert trace.times[-1] == 0.35
+    k = np.arange(0, 3500, 250)
+    assert np.array_equal(trace.times[:-1], k * 1e-4)
+
+
+@pytest.mark.parametrize("t_end", [2.5e-4, 4e-5])
+def test_simulate_rejects_t_end_off_the_step_grid(t_end):
+    state0 = make_state(RadialGrid(64), lambda r: 0.5 * r)
+    params = SolverParams(dt=1e-4, scheme="semi_implicit", t_end=t_end)
+    with pytest.raises(ValueError, match="whole number of dt"):
+        simulate(state0, L2_ZERO, params)
+
+
 # ---------------------------------------------------------------------------
 # energies
 

@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -105,6 +106,51 @@ def test_missing_preset_parameter_rejected():
         parse_config(
             TINY_GLOBAL.format(out="x").replace("amplitude = 3.0", "beta0 = 0.1")
         )
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("mu4 = 1.0", "mu4 = -inf"),
+        ("amplitude = 3.0", "amplitude = nan"),
+        ("c = 0.03", "c = inf"),
+    ],
+)
+def test_non_finite_float_rejected(old, new):
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config(TINY_GLOBAL.format(out="x").replace(old, new))
+
+
+def test_non_finite_table_point_and_lambda_rejected():
+    table = TINY_GLOBAL.format(out="x").replace(
+        "preset = scaled_linear\namplitude = 3.0",
+        "preset = table\npoints = 0:0, 0.5:nan, 1:1",
+    )
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config(table)
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config("[experiment]\nkind = hopf_decay\n\n[hopf]\nlambdas = 1.0, inf\n")
+
+
+@pytest.mark.parametrize("t_end", ["2.5e-3", "4e-4"])
+def test_t_end_off_the_step_grid_rejected(t_end):
+    text = TINY_GLOBAL.format(out="x").replace("t_end = 0.05", f"t_end = {t_end}")
+    with pytest.raises(ConfigError, match="whole number of dt"):
+        parse_config(text)
+
+
+def test_explicit_default_dt_takes_whole_steps_under_the_bound():
+    text = (
+        TINY_GLOBAL.format(out="x")
+        .replace("dt = 1e-3\n", "")
+        .replace("scheme = semi_implicit", "scheme = explicit")
+        .replace("t_end = 0.05", "t_end = 0.0123456")
+    )
+    a = parse_config(text).axisym
+    bound = min(0.25 / 64**2, 1e-5)
+    assert a.dt <= bound
+    steps = a.t_end / a.dt
+    assert abs(steps - math.ceil(a.t_end / bound)) <= 1e-9 * steps
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +339,19 @@ velocity_amplitude = 1.7e308
     assert main(["simulate", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize(
+    "old, new", [("dt = 1e-3", "dt = nan"), ("t_end = 0.05", "t_end = inf")]
+)
+def test_cli_non_finite_time_is_config_error(tmp_path, monkeypatch, capsys, old, new):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(TINY_GLOBAL.format(out="results/bad").replace(old, new))
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["simulate", str(cfg)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_cli_sweep(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write_tiny(tmp_path, "a.ini", out="results/a")
@@ -311,14 +370,3 @@ def test_cli_sweep_rejects_shared_out_dir(tmp_path, monkeypatch):
 
 def test_cli_sweep_no_match(tmp_path):
     assert main(["sweep", str(tmp_path / "*.ini")]) == 2
-
-
-def test_thread_count_env_var(monkeypatch):
-    from nematiclab.experiments import THREAD_ENV_VAR, thread_count
-
-    monkeypatch.setenv(THREAD_ENV_VAR, "3")
-    assert thread_count() == 3
-    monkeypatch.setenv(THREAD_ENV_VAR, "not-a-number")
-    assert thread_count() >= 1
-    monkeypatch.delenv(THREAD_ENV_VAR)
-    assert thread_count() >= 1
