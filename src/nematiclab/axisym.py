@@ -98,38 +98,21 @@ def make_state(grid: RadialGrid, phi0, t: float = 0.0) -> RadialState:
 
 
 # ---------------------------------------------------------------------------
-# static background flow
-
-
-@dataclass(frozen=True)
-class StaticFields:
-    """The closed-form background velocity v(r) = r, w(z) = -2z."""
-
-    def v(self, r):
-        return np.asarray(r, dtype=float) + 0.0
-
-    def w(self, z):
-        return -2.0 * np.asarray(z, dtype=float)
-
-    def divergence_residual(self, r: float, z: float, h: float = 1e-5) -> float:
-        """Check (1/r)(r v)_r + w_z by central differences; exact for the
-        closed forms up to rounding."""
-        rv = lambda x: x * self.v(x)
-        d_rv = (rv(r + h) - rv(r - h)) / (2.0 * h)
-        d_w = (self.w(z + h) - self.w(z - h)) / (2.0 * h)
-        return float(d_rv / r + d_w)
-
-
-def static_fields() -> StaticFields:
-    return StaticFields()
-
-
-# ---------------------------------------------------------------------------
 # initial-data presets
 
 
+PRESET_PARAMS = {
+    "linear": (),
+    "scaled_linear": ("amplitude",),
+    "bubble": ("beta0",),
+    "bubble_linear_max": ("beta0", "amplitude"),
+    "table": ("points",),
+}
+
+
 def initial_profile(grid: RadialGrid, preset: str, **params) -> np.ndarray:
-    """Named initial angles on the grid nodes.
+    """Named initial angles on the grid nodes; ``PRESET_PARAMS`` names the
+    parameters each preset takes.
 
     linear                  phi0 = r
     scaled_linear           phi0 = amplitude * r
@@ -137,41 +120,32 @@ def initial_profile(grid: RadialGrid, preset: str, **params) -> np.ndarray:
     bubble_linear_max       pointwise max of bubble and scaled_linear
     table                   linear interpolation of (r, phi) pairs
     """
+    if preset not in PRESET_PARAMS:
+        raise ValueError(f"unknown preset {preset!r}")
+    expected = PRESET_PARAMS[preset]
+    if set(params) != set(expected):
+        raise ValueError(
+            f"preset {preset!r} takes parameters {sorted(expected)}, got {sorted(params)}"
+        )
     r = grid.r
     if preset == "linear":
-        _expect_params(preset, params, set())
         return r.copy()
     if preset == "scaled_linear":
-        _expect_params(preset, params, {"amplitude"})
         return params["amplitude"] * r
-    if preset == "bubble":
-        _expect_params(preset, params, {"beta0"})
-        beta0 = params["beta0"]
-        if beta0 <= 0:
-            raise ValueError("beta0 must be positive")
-        return 2.0 * np.arctan(r / beta0)
-    if preset == "bubble_linear_max":
-        _expect_params(preset, params, {"beta0", "amplitude"})
-        beta0 = params["beta0"]
-        if beta0 <= 0:
-            raise ValueError("beta0 must be positive")
-        return np.maximum(2.0 * np.arctan(r / beta0), params["amplitude"] * r)
     if preset == "table":
-        _expect_params(preset, params, {"points"})
         pts = sorted(params["points"])
         rs = np.array([p[0] for p in pts], dtype=float)
         phis = np.array([p[1] for p in pts], dtype=float)
         if rs[0] > 0.0 or rs[-1] < 1.0:
             raise ValueError("table must cover [0, 1]")
         return np.interp(r, rs, phis)
-    raise ValueError(f"unknown preset {preset!r}")
-
-
-def _expect_params(preset: str, params: dict, expected: set) -> None:
-    if set(params) != expected:
-        raise ValueError(
-            f"preset {preset!r} takes parameters {sorted(expected)}, got {sorted(params)}"
-        )
+    beta0 = params["beta0"]
+    if beta0 <= 0:
+        raise ValueError("beta0 must be positive")
+    bubble = 2.0 * np.arctan(r / beta0)
+    if preset == "bubble":
+        return bubble
+    return np.maximum(bubble, params["amplitude"] * r)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +186,16 @@ def default_dt(
     number of steps to t_end without exceeding min(0.25 dr^2 lambda1, 1e-5)."""
     if scheme != "explicit":
         return 1e-4
-    bound = min(0.25 * grid.dr**2 * c.lambda1, 1e-5)
-    steps = math.ceil(t_end / bound)
-    if t_end / steps > bound:  # t_end / bound rounded onto an integer from above
+    return whole_step_dt(t_end, min(0.25 * grid.dr**2 * c.lambda1, 1e-5))
+
+
+def whole_step_dt(t_end: float, dt_max: float) -> float:
+    """The largest dt <= dt_max that takes a whole number of steps from 0 to
+    t_end; ValueError when that number of steps is not a finite float."""
+    if not (dt_max > 0.0 and math.isfinite(t_end / dt_max)):
+        raise ValueError(f"t_end = {t_end!r} takes too many steps of {dt_max!r}")
+    steps = math.ceil(t_end / dt_max)
+    if t_end / steps > dt_max:  # t_end / dt_max rounded onto an integer from above
         steps += 1
     return t_end / steps
 
@@ -223,6 +204,8 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     """The number of dt steps from t0 to t_end; ValueError unless it is a
     positive whole number to a relative 1e-9."""
     steps = (t_end - t0) / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_end = {t_end!r} takes too many steps of dt = {dt!r}")
     n = round(steps)
     if n < 1 or abs(steps - n) > 1e-9 * n:
         raise ValueError(
@@ -236,17 +219,23 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 # spatial operators
 
 
-def _phi_r(phi: np.ndarray, dr: float) -> np.ndarray:
-    """Second-order first derivative on all nodes (one-sided at the ends)."""
-    out = np.empty_like(phi)
-    out[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * dr)
-    out[0] = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * dr)
-    out[-1] = (3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]) / (2.0 * dr)
+def first_derivative(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Second-order first derivative along ``axis`` (>= 0) with spacing h:
+    central inside, one-sided at the two ends."""
+    lead = (slice(None),) * axis
+
+    def at(i):
+        return lead + (i,)
+
+    out = np.empty_like(f)
+    out[at(slice(1, -1))] = (f[at(slice(2, None))] - f[at(slice(None, -2))]) / (2.0 * h)
+    out[at(0)] = (-3.0 * f[at(0)] + 4.0 * f[at(1)] - f[at(2)]) / (2.0 * h)
+    out[at(-1)] = (3.0 * f[at(-1)] - 4.0 * f[at(-2)] + f[at(-3)]) / (2.0 * h)
     return out
 
 
 def max_gradient(state: RadialState) -> float:
-    return float(np.max(np.abs(_phi_r(state.phi, state.grid.dr))))
+    return float(np.max(np.abs(first_derivative(state.phi, state.grid.dr))))
 
 
 def _reaction(
@@ -393,7 +382,7 @@ def energy(state: RadialState) -> tuple[float, float, float]:
     origin by continuity."""
     grid = state.grid
     r = grid.r
-    d1 = _phi_r(state.phi, grid.dr)
+    d1 = first_derivative(state.phi, grid.dr)
     grad_integrand = d1**2 * r
     sin_integrand = np.empty_like(r)
     sin_integrand[0] = 0.0
@@ -412,7 +401,7 @@ def local_energy(state: RadialState, R: float) -> float:
     if R > 1.0:
         raise ValueError("R must lie in (0, 1]")
     r = grid.r
-    integrand = _phi_r(state.phi, dr) ** 2 * r
+    integrand = first_derivative(state.phi, dr) ** 2 * r
     k = int(np.floor(R / dr + 1e-12))
     total = float(_trapz(integrand[: k + 1], r[: k + 1]))
     if k < grid.n_cells and R > r[k]:

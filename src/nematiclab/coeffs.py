@@ -74,9 +74,10 @@ def validate(c: LeslieCoefficients) -> ValidationResult:
         violations.append("mu4 > 0")
     if not 2.0 * c.mu1 + 3.0 * c.mu4 + 2.0 * c.mu5 + 2.0 * c.mu6 > 0.0:
         violations.append("2*mu1 + 3*mu4 + 2*mu5 + 2*mu6 > 0")
-    # The quotient needs lambda1 > 0; skip when that already failed.
+    # The quotient needs lambda1 > 0; skip when that already failed.  A
+    # product, unlike float **, gives inf rather than OverflowError.
     if c.lambda1 > 0.0 and not (
-        2.0 * c.mu4 + c.mu5 + c.mu6 > c.lambda2**2 / c.lambda1
+        2.0 * c.mu4 + c.mu5 + c.mu6 > c.lambda2 * c.lambda2 / c.lambda1
     ):
         violations.append("2*mu4 + mu5 + mu6 > lambda2^2/lambda1")
     return ValidationResult(not violations, tuple(violations))

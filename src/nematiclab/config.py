@@ -1,11 +1,18 @@
 """Experiment configuration: a flat INI file, one experiment per file.
 
-Sections group parameters per module; every key is typed and unknown keys
-are rejected.  ``parse_config`` validates everything the owning modules
-would reject later (grid sizes, step bounds, presets, barrier clocks), so a
-config that parses will dispatch.  ``serialize_config`` emits a canonical
-normal form: fixed section and key order, shortest round-trip floats;
-serialising a parsed config is idempotent.
+``_SCHEMA`` declares the file once.  It maps each INI section, in
+normal-form order, to the ``ExperimentConfig`` field it fills (``None`` for
+the config itself), that field's dataclass, and the section's keys in
+normal-form order.  A key's type and default come from its dataclass field;
+a field without a default is required.  Reading (``_read``), unknown-key
+rejection and ``serialize_config`` all go through the table.
+
+``parse_config`` then validates everything the owning modules would reject
+later (grid sizes, step bounds, presets, barrier clocks), so a config that
+parses will dispatch.  ``serialize_config`` emits a canonical normal form:
+fixed section and key order, shortest round-trip floats, defaults written
+out and unset optional keys left out; serialising a parsed config is
+idempotent.
 """
 
 from __future__ import annotations
@@ -14,31 +21,28 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .axisym import RadialGrid, SolverParams, default_dt, initial_profile, step_count
-from .barriers import eta_barrier, supersolution
-from .coeffs import LeslieCoefficients, validate as validate_coeffs
-from .errors import ConfigError
-from .poiseuille import IntervalGrid
-
-EXPERIMENT_KINDS = (
-    "axisym_global",
-    "axisym_blowup",
-    "barrier_check",
-    "poiseuille_counterexample",
-    "poiseuille_generic",
-    "hopf_decay",
+from .axisym import (
+    PRESET_PARAMS,
+    RadialGrid,
+    SolverParams,
+    default_dt,
+    initial_profile,
+    step_count,
 )
-
-PRESETS = ("linear", "scaled_linear", "bubble", "bubble_linear_max", "table")
+from .barriers import eta_barrier, supersolution
+from .coeffs import LeslieCoefficients, simplified_coefficients
+from .coeffs import validate as validate_coeffs
+from .errors import ConfigError
+from .poiseuille import IntervalGrid, plan_run
 
 
 @dataclass(frozen=True)
 class AxisymSection:
     n_cells: int = 1024
-    dt: float = 1e-4
+    dt: float | None = None  # resolved by parse_config from the scheme
     scheme: str = "semi_implicit"
     t_end: float = 1.0
     clip_guard: float | None = None
@@ -48,14 +52,7 @@ class AxisymSection:
     points: tuple[tuple[float, float], ...] | None = None
 
     def preset_params(self) -> dict:
-        out = {}
-        if self.preset in ("bubble", "bubble_linear_max"):
-            out["beta0"] = self.beta0
-        if self.preset in ("scaled_linear", "bubble_linear_max"):
-            out["amplitude"] = self.amplitude
-        if self.preset == "table":
-            out["points"] = list(self.points or ())
-        return out
+        return {k: getattr(self, k) for k in PRESET_PARAMS.get(self.preset, ())}
 
 
 @dataclass(frozen=True)
@@ -108,6 +105,24 @@ class ExperimentConfig:
         return hashlib.sha256(serialize_config(self).encode()).hexdigest()[:12]
 
 
+def _all(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+_SCHEMA = {
+    "experiment": (
+        None, ExperimentConfig, ("kind", "out_dir", "snapshot_stride", "plots")
+    ),
+    "coefficients": ("coefficients", LeslieCoefficients, _all(LeslieCoefficients)),
+    "grid": ("axisym", AxisymSection, ("n_cells",)),
+    "time": ("axisym", AxisymSection, ("dt", "scheme", "t_end", "clip_guard")),
+    "initial": ("axisym", AxisymSection, ("preset", "beta0", "amplitude", "points")),
+    "barrier": ("barrier", BarrierSection, _all(BarrierSection)),
+    "barrier_check": ("barrier_check", BarrierCheckSection, _all(BarrierCheckSection)),
+    "poiseuille": ("poiseuille", PoiseuilleSection, _all(PoiseuilleSection)),
+    "hopf": ("hopf", HopfSection, _all(HopfSection)),
+}
+
 _uses = {
     "axisym_global": {"coefficients", "grid", "time", "initial", "barrier"},
     "axisym_blowup": {"coefficients", "grid", "time", "initial", "barrier"},
@@ -117,29 +132,7 @@ _uses = {
     "hopf_decay": {"hopf"},
 }
 
-_section_keys = {
-    "experiment": ("kind", "out_dir", "snapshot_stride", "plots"),
-    "coefficients": ("mu1", "mu2", "mu3", "mu4", "mu5", "mu6"),
-    "grid": ("n_cells",),
-    "time": ("dt", "scheme", "t_end", "clip_guard"),
-    "initial": ("preset", "beta0", "amplitude", "points"),
-    "barrier": ("c", "eta_beta0", "local_energy_radius"),
-    "barrier_check": ("n_sets", "n_r", "n_t", "t_max", "seed"),
-    "poiseuille": ("half_length", "n_cells", "dt", "t_end", "velocity_amplitude", "a"),
-    "hopf": ("lambdas", "mesh", "ball_mesh"),
-}
-
-
-def _get(cp, section, key, conv, default=None, required=False):
-    if not cp.has_option(section, key) or cp.get(section, key).strip() == "":
-        if required:
-            raise ConfigError(f"[{section}] {key} is required")
-        return default
-    raw = cp.get(section, key).strip()
-    try:
-        return conv(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+EXPERIMENT_KINDS = tuple(_uses)
 
 
 def _as_bool(raw: str) -> bool:
@@ -178,6 +171,35 @@ def _as_floats(raw: str) -> tuple[float, ...]:
     return vals
 
 
+# dataclass field annotation, without "| None", -> converter of the raw text
+_CONVERTERS = {
+    "int": int,
+    "str": str,
+    "bool": _as_bool,
+    "float": _as_float,
+    "tuple[float, ...]": _as_floats,
+    "tuple[tuple[float, float], ...]": _as_points,
+}
+
+
+def _value(cp, section: str, key: str):
+    """One key, converted; a missing or blank value gives the field default."""
+    field = next(f for f in fields(_SCHEMA[section][1]) if f.name == key)
+    raw = cp.get(section, key, fallback="").strip()
+    if raw == "":
+        if field.default is MISSING:
+            raise ConfigError(f"[{section}] {key} is required")
+        return field.default
+    try:
+        return _CONVERTERS[field.type.removesuffix(" | None")](raw)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+
+def _read(cp, section: str) -> dict:
+    return {key: _value(cp, section, key) for key in _SCHEMA[section][2]}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate one experiment configuration."""
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -189,13 +211,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if not cp.has_section("experiment"):
         raise ConfigError("missing [experiment] section")
     for section in cp.sections():
-        if section not in _section_keys:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp.options(section):
-            if key not in _section_keys[section]:
+            if key not in _SCHEMA[section][2]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
 
-    kind = _get(cp, "experiment", "kind", str, required=True)
+    kind = _value(cp, "experiment", "kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     used = _uses[kind]
@@ -203,79 +225,52 @@ def parse_config(text: str) -> ExperimentConfig:
         if section != "experiment" and section not in used:
             raise ConfigError(f"section [{section}] not used by {kind}")
 
-    out_dir = _get(cp, "experiment", "out_dir", str, default="out")
-    stride = _get(cp, "experiment", "snapshot_stride", int, default=10)
-    if stride < 1:
+    # checked before a bad plots value would be reported
+    if _value(cp, "experiment", "snapshot_stride") < 1:
         raise ConfigError("snapshot_stride must be >= 1")
-    plots = _get(cp, "experiment", "plots", _as_bool, default=True)
+    top = _read(cp, "experiment")
 
     coeffs = None
     if "coefficients" in used:
         if not cp.has_section("coefficients"):
             raise ConfigError(f"{kind} requires a [coefficients] section")
-        mus = [
-            _get(cp, "coefficients", f"mu{i}", _as_float, required=True)
-            for i in range(1, 7)
-        ]
-        coeffs = LeslieCoefficients(*mus)
+        coeffs = LeslieCoefficients(**_read(cp, "coefficients"))
         res = validate_coeffs(coeffs)
         if not res.ok:
             raise ConfigError(f"coefficient relations violated: {res.violations}")
 
     axisym = None
     if "grid" in used:
-        n_cells = _get(cp, "grid", "n_cells", int, default=1024)
-        scheme = _get(cp, "time", "scheme", str, default="semi_implicit")
-        t_end = _get(cp, "time", "t_end", _as_float, default=1.0)
-        if n_cells >= 16 and scheme in ("semi_implicit", "explicit") and t_end > 0.0:
-            dt_default = default_dt(RadialGrid(n_cells), coeffs, scheme, t_end)
-        else:
-            dt_default = 1e-4  # grid/scheme/t_end validation below will reject
-        axisym = AxisymSection(
-            n_cells=n_cells,
-            dt=_get(cp, "time", "dt", _as_float, default=dt_default),
-            scheme=scheme,
-            t_end=t_end,
-            clip_guard=_get(cp, "time", "clip_guard", _as_float),
-            preset=_get(cp, "initial", "preset", str, default="linear"),
-            beta0=_get(cp, "initial", "beta0", _as_float),
-            amplitude=_get(cp, "initial", "amplitude", _as_float),
-            points=_get(cp, "initial", "points", _as_points),
-        )
-        if axisym.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {axisym.preset!r}")
-        required = {
-            "scaled_linear": ("amplitude",),
-            "bubble": ("beta0",),
-            "bubble_linear_max": ("beta0", "amplitude"),
-            "table": ("points",),
-        }.get(axisym.preset, ())
-        for key in required:
-            if getattr(axisym, key) is None:
-                raise ConfigError(f"preset {axisym.preset!r} requires [initial] {key}")
+        grid_keys = _read(cp, "grid")
+        _value(cp, "time", "t_end")  # a bad t_end is reported before a bad dt
+        a = AxisymSection(**grid_keys, **_read(cp, "time"), **_read(cp, "initial"))
+        if a.preset not in PRESET_PARAMS:
+            raise ConfigError(f"unknown preset {a.preset!r}")
+        for key in PRESET_PARAMS[a.preset]:
+            if getattr(a, key) is None:
+                raise ConfigError(f"preset {a.preset!r} requires [initial] {key}")
         try:
-            grid = RadialGrid(axisym.n_cells)
-            initial_profile(grid, axisym.preset, **axisym.preset_params())
+            grid = RadialGrid(a.n_cells)
+            initial_profile(grid, a.preset, **a.preset_params())
+            if a.dt is None:  # 1e-4 stands in where SolverParams rejects the rest
+                known = a.scheme in ("semi_implicit", "explicit") and a.t_end > 0.0
+                dt = default_dt(grid, coeffs, a.scheme, a.t_end) if known else 1e-4
+                a = replace(a, dt=dt)
             params = SolverParams(
-                dt=axisym.dt,
-                scheme=axisym.scheme,  # type: ignore[arg-type]
-                t_end=axisym.t_end,
-                clip_guard=axisym.clip_guard,
+                dt=a.dt,
+                scheme=a.scheme,  # type: ignore[arg-type]
+                t_end=a.t_end,
+                clip_guard=a.clip_guard,
             )
             params.check_stability(grid, coeffs)
             step_count(0.0, params.t_end, params.dt)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
+        axisym = a
 
     barrier = None
     if "barrier" in used:
-        barrier = BarrierSection(
-            c=_get(cp, "barrier", "c", _as_float, default=0.05),
-            eta_beta0=_get(cp, "barrier", "eta_beta0", _as_float),
-            local_energy_radius=_get(
-                cp, "barrier", "local_energy_radius", _as_float, default=0.05
-            ),
-        )
+        barrier = BarrierSection(**_read(cp, "barrier"))
         try:
             supersolution(barrier.c, coeffs)
             if barrier.eta_beta0 is not None:
@@ -289,44 +284,29 @@ def parse_config(text: str) -> ExperimentConfig:
 
     barrier_check = None
     if "barrier_check" in used:
-        barrier_check = BarrierCheckSection(
-            n_sets=_get(cp, "barrier_check", "n_sets", int, default=10),
-            n_r=_get(cp, "barrier_check", "n_r", int, default=100),
-            n_t=_get(cp, "barrier_check", "n_t", int, default=100),
-            t_max=_get(cp, "barrier_check", "t_max", _as_float, default=5.0),
-            seed=_get(cp, "barrier_check", "seed", int, default=20240611),
-        )
+        barrier_check = BarrierCheckSection(**_read(cp, "barrier_check"))
         if min(barrier_check.n_sets, barrier_check.n_r, barrier_check.n_t) < 1:
             raise ConfigError("barrier_check sample counts must be positive")
 
     poiseuille = None
     if "poiseuille" in used:
-        poiseuille = PoiseuilleSection(
-            half_length=_get(cp, "poiseuille", "half_length", _as_float, default=5.0),
-            n_cells=_get(cp, "poiseuille", "n_cells", int, default=500),
-            dt=_get(cp, "poiseuille", "dt", _as_float),
-            t_end=_get(cp, "poiseuille", "t_end", _as_float, default=1.0),
-            velocity_amplitude=_get(
-                cp, "poiseuille", "velocity_amplitude", _as_float, default=1.0
-            ),
-            a=_get(cp, "poiseuille", "a", _as_float, default=0.0),
-        )
+        p = poiseuille = PoiseuilleSection(**_read(cp, "poiseuille"))
         try:
-            IntervalGrid(poiseuille.half_length, poiseuille.n_cells)
-        except ValueError as exc:
+            grid = IntervalGrid(p.half_length, p.n_cells)
+            if p.t_end <= 0:
+                raise ValueError("t_end must be positive")
+            if p.dt is not None and p.dt <= 0:
+                raise ValueError("dt must be positive")
+            if kind == "poiseuille_generic":
+                plan_run(grid, coeffs, p.t_end, p.dt, top["snapshot_stride"])
+            else:  # counterexample_run picks its own snapshot stride
+                plan_run(grid, simplified_coefficients(), p.t_end, p.dt)
+        except (ValueError, OverflowError) as exc:  # dx**2 may overflow
             raise ConfigError(str(exc)) from exc
-        if poiseuille.t_end <= 0:
-            raise ConfigError("t_end must be positive")
-        if poiseuille.dt is not None and poiseuille.dt <= 0:
-            raise ConfigError("dt must be positive")
 
     hopf = None
     if "hopf" in used:
-        hopf = HopfSection(
-            lambdas=_get(cp, "hopf", "lambdas", _as_floats, default=(1.0, 2.0, 4.0, 8.0)),
-            mesh=_get(cp, "hopf", "mesh", int, default=64),
-            ball_mesh=_get(cp, "hopf", "ball_mesh", int, default=32),
-        )
+        hopf = HopfSection(**_read(cp, "hopf"))
         if any(l <= 0 for l in hopf.lambdas):
             raise ConfigError("lambdas must be positive")
         if any(b <= a for a, b in zip(hopf.lambdas, hopf.lambdas[1:])):
@@ -335,10 +315,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("mesh must be at least 16")
 
     return ExperimentConfig(
-        kind=kind,
-        out_dir=out_dir,
-        snapshot_stride=stride,
-        plots=plots,
+        **top,
         coefficients=coeffs,
         axisym=axisym,
         barrier=barrier,
@@ -369,92 +346,17 @@ def _fmt_value(v) -> str:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical normal form; defaults are written out explicitly."""
-    sections: list[tuple[str, list[tuple[str, object]]]] = []
-    sections.append(
-        (
-            "experiment",
-            [
-                ("kind", config.kind),
-                ("out_dir", config.out_dir),
-                ("snapshot_stride", config.snapshot_stride),
-                ("plots", config.plots),
-            ],
-        )
-    )
-    if config.coefficients is not None:
-        c = config.coefficients
-        sections.append(
-            (
-                "coefficients",
-                [(f"mu{i}", mu) for i, mu in enumerate(c.as_tuple(), start=1)],
-            )
-        )
-    if config.axisym is not None:
-        a = config.axisym
-        sections.append(("grid", [("n_cells", a.n_cells)]))
-        time_items: list[tuple[str, object]] = [
-            ("dt", a.dt),
-            ("scheme", a.scheme),
-            ("t_end", a.t_end),
-        ]
-        if a.clip_guard is not None:
-            time_items.append(("clip_guard", a.clip_guard))
-        sections.append(("time", time_items))
-        init_items: list[tuple[str, object]] = [("preset", a.preset)]
-        for key in ("beta0", "amplitude", "points"):
-            val = getattr(a, key)
-            if val is not None:
-                init_items.append((key, val))
-        sections.append(("initial", init_items))
-    if config.barrier is not None:
-        b = config.barrier
-        items: list[tuple[str, object]] = [("c", b.c)]
-        if b.eta_beta0 is not None:
-            items.append(("eta_beta0", b.eta_beta0))
-        items.append(("local_energy_radius", b.local_energy_radius))
-        sections.append(("barrier", items))
-    if config.barrier_check is not None:
-        bc = config.barrier_check
-        sections.append(
-            (
-                "barrier_check",
-                [
-                    ("n_sets", bc.n_sets),
-                    ("n_r", bc.n_r),
-                    ("n_t", bc.n_t),
-                    ("t_max", bc.t_max),
-                    ("seed", bc.seed),
-                ],
-            )
-        )
-    if config.poiseuille is not None:
-        p = config.poiseuille
-        items = [
-            ("half_length", p.half_length),
-            ("n_cells", p.n_cells),
-        ]
-        if p.dt is not None:
-            items.append(("dt", p.dt))
-        items += [
-            ("t_end", p.t_end),
-            ("velocity_amplitude", p.velocity_amplitude),
-            ("a", p.a),
-        ]
-        sections.append(("poiseuille", items))
-    if config.hopf is not None:
-        h = config.hopf
-        sections.append(
-            (
-                "hopf",
-                [("lambdas", h.lambdas), ("mesh", h.mesh), ("ball_mesh", h.ball_mesh)],
-            )
-        )
-
+    """Canonical normal form: every section the config fills, in schema
+    order; defaults are written out, unset optional keys left out."""
     out = io.StringIO()
-    for name, items in sections:
-        out.write(f"[{name}]\n")
-        for key, value in items:
-            out.write(f"{key} = {_fmt_value(value)}\n")
+    for section, (attr, _, keys) in _SCHEMA.items():
+        obj = config if attr is None else getattr(config, attr)
+        if obj is None:
+            continue
+        out.write(f"[{section}]\n")
+        for key in keys:
+            value = getattr(obj, key)
+            if value is not None:
+                out.write(f"{key} = {_fmt_value(value)}\n")
         out.write("\n")
     return out.getvalue()

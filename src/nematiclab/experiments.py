@@ -93,14 +93,6 @@ def run(
     return result
 
 
-def _series_metadata(config: ExperimentConfig) -> dict[str, str]:
-    meta = {"config_hash": config.hash(), "experiment": config.kind}
-    if config.axisym is not None:
-        meta["grid"] = str(config.axisym.n_cells)
-        meta["scheme"] = config.axisym.scheme
-    return meta
-
-
 # ---------------------------------------------------------------------------
 # axisymmetric experiments
 
@@ -130,9 +122,7 @@ def build_axisym_run(config: ExperimentConfig) -> axisym.RunTrace:
     return trace
 
 
-def axisym_series(
-    trace: axisym.RunTrace, local_radius: float, metadata: dict[str, str]
-) -> TimeSeries:
+def axisym_series(trace: axisym.RunTrace, local_radius: float) -> TimeSeries:
     rows = []
     for i, state in enumerate(trace.states()):
         e_total, e_grad, e_sin = axisym.energy(state)
@@ -149,7 +139,6 @@ def axisym_series(
     return TimeSeries(
         columns=("t", "phi_r_origin", "e_total", "e_grad", "e_sin", "local_energy_R"),
         rows=np.asarray(rows),
-        metadata=metadata,
     )
 
 
@@ -201,10 +190,7 @@ def _run_axisym(config: ExperimentConfig):
             except ValueError as exc:
                 report["beta_law"] = {"error": str(exc)}
 
-    meta = _series_metadata(config)
-    artifacts = [
-        Artifact("series", axisym_series(trace, b.local_energy_radius, meta)),
-    ]
+    artifacts = [Artifact("series", axisym_series(trace, b.local_energy_radius))]
     if config.kind == "axisym_blowup":
         # full-trace gradient history; beta_hat only where the bubble scale
         # is readable (gradient >= 100), nan elsewhere
@@ -215,10 +201,9 @@ def _run_axisym(config: ExperimentConfig):
         full = TimeSeries(
             ("t", "phi_r_origin", "beta_hat"),
             np.column_stack([trace.times, grads, beta_hat]),
-            meta,
         )
         grad_only = TimeSeries(
-            ("t", "phi_r_origin"), np.column_stack([trace.times, grads]), meta
+            ("t", "phi_r_origin"), np.column_stack([trace.times, grads])
         )
         artifacts.append(
             Artifact("blowup_history", full, "linear", plot_series=grad_only)
@@ -297,11 +282,7 @@ def _run_barrier_check(config: ExperimentConfig):
 # Poiseuille experiments
 
 
-def _poiseuille_series(
-    trace: poiseuille.PoiseuilleTrace,
-    metadata: dict[str, str],
-    exact_w=None,
-) -> TimeSeries:
+def _poiseuille_series(trace: poiseuille.PoiseuilleTrace, exact_w=None) -> TimeSeries:
     rows = []
     x = trace.grid.x
     for i in range(trace.n_snapshots):
@@ -315,7 +296,7 @@ def _poiseuille_series(
     if exact_w is not None:
         cols.append("max_err_w")
     cols += ["energy", "dissipation"]
-    return TimeSeries(tuple(cols), np.asarray(rows), metadata)
+    return TimeSeries(tuple(cols), np.asarray(rows))
 
 
 def _run_poiseuille_counterexample(config: ExperimentConfig):
@@ -323,8 +304,7 @@ def _run_poiseuille_counterexample(config: ExperimentConfig):
     report_obj, trace = poiseuille.counterexample_run(
         L=p.half_length, n=p.n_cells, t_end=p.t_end, dt=p.dt
     )
-    meta = {"config_hash": config.hash(), "experiment": config.kind}
-    series = _poiseuille_series(trace, meta, exact_w=lambda x: -2.0 * x)
+    series = _poiseuille_series(trace, exact_w=lambda x: -2.0 * x)
     return report_obj.as_dict(), [Artifact("series", series)]
 
 
@@ -336,7 +316,7 @@ def _run_poiseuille_generic(config: ExperimentConfig):
     state0 = poiseuille.PoiseuilleState(
         grid, w=w0, phi=np.zeros(p.n_cells + 1), a=p.a
     )
-    dt = p.dt if p.dt is not None else 0.8 * poiseuille.stability_bound(grid, c, state0.phi)
+    dt, _ = poiseuille.plan_run(grid, c, p.t_end, p.dt, config.snapshot_stride)
     trace = poiseuille.simulate(
         state0, c, dt, p.t_end, poiseuille.homogeneous_bc(), config.snapshot_stride
     )
@@ -355,8 +335,7 @@ def _run_poiseuille_generic(config: ExperimentConfig):
     )
     if simplified:
         report["heat_reduction_residual"] = poiseuille.heat_reduction_check(trace)
-    meta = {"config_hash": config.hash(), "experiment": config.kind}
-    return report, [Artifact("series", _poiseuille_series(trace, meta))]
+    return report, [Artifact("series", _poiseuille_series(trace))]
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +375,8 @@ def _run_hopf_decay(config: ExperimentConfig):
         report["reference_relative_error"] = abs(
             e1 - hopf.S3_ENERGY_REFERENCE
         ) / hopf.S3_ENERGY_REFERENCE
-    meta = {"config_hash": config.hash(), "experiment": config.kind}
     series = TimeSeries(
-        ("lambda", "energy", "mesh", "warning_flag"), np.asarray(rows), meta
+        ("lambda", "energy", "mesh", "warning_flag"), np.asarray(rows)
     )
-    plot = TimeSeries(("lambda", "energy"), np.asarray(rows)[:, :2], meta)
+    plot = TimeSeries(("lambda", "energy"), np.asarray(rows)[:, :2])
     return report, [Artifact("decay", series, "loglog", plot_series=plot)]

@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .axisym import first_derivative
+
 POLE = np.array([1.0, 0.0, 0.0, 0.0])
 _POLE_SNAP = 1e-14
 
@@ -129,25 +131,10 @@ def _grad_sq(f: np.ndarray, h0: float, h1: float, h2: float, inv_m1: np.ndarray,
     """|grad f|^2 for f (n0, n1, n2, 3) on an orthogonal coordinate grid with
     inverse metric weights along axes 1 and 2; axis 2 is periodic."""
 
-    def d_axis(a: int, h: float, periodic: bool) -> np.ndarray:
-        if periodic:
-            return (np.roll(f, -1, axis=a) - np.roll(f, 1, axis=a)) / (2.0 * h)
-        out = np.empty_like(f)
-        sl = [slice(None)] * f.ndim
-
-        def ix(i):
-            s = sl.copy()
-            s[a] = i
-            return tuple(s)
-
-        out[ix(slice(1, -1))] = (f[ix(slice(2, None))] - f[ix(slice(None, -2))]) / (2.0 * h)
-        out[ix(0)] = (-3.0 * f[ix(0)] + 4.0 * f[ix(1)] - f[ix(2)]) / (2.0 * h)
-        out[ix(-1)] = (3.0 * f[ix(-1)] - 4.0 * f[ix(-2)] + f[ix(-3)]) / (2.0 * h)
-        return out
-
-    e2 = np.sum(d_axis(0, h0, False) ** 2, axis=-1)
-    e2 += np.sum(d_axis(1, h1, False) ** 2, axis=-1) * inv_m1
-    e2 += np.sum(d_axis(2, h2, True) ** 2, axis=-1) * inv_m2
+    e2 = np.sum(first_derivative(f, h0, 0) ** 2, axis=-1)
+    e2 += np.sum(first_derivative(f, h1, 1) ** 2, axis=-1) * inv_m1
+    d2 = (np.roll(f, -1, axis=2) - np.roll(f, 1, axis=2)) / (2.0 * h2)
+    e2 += np.sum(d2**2, axis=-1) * inv_m2
     return e2
 
 

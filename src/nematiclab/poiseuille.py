@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .axisym import first_derivative, step_count, whole_step_dt
 from .coeffs import LeslieCoefficients, g_coeff, h_coeff, simplified_coefficients
 from .errors import SolverHalt
 
@@ -130,8 +131,10 @@ def step_general(
     c: LeslieCoefficients,
     dt: float,
     bc: BoundaryData,
+    t_new: float | None = None,
 ) -> PoiseuilleState:
-    """One explicit Euler step of the coupled system."""
+    """One explicit Euler step of the coupled system to time t_new, by
+    default state.t + dt; the boundary data are taken at t_new."""
     grid = state.grid
     dx = grid.dx
     if dt > stability_bound(grid, c, state.phi):
@@ -148,7 +151,8 @@ def step_general(
     )
     w_t = -state.a + np.diff(flux) / dx
 
-    t_new = state.t + dt
+    if t_new is None:
+        t_new = state.t + dt
     w_new = w.copy()
     w_new[1:-1] += dt * w_t
     phi_new = phi + dt * phi_t
@@ -215,6 +219,36 @@ class PoiseuilleTrace:
         return PoiseuilleState(self.grid, self.ws[i], self.phis[i], float(self.times[i]))
 
 
+def plan_run(
+    grid: IntervalGrid,
+    c: LeslieCoefficients,
+    t_end: float,
+    dt: float | None = None,
+    snapshot_stride: int | None = None,
+) -> tuple[float, int]:
+    """(dt, snapshot_stride) of a run from phi = 0 at t = 0.  dt defaults to
+    0.8 of the step bound, shortened so whole steps reach t_end; the stride
+    defaults to about 200 recorded steps.  ValueError when dt exceeds the
+    step bound at phi = 0, t_end is not a whole number of steps, or the run
+    would record fewer than the 3 snapshots the energy and heat checks use."""
+    bound = stability_bound(grid, c, np.zeros(1))
+    if dt is None:
+        dt = whole_step_dt(t_end, 0.8 * bound)
+    elif dt > bound:
+        raise ValueError(
+            f"dt = {dt:.3e} exceeds stability bound {bound:.3e} at phi = 0"
+        )
+    n_steps = step_count(0.0, t_end, dt)
+    if snapshot_stride is None:
+        snapshot_stride = max(1, n_steps // 200)
+    if n_steps <= snapshot_stride:
+        raise ValueError(
+            f"need at least 3 snapshots: {n_steps} steps at snapshot_stride "
+            f"{snapshot_stride} record 2"
+        )
+    return dt, snapshot_stride
+
+
 def simulate(
     state0: PoiseuilleState,
     c: LeslieCoefficients,
@@ -223,6 +257,9 @@ def simulate(
     bc: BoundaryData,
     snapshot_stride: int = 1,
 ) -> PoiseuilleTrace:
+    """March to t_end, recording every ``snapshot_stride``-th state.  Step k
+    ends at t0 + k*dt and the last step at t_end itself, which must lie a
+    whole number of steps after t0."""
     state0.validate()
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
@@ -231,9 +268,11 @@ def simulate(
     phis = [state0.phi.copy()]
     phi_ts = [phi_time_derivative(state0, c, bc)]
     state = state0
-    n_steps = int(round((t_end - state0.t) / dt))
+    t0 = state0.t
+    n_steps = step_count(t0, t_end, dt)
     for k in range(1, n_steps + 1):
-        state = step_general(state, c, dt, bc)
+        t_k = t_end if k == n_steps else t0 + k * dt
+        state = step_general(state, c, dt, bc, t_k)
         if k % snapshot_stride == 0 or k == n_steps:
             times.append(state.t)
             ws.append(state.w.copy())
@@ -276,22 +315,14 @@ def heat_reduction_check(trace: PoiseuilleTrace) -> float:
     return worst
 
 
-def _first_derivative(f: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
-    return out
-
-
 def energies(trace: PoiseuilleTrace, i: int) -> tuple[float, float]:
     """(E, D) at snapshot i: E = 0.5 int(w^2 + phi_x^2),
     D = int(w_x^2 + phi_t^2 + (w_x + phi_t)^2); trapezoidal quadrature."""
     x = trace.grid.x
     dx = trace.grid.dx
     w = trace.ws[i]
-    phi_x = _first_derivative(trace.phis[i], dx)
-    w_x = _first_derivative(w, dx)
+    phi_x = first_derivative(trace.phis[i], dx)
+    w_x = first_derivative(w, dx)
     phi_t = trace.phi_ts[i]
     e = 0.5 * float(_trapz(w**2 + phi_x**2, x))
     d = float(_trapz(w_x**2 + phi_t**2 + (w_x + phi_t) ** 2, x))
@@ -364,12 +395,8 @@ def counterexample_run(
     c = simplified_coefficients()
     grid = IntervalGrid(L, n)
     state0 = PoiseuilleState(grid, w=-2.0 * grid.x, phi=np.zeros(n + 1))
-    if dt is None:
-        dt = 0.1 * grid.dx**2  # inside the 0.125 dx^2 simplified bound
-        dt = t_end / int(np.ceil(t_end / dt))  # land exactly on t_end
+    dt, snapshot_stride = plan_run(grid, c, t_end, dt, snapshot_stride)
     bc = counterexample_bc(L)
-    if snapshot_stride is None:
-        snapshot_stride = max(1, int(round(t_end / dt)) // 200)
     trace = simulate(state0, c, dt, t_end, bc, snapshot_stride)
 
     w_fin = trace.ws[-1]

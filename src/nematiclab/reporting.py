@@ -8,7 +8,7 @@ their insertion order.  Identical inputs give byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,6 @@ import numpy as np
 class TimeSeries:
     columns: tuple[str, ...]
     rows: np.ndarray  # shape (n, len(columns)); first column is time
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)

@@ -11,7 +11,6 @@ from nematiclab.axisym import (
     make_state,
     rhs,
     simulate,
-    static_fields,
     step,
 )
 from nematiclab.coeffs import LeslieCoefficients
@@ -22,17 +21,6 @@ L2_HALF = LeslieCoefficients(0, -0.25, 0.75, 1, 0, 0.5)  # lambda1=1, lambda2=0.
 
 def weighted_l2(err, r):
     return float(np.sqrt(np.trapezoid(err**2 * r[1:-1], r[1:-1])))
-
-
-# ---------------------------------------------------------------------------
-# static background flow
-
-
-def test_static_fields_closed_forms():
-    f = static_fields()
-    assert f.v(0.5) == 0.5
-    assert f.w(1.0) == -2.0
-    assert abs(f.divergence_residual(0.3, 0.7)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,12 @@ def test_non_finite_input_rejected():
         validate(LeslieCoefficients(0, np.nan, 1, 3, 0, 0))
 
 
+def test_overflowing_relation_is_a_violation_not_an_error():
+    # lambda2^2 overflows a float; validation still names the relation
+    res = validate(LeslieCoefficients(0.0, 0.5e200, 1.5e200, 1.0, -1e200, 1e200))
+    assert "2*mu4 + mu5 + mu6 > lambda2^2/lambda1" in res.violations
+
+
 def test_g_examples_generic():
     c = LeslieCoefficients(0.3, -0.7, 0.9, 2.0, 0.1, 1.2)
     assert g_coeff(c, 0.0) == pytest.approx((c.mu3 + c.mu6) / 2 + c.mu4 / 2, abs=1e-14)

@@ -1,0 +1,198 @@
+"""The config schema: normal forms pinned to recorded files, and a property
+over random INI texts."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nematiclab.cli import main
+from nematiclab.config import load_config, parse_config, serialize_config
+from nematiclab.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# config.hash() of each shipped config, recorded with its normal form in
+# tests/golden/ before the schema became one table
+HASHES = {
+    "axisym_blowup.ini": "a8904f311058",
+    "axisym_global.ini": "820ead5f4e54",
+    "barrier_check.ini": "5c24a4aca613",
+    "hopf_decay.ini": "bba0fc3d9590",
+    "poiseuille_counterexample.ini": "972f3481dc16",
+    "poiseuille_generic.ini": "0e327e12e0e7",
+}
+
+
+def test_golden_set_covers_every_shipped_config():
+    assert sorted(p.name for p in (ROOT / "configs").glob("*.ini")) == sorted(HASHES)
+
+
+@pytest.mark.parametrize("name", sorted(HASHES))
+def test_validate_prints_the_recorded_normal_form(name, capsys):
+    assert main(["validate", str(ROOT / "configs" / name)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    assert load_config(ROOT / "configs" / name).hash() == HASHES[name]
+
+
+TINY = """[experiment]
+kind = axisym_global
+
+[coefficients]
+mu1 = 0.0
+mu2 = -0.5
+mu3 = 0.5
+mu4 = 1.0
+mu5 = 0.0
+mu6 = 0.0
+
+[grid]
+n_cells = 64
+
+[time]
+dt = 1e-3
+scheme = semi_implicit
+t_end = 0.05
+
+[initial]
+preset = scaled_linear
+amplitude = 3.0
+
+[barrier]
+c = 0.03
+local_energy_radius = 0.1
+"""
+
+
+@pytest.mark.parametrize(
+    "time",
+    [
+        "scheme = explicit\nt_end = 1e305",  # RK4 default dt
+        "dt = 1e-300\nt_end = 1e10",
+    ],
+)
+def test_step_count_beyond_float_range_is_a_config_error(time):
+    old = "dt = 1e-3\nscheme = semi_implicit\nt_end = 0.05"
+    with pytest.raises(ConfigError, match="too many steps"):
+        parse_config(TINY.replace(old, time))
+
+
+# ---------------------------------------------------------------------------
+# random configs
+
+
+KINDS = {
+    "axisym_global": ("coefficients", "grid", "time", "initial", "barrier"),
+    "axisym_blowup": ("coefficients", "grid", "time", "initial", "barrier"),
+    "barrier_check": ("barrier_check",),
+    "poiseuille_counterexample": ("poiseuille",),
+    "poiseuille_generic": ("coefficients", "poiseuille"),
+    "hopf_decay": ("hopf",),
+}
+
+SECTIONS = {
+    "experiment": {
+        "kind": "kind", "out_dir": "text", "snapshot_stride": "int", "plots": "bool"
+    },
+    "coefficients": {f"mu{i}": "float" for i in range(1, 7)},
+    "grid": {"n_cells": "int"},
+    "time": {
+        "dt": "float", "scheme": "scheme", "t_end": "float", "clip_guard": "float"
+    },
+    "initial": {
+        "preset": "preset", "beta0": "float", "amplitude": "float", "points": "points"
+    },
+    "barrier": {"c": "float", "eta_beta0": "float", "local_energy_radius": "float"},
+    "barrier_check": {
+        "n_sets": "int", "n_r": "int", "n_t": "int", "t_max": "float", "seed": "int"
+    },
+    "poiseuille": {
+        "half_length": "float", "n_cells": "int", "dt": "float", "t_end": "float",
+        "velocity_amplitude": "float", "a": "float",
+    },
+    "hopf": {"lambdas": "floats", "mesh": "int", "ball_mesh": "int"},
+}
+
+_float = st.one_of(
+    st.sampled_from(["0", "1e-5", "1e-4", "1e-3", "0.03", "0.05", "0.5", "1.0", "3.0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_text = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12
+)
+_junk = st.one_of(
+    st.sampled_from(["", "  ", "nan", "-inf", "1e400", "0x10", "1_000", "junk", "-1"]),
+    _text,
+)
+VALUES = {
+    "float": _float,
+    # grid sizes stay small: parsing builds the radial grid's nodes
+    "int": st.integers(-2, 4096).map(str),
+    "text": _text,
+    "kind": st.sampled_from([*KINDS, "warp_drive"]),
+    "scheme": st.sampled_from(["semi_implicit", "explicit", "rk9"]),
+    "preset": st.sampled_from(
+        ["linear", "scaled_linear", "bubble", "bubble_linear_max", "table", "spiral"]
+    ),
+    "bool": st.sampled_from(["true", "false", "yes", "0", "maybe"]),
+    "points": st.lists(st.tuples(_float, _float), max_size=4).map(
+        lambda pts: ", ".join(f"{r}:{p}" for r, p in pts)
+    ),
+    "floats": st.lists(_float, max_size=4).map(", ".join),
+}
+
+
+# a valid value for every key; a section drawn "as base" uses these only
+BASE = {
+    "experiment": {"out_dir": "out", "snapshot_stride": "5", "plots": "true"},
+    "coefficients": dict(zip(SECTIONS["coefficients"], "0 -0.5 0.5 1 0 0".split())),
+    "grid": {"n_cells": "64"},
+    "time": {"dt": "1e-3", "scheme": "semi_implicit", "t_end": "0.05"},
+    "initial": {"preset": "scaled_linear", "amplitude": "3.0", "beta0": "0.1"},
+    "barrier": {"c": "0.03", "local_energy_radius": "0.1", "eta_beta0": "0.001"},
+    "barrier_check": {"n_sets": "2", "n_r": "10", "n_t": "10", "t_max": "1.0"},
+    "poiseuille": {"half_length": "5.0", "n_cells": "64", "t_end": "0.05"},
+    "hopf": {"lambdas": "1, 2", "mesh": "16", "ball_mesh": "16"},
+}
+
+
+@st.composite
+def config_texts(draw):
+    kind = draw(st.sampled_from(list(KINDS)))
+    names = ["experiment"]
+    names += [s for s in KINDS[kind] if draw(st.integers(0, 9)) != 9]
+    names += draw(st.lists(st.sampled_from([*SECTIONS, "extra"]), max_size=1))
+    lines = []
+    for name in names:
+        lines.append(f"[{name}]")
+        keys = SECTIONS.get(name, {"key": "text"})
+        base = BASE.get(name, {})
+        as_base = draw(st.booleans())
+        for key, kind_of in keys.items():
+            if key == "kind":
+                lines.append(f"kind = {kind}")
+            elif as_base:
+                if key in base:
+                    lines.append(f"{key} = {base[key]}")
+            elif draw(st.integers(0, 3)) != 3:
+                valid = st.just(base.get(key, ""))
+                value = draw(st.one_of(VALUES[kind_of], _junk, valid))
+                lines.append(f"{key} = {value}")
+        if draw(st.integers(0, 19)) == 19:
+            lines.append("unknown_key = 1")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_texts())
+def test_random_config_is_rejected_or_reaches_its_normal_form(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    normal = serialize_config(config)
+    again = parse_config(normal)
+    assert again == config
+    assert serialize_config(again) == normal

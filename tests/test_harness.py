@@ -320,6 +320,7 @@ def test_cli_runtime_halt_exit_code(tmp_path, monkeypatch):
 [experiment]
 kind = poiseuille_generic
 out_dir = results/halt
+snapshot_stride = 1
 
 [coefficients]
 mu1 = 0.0
@@ -349,6 +350,43 @@ def test_cli_non_finite_time_is_config_error(tmp_path, monkeypatch, capsys, old,
     assert main(["validate", str(cfg)]) == 2
     assert main(["simulate", str(cfg)]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+SIMPLIFIED_SECTION = """[coefficients]
+mu1 = 0.0
+mu2 = -1.0
+mu3 = 1.0
+mu4 = 3.0
+mu5 = 0.0
+mu6 = 0.0
+
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, body, message",
+    [
+        ("generic", "half_length = 10.0\nn_cells = 64\ndt = 1.0", "stability"),
+        ("counterexample", "dt = 0.001\nt_end = 0.0004", "stability"),
+        ("counterexample", "n_cells = 64\ndt = 1e-3\nt_end = 0.0105", "whole"),
+        ("counterexample", "n_cells = 64\ndt = 1e-3\nt_end = 1e-3", "3 snapshots"),
+        ("generic", "half_length = 10.0\nn_cells = 64\nt_end = 0.01", "3 snapshots"),
+    ],
+)
+def test_cli_poiseuille_run_that_cannot_finish_is_config_error(
+    tmp_path, monkeypatch, capsys, kind, body, message
+):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "p.ini"
+    coeffs = SIMPLIFIED_SECTION if kind == "generic" else ""
+    cfg.write_text(
+        f"[experiment]\nkind = poiseuille_{kind}\nout_dir = results/p\n\n"
+        f"{coeffs}[poiseuille]\n{body}\n"
+    )
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["simulate", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
 

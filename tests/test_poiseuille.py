@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nematiclab.poiseuille import (
     energy_identity_residual,
     heat_reduction_check,
     homogeneous_bc,
+    plan_run,
     simulate,
     stability_bound,
     step_general,
@@ -103,6 +106,30 @@ def test_counterexample_boundary_warning_on_energy_identity():
     assert energy_identity_residual(trace).boundary_warning
 
 
+def test_simulate_ends_exactly_at_t_end_without_drift():
+    grid = IntervalGrid(5.0, 64)
+    state = PoiseuilleState(grid, w=-2.0 * grid.x, phi=np.zeros(65))
+    trace = simulate(state, SIMPLIFIED, 1e-3, 0.011, counterexample_bc(5.0), 1)
+    assert list(trace.times) == [k * 1e-3 for k in range(11)] + [0.011]
+    # the boundary data are taken at the recorded time
+    assert np.all(trace.phis[:, 0] == trace.times)
+    with pytest.raises(ValueError, match="whole number"):
+        simulate(state, SIMPLIFIED, 1e-3, 0.0105, counterexample_bc(5.0), 1)
+
+
+def test_plan_run_default_dt_takes_whole_steps_under_the_bound():
+    grid = IntervalGrid(10.0, 64)
+    bound = stability_bound(grid, SIMPLIFIED, np.zeros(65))
+    dt, stride = plan_run(grid, SIMPLIFIED, 0.5)
+    assert dt <= 0.8 * bound
+    assert 0.5 / dt == round(0.5 / dt) == math.ceil(0.5 / (0.8 * bound))
+    assert stride == 1
+    with pytest.raises(ValueError, match="stability bound"):
+        plan_run(grid, SIMPLIFIED, 0.5, dt=1.01 * bound)
+    with pytest.raises(ValueError, match="3 snapshots"):
+        plan_run(grid, SIMPLIFIED, 0.5, snapshot_stride=10**6)
+
+
 # ---------------------------------------------------------------------------
 # heat-equation reduction of v + phi
 
@@ -140,7 +167,7 @@ def test_heat_reduction_refines_at_second_order():
 
 def test_energy_identity_compact_pulse():
     state = _compact_state(512)
-    dt = 0.8 * stability_bound(state.grid, SIMPLIFIED, state.phi)
+    dt, _ = plan_run(state.grid, SIMPLIFIED, 0.02, snapshot_stride=10)
     trace = simulate(state, SIMPLIFIED, dt, 0.02, homogeneous_bc(), 10)
     result = energy_identity_residual(trace)
     assert not result.boundary_warning
