@@ -28,12 +28,20 @@ r_i = i/n.  Two time integrators:
 
 The origin node carries the Dirichlet value phi = 0, so the singular terms
 are never evaluated at r = 0.
+
+``simulate`` records its snapshots into one (rows, n + 1) array allocated up
+front; ``parse_config`` keeps that buffer under ``MAX_RECORD_BYTES`` and a
+run under ``MAX_STEPS`` steps.  The trace diagnostics (``energy``,
+``local_energy``) take a state or a whole trace and walk the trace in row
+blocks of about ``CHUNK_VALUES`` values, computing each row with the same
+operations, in the same order, as for a single state, so the numbers do
+not depend on the block size (DECISIONS.md section 4).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Literal
 
@@ -200,12 +208,22 @@ def whole_step_dt(t_end: float, dt_max: float) -> float:
     return t_end / steps
 
 
+# Ceilings on one run, checked before anything is allocated (DECISIONS.md
+# section 4): the steps of any marching run, and the bytes of the buffer a
+# radial run records its snapshots into.
+MAX_STEPS = 10**9
+MAX_RECORD_BYTES = 2**30
+
+
 def step_count(t0: float, t_end: float, dt: float) -> int:
     """The number of dt steps from t0 to t_end; ValueError unless it is a
-    positive whole number to a relative 1e-9."""
+    whole number, to a relative 1e-9, from 1 to MAX_STEPS."""
     steps = (t_end - t0) / dt
-    if not math.isfinite(steps):
-        raise ValueError(f"t_end = {t_end!r} takes too many steps of dt = {dt!r}")
+    if not abs(steps) <= MAX_STEPS:  # also catches nan
+        raise ValueError(
+            f"t_end = {t_end!r} takes too many steps of dt = {dt!r} "
+            f"(more than {MAX_STEPS})"
+        )
     n = round(steps)
     if n < 1 or abs(steps - n) > 1e-9 * n:
         raise ValueError(
@@ -235,7 +253,15 @@ def first_derivative(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
 
 
 def max_gradient(state: RadialState) -> float:
-    return float(np.max(np.abs(first_derivative(state.phi, state.grid.dr))))
+    """max |first_derivative(phi)|, without building the derivative: the
+    largest numerator is divided once by 2 dr.  The two agree exactly,
+    because division by a positive constant is monotone under rounding."""
+    phi = state.phi
+    num = np.empty_like(phi)
+    np.subtract(phi[2:], phi[:-2], out=num[1:-1])
+    num[0] = -3.0 * phi[0] + 4.0 * phi[1] - phi[2]
+    num[-1] = 3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]
+    return float(np.max(np.abs(num, out=num)) / (2.0 * state.grid.dr))
 
 
 def _reaction(
@@ -373,43 +399,82 @@ def _step_cn(state: RadialState, c: LeslieCoefficients, dt: float) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# energies
+# energies, of one state or of every snapshot of a trace
+
+# Trace diagnostics walk the snapshots in blocks of about this many values
+# per temporary array, so their memory does not grow with the trace.  At
+# 2**16 (512 KB) a block's few temporaries fit a 2 MB L2 cache: on a
+# 26,001 x 513 trace, energy() took 0.47 s with it and 0.68 s at 2**20
+# (one core of a 2-core x86-64 Xeon).
+CHUNK_VALUES = 2**16
 
 
-def energy(state: RadialState) -> tuple[float, float, float]:
+def _blocks(source: RadialState | RunTrace):
+    """(grid, blocks, single): the snapshots of ``source`` as consecutive
+    (rows, n_nodes) blocks under ``CHUNK_VALUES``; a state is one row, and
+    ``single`` says so."""
+    if isinstance(source, RunTrace):
+        phis, single = source.phis, False
+    else:
+        phis, single = source.phi[np.newaxis], True
+    rows = max(1, CHUNK_VALUES // phis.shape[1])
+    blocks = (phis[i : i + rows] for i in range(0, len(phis), rows))
+    return source.grid, blocks, single
+
+
+def _grad_integrand(block: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """phi_r^2 r on the nodes ``block`` holds: whole snapshots, or their
+    leading nodes, whose last value is then one-sided and not the
+    snapshot's."""
+    m = block.shape[1]
+    return first_derivative(block, grid.dr, axis=1) ** 2 * grid.r[:m]
+
+
+def energy(source: RadialState | RunTrace):
     """(e_total, e_grad, e_sin): trapezoidal quadrature over [0, 1] of
     phi_r^2 * r and sin^2(phi)/r; the second integrand extends to 0 at the
-    origin by continuity."""
-    grid = state.grid
+    origin by continuity.  Floats for a state, arrays with one entry per
+    snapshot for a trace."""
+    grid, blocks, single = _blocks(source)
     r = grid.r
-    d1 = first_derivative(state.phi, grid.dr)
-    grad_integrand = d1**2 * r
-    sin_integrand = np.empty_like(r)
-    sin_integrand[0] = 0.0
-    sin_integrand[1:] = np.sin(state.phi[1:]) ** 2 / r[1:]
-    e_grad = float(_trapz(grad_integrand, r))
-    e_sin = float(_trapz(sin_integrand, r))
+    e_grad, e_sin = [], []
+    for block in blocks:
+        sin_integrand = np.empty_like(block)
+        sin_integrand[:, 0] = 0.0
+        sin_integrand[:, 1:] = np.sin(block[:, 1:]) ** 2 / r[1:]
+        e_grad.append(_trapz(_grad_integrand(block, grid), r, axis=1))
+        e_sin.append(_trapz(sin_integrand, r, axis=1))
+    e_grad, e_sin = np.concatenate(e_grad), np.concatenate(e_sin)
+    if single:
+        return float(e_grad[0] + e_sin[0]), float(e_grad[0]), float(e_sin[0])
     return e_grad + e_sin, e_grad, e_sin
 
 
-def local_energy(state: RadialState, R: float) -> float:
-    """Trapezoidal quadrature of phi_r^2 r over [0, R]."""
-    grid = state.grid
+def local_energy(source: RadialState | RunTrace, R: float):
+    """Trapezoidal quadrature of phi_r^2 r over [0, R]: a float for a state,
+    an array with one entry per snapshot for a trace."""
+    grid, blocks, single = _blocks(source)
     dr = grid.dr
     if R < 2.0 * dr:
         raise ValueError(f"R = {R} unresolvable: need R >= 2*dr = {2 * dr}")
     if R > 1.0:
         raise ValueError("R must lie in (0, 1]")
     r = grid.r
-    integrand = first_derivative(state.phi, dr) ** 2 * r
     k = int(np.floor(R / dr + 1e-12))
-    total = float(_trapz(integrand[: k + 1], r[: k + 1]))
-    if k < grid.n_cells and R > r[k]:
-        # partial trapezoid on the clipped last interval
-        frac = (R - r[k]) / dr
-        f_r = integrand[k] + frac * (integrand[k + 1] - integrand[k])
-        total += 0.5 * (integrand[k] + f_r) * (R - r[k])
-    return total
+    totals = []
+    for block in blocks:
+        # nodes 0..k+1 are used; node k+2 keeps the stencil at k+1 central
+        integrand = _grad_integrand(block[:, : k + 3], grid)
+        total = _trapz(integrand[:, : k + 1], r[: k + 1], axis=1)
+        if k < grid.n_cells and R > r[k]:
+            # partial trapezoid on the clipped last interval
+            frac = (R - r[k]) / dr
+            f_k = integrand[:, k]
+            f_r = f_k + frac * (integrand[:, k + 1] - f_k)
+            total += 0.5 * (f_k + f_r) * (R - r[k])
+        totals.append(total)
+    totals = np.concatenate(totals)
+    return float(totals[0]) if single else totals
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +501,9 @@ class RunTrace:
     def state(self, i: int) -> RadialState:
         return RadialState(self.grid, self.phis[i], float(self.times[i]))
 
-    def states(self):
-        return (self.state(i) for i in range(self.n_snapshots))
-
-    def final_state(self) -> RadialState:
-        return self.state(self.n_snapshots - 1)
+    def head(self, n: int) -> RunTrace:
+        """The same run cut after its first n snapshots."""
+        return replace(self, times=self.times[:n], phis=self.phis[:n])
 
 
 def simulate(
@@ -464,8 +527,12 @@ def simulate(
     t0 = state0.t
     n_steps = step_count(t0, p.t_end, p.dt)
 
-    times = [state0.t]
-    phis = [state0.phi.copy()]
+    # every recorded row: the initial state, each stride step, and the
+    # last step or the halting state when that is off the stride
+    times = np.empty(2 + n_steps // snapshot_stride)
+    phis = np.empty((len(times), state0.grid.n_cells + 1))
+    times[0], phis[0] = state0.t, state0.phi
+    j = 1
     halted = False
     halt_reason = None
 
@@ -485,8 +552,8 @@ def simulate(
             halted, halt_reason = True, "gradient guard"
             record = True
         if record:
-            times.append(state.t)
-            phis.append(state.phi.copy())
+            times[j], phis[j] = state.t, state.phi
+            j += 1
         if halted:
             break
 
@@ -494,8 +561,8 @@ def simulate(
         grid=state0.grid,
         params=p,
         coeffs=c,
-        times=np.asarray(times),
-        phis=np.asarray(phis),
+        times=times[:j],
+        phis=phis[:j],
         halted=halted,
         halt_reason=halt_reason,
     )

@@ -28,7 +28,8 @@ def origin_gradient(state: RadialState) -> float:
 
 
 def gradient_history(trace: RunTrace) -> np.ndarray:
-    return np.array([origin_gradient(s) for s in trace.states()])
+    """origin_gradient of every snapshot."""
+    return (4.0 * trace.phis[:, 1] - trace.phis[:, 2]) / (2.0 * trace.grid.dr)
 
 
 def extract_profile(state: RadialState, n_samples: int = 201) -> tuple[float, float]:
@@ -115,9 +116,7 @@ def detect(
     beta_fit = 2.0 / grads[resolvable]
 
     if local_energy_radius is not None:
-        le = np.array(
-            [local_energy(trace.state(i), local_energy_radius) for i in range(last + 1)]
-        )
+        le = local_energy(trace.head(last + 1), local_energy_radius)
     else:
         le = np.array([])
 

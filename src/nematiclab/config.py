@@ -25,6 +25,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .axisym import (
+    MAX_RECORD_BYTES,
     PRESET_PARAMS,
     RadialGrid,
     SolverParams,
@@ -251,7 +252,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"preset {a.preset!r} requires [initial] {key}")
         try:
             grid = RadialGrid(a.n_cells)
-            initial_profile(grid, a.preset, **a.preset_params())
             if a.dt is None:  # 1e-4 stands in where SolverParams rejects the rest
                 known = a.scheme in ("semi_implicit", "explicit") and a.t_end > 0.0
                 dt = default_dt(grid, coeffs, a.scheme, a.t_end) if known else 1e-4
@@ -263,7 +263,15 @@ def parse_config(text: str) -> ExperimentConfig:
                 clip_guard=a.clip_guard,
             )
             params.check_stability(grid, coeffs)
-            step_count(0.0, params.t_end, params.dt)
+            n_steps = step_count(0.0, params.t_end, params.dt)
+            # the buffer simulate records into, checked before the nodes exist
+            rows = 2 + n_steps // top["snapshot_stride"]
+            if rows * (a.n_cells + 1) * 8 > MAX_RECORD_BYTES:
+                raise ValueError(
+                    f"{rows} snapshots of {a.n_cells + 1} nodes exceed the "
+                    f"{MAX_RECORD_BYTES}-byte record buffer"
+                )
+            initial_profile(grid, a.preset, **a.preset_params())
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         axisym = a

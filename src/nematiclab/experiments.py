@@ -123,34 +123,19 @@ def build_axisym_run(config: ExperimentConfig) -> axisym.RunTrace:
 
 
 def axisym_series(trace: axisym.RunTrace, local_radius: float) -> TimeSeries:
-    rows = []
-    for i, state in enumerate(trace.states()):
-        e_total, e_grad, e_sin = axisym.energy(state)
-        rows.append(
-            (
-                trace.times[i],
-                blowup.origin_gradient(state),
+    e_total, e_grad, e_sin = axisym.energy(trace)
+    return TimeSeries(
+        columns=("t", "phi_r_origin", "e_total", "e_grad", "e_sin", "local_energy_R"),
+        rows=np.column_stack(
+            [
+                trace.times,
+                blowup.gradient_history(trace),
                 e_total,
                 e_grad,
                 e_sin,
-                axisym.local_energy(state, local_radius),
-            )
-        )
-    return TimeSeries(
-        columns=("t", "phi_r_origin", "e_total", "e_grad", "e_sin", "local_energy_R"),
-        rows=np.asarray(rows),
-    )
-
-
-def _sliced(trace: axisym.RunTrace, n: int) -> axisym.RunTrace:
-    return axisym.RunTrace(
-        grid=trace.grid,
-        params=trace.params,
-        coeffs=trace.coeffs,
-        times=trace.times[:n],
-        phis=trace.phis[:n],
-        halted=trace.halted,
-        halt_reason=trace.halt_reason,
+                axisym.local_energy(trace, local_radius),
+            ]
+        ),
     )
 
 
@@ -179,7 +164,7 @@ def _run_axisym(config: ExperimentConfig):
             upto = len(blow.times)
             try:
                 report["eta_ordering"] = barriers.check_ordering(
-                    eta, _sliced(trace, upto), None
+                    eta, trace.head(upto), None
                 ).as_dict()
             except ValueError as exc:
                 report["eta_ordering"] = {"error": str(exc)}

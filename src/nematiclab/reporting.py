@@ -1,8 +1,10 @@
 """Time-series container and deterministic CSV/JSON writers.
 
-CSV files carry one header row and full-precision shortest round-trip float
-formatting so refinement studies reproduce bit-for-bit.  JSON reports keep
-their insertion order.  Identical inputs give byte-identical files.
+CSV files carry one header row and the shortest round-trip form (``repr``)
+of every value, all of them floats, so refinement studies reproduce
+bit-for-bit.  A series is formatted from one ``tolist()`` of its rows.
+JSON reports keep their insertion order.  Identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,18 +37,9 @@ class TimeSeries:
         return self.rows[:, self.columns.index(name)]
 
 
-def format_value(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def write_csv(series: TimeSeries, path: Path) -> None:
     lines = [",".join(series.columns)]
-    for row in series.rows:
-        lines.append(",".join(format_value(v) for v in row))
+    lines += [",".join(map(repr, row)) for row in series.rows.tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -62,10 +62,10 @@ def emit_plot(
     x_lo, x_hi = _axis_range(float(np.min(t)), float(np.max(t)))
     y_lo, y_hi = _axis_range(float(np.min(ys)), float(np.max(ys)))
 
-    def px(v: float) -> float:
+    def px(v):
         return MARGIN_L + (v - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
 
-    def py(v: float) -> float:
+    def py(v):
         return HEIGHT - MARGIN_B - (v - y_lo) / (y_hi - y_lo) * (
             HEIGHT - MARGIN_T - MARGIN_B
         )
@@ -118,9 +118,11 @@ def emit_plot(
         f'font-family="sans-serif" font-size="12">{series.columns[0]}</text>'
     )
 
+    # px and py take whole columns too, with the same operations per point
+    xs = [_fmt(x) for x in px(t).tolist()]
     for j, name in enumerate(names):
         colour = PALETTE[j % len(PALETTE)]
-        pts = " ".join(f"{_fmt(px(tv))},{_fmt(py(yv))}" for tv, yv in zip(t, ys[:, j]))
+        pts = " ".join(map("{},{:.2f}".format, xs, py(ys[:, j]).tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" '
             f'points="{pts}"/>'

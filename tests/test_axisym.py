@@ -172,8 +172,7 @@ def test_energy_stays_bounded_on_global_run():
     )
     e0 = energy(trace.state(0))[0]
     c_hat = 2.0  # fitted once on this family of runs, then frozen
-    for i, state in enumerate(trace.states()):
-        assert energy(state)[0] <= np.exp(c_hat * trace.times[i]) * (e0 + 1.0)
+    assert np.all(energy(trace)[0] <= np.exp(c_hat * trace.times) * (e0 + 1.0))
 
 
 def test_simulate_records_strictly_increasing_times():

@@ -79,6 +79,38 @@ def test_step_count_beyond_float_range_is_a_config_error(time):
         parse_config(TINY.replace(old, time))
 
 
+# The record buffer of a radial run holds (2 + steps // stride) rows of
+# n_cells + 1 floats.  n_cells = 2**20 - 1 gives rows of 2**23 bytes, so 128
+# rows (126 steps at stride 1) fill the 2**30-byte ceiling exactly.
+@pytest.mark.parametrize(
+    "n_cells, t_end, ok",
+    [
+        (2**20 - 1, "0.126", True),
+        (2**20 - 1, "0.127", False),
+        (2**22, "0.1", False),  # 32 MB of nodes, 3.4 GB of record buffer
+    ],
+)
+def test_radial_record_buffer_ceiling(n_cells, t_end, ok):
+    text = (
+        TINY.replace("kind = axisym_global", "kind = axisym_global\nsnapshot_stride = 1")
+        .replace("n_cells = 64", f"n_cells = {n_cells}")
+        .replace("t_end = 0.05", f"t_end = {t_end}")
+    )
+    if ok:
+        assert parse_config(text).axisym.n_cells == n_cells
+    else:
+        with pytest.raises(ConfigError, match="record buffer"):
+            parse_config(text)
+
+
+def test_step_ceiling_applies_to_poiseuille_runs():
+    # the counterexample's default grid has the step bound 5e-5
+    body = "[experiment]\nkind = poiseuille_counterexample\n\n[poiseuille]\ndt = 5e-5\n"
+    assert parse_config(body + "t_end = 5e4\n").poiseuille.t_end == 5e4  # 10**9 steps
+    with pytest.raises(ConfigError, match="too many steps"):
+        parse_config(body + "t_end = 5.0001e4\n")
+
+
 # ---------------------------------------------------------------------------
 # random configs
 

@@ -353,6 +353,18 @@ def test_cli_non_finite_time_is_config_error(tmp_path, monkeypatch, capsys, old,
     assert not (tmp_path / "results").exists()
 
 
+def test_cli_run_beyond_the_step_ceiling_is_config_error(tmp_path, monkeypatch, capsys):
+    # 1e303 steps of dt = 1e-3 would validate without the ceiling
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "long.ini"
+    text = TINY_GLOBAL.format(out="results/long")
+    cfg.write_text(text.replace("t_end = 0.05", "t_end = 1e300"))
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["simulate", str(cfg)]) == 2
+    assert "too many steps" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 SIMPLIFIED_SECTION = """[coefficients]
 mu1 = 0.0
 mu2 = -1.0

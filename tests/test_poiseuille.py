@@ -1,9 +1,22 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nematiclab.coeffs import LeslieCoefficients, simplified_coefficients
+from nematiclab.cli import main
+from nematiclab.coeffs import (
+    LeslieCoefficients,
+    g_coeff,
+    sample_validated,
+    simplified_coefficients,
+)
+from nematiclab.config import parse_config
+from nematiclab.errors import ConfigError
 from nematiclab.poiseuille import (
     IntervalGrid,
     PoiseuilleState,
@@ -51,14 +64,6 @@ def test_rest_state_is_equilibrium():
     assert np.all(out.w == 0.0) and np.all(out.phi == 0.0)
 
 
-def test_step_rejects_unstable_dt():
-    grid = IntervalGrid(5.0, 128)
-    state = PoiseuilleState(grid, w=np.zeros(129), phi=np.zeros(129))
-    bound = stability_bound(grid, SIMPLIFIED, state.phi)
-    with pytest.raises(ValueError, match="stability"):
-        step_general(state, SIMPLIFIED, 1.1 * bound, homogeneous_bc())
-
-
 def test_dual_route_simplified_agreement():
     # flux-form general stepper vs the hard-coded simplified stencils
     grid = IntervalGrid(5.0, 128)
@@ -67,7 +72,7 @@ def test_dual_route_simplified_agreement():
         grid, w=np.sin(np.pi * x / 5.0), phi=0.3 * np.cos(np.pi * x / 10.0)
     )
     state_b = PoiseuilleState(grid, state_a.w.copy(), state_a.phi.copy())
-    dt = 0.5 * stability_bound(grid, SIMPLIFIED, state_a.phi)
+    dt = 0.5 * stability_bound(grid, SIMPLIFIED)
     bc = homogeneous_bc()
     for _ in range(5):
         state_a = step_general(state_a, SIMPLIFIED, dt, bc)
@@ -81,7 +86,7 @@ def test_exact_pair_is_discrete_fixed_profile():
     L, n = 5.0, 100
     grid = IntervalGrid(L, n)
     state = PoiseuilleState(grid, w=-2.0 * grid.x, phi=np.zeros(n + 1))
-    dt = 0.5 * stability_bound(grid, SIMPLIFIED, state.phi)
+    dt = 0.5 * stability_bound(grid, SIMPLIFIED)
     out = step_general(state, SIMPLIFIED, dt, counterexample_bc(L))
     assert np.max(np.abs(out.w + 2.0 * grid.x)) <= 1e-14
     assert np.max(np.abs(out.phi - dt)) <= 1e-15
@@ -119,7 +124,7 @@ def test_simulate_ends_exactly_at_t_end_without_drift():
 
 def test_plan_run_default_dt_takes_whole_steps_under_the_bound():
     grid = IntervalGrid(10.0, 64)
-    bound = stability_bound(grid, SIMPLIFIED, np.zeros(65))
+    bound = stability_bound(grid, SIMPLIFIED)
     dt, stride = plan_run(grid, SIMPLIFIED, 0.5)
     assert dt <= 0.8 * bound
     assert 0.5 / dt == round(0.5 / dt) == math.ceil(0.5 / (0.8 * bound))
@@ -223,8 +228,87 @@ def test_step_general_runs_with_generic_coefficients():
     coeffs = LeslieCoefficients(0.3, -0.7, 0.9, 2.0, 0.1, 0.3)
     assert coeffs.lambda1 > 0
     state = _compact_state(128, L=5.0, amplitude=0.5)
-    dt = 0.5 * stability_bound(state.grid, coeffs, state.phi)
+    dt = 0.5 * stability_bound(state.grid, coeffs)
     trace = simulate(state, coeffs, dt, 50 * dt, homogeneous_bc(), 10)
     assert np.all(np.isfinite(trace.ws)) and np.all(np.isfinite(trace.phis))
     # angle responds to the shear through h(phi) w_x
     assert np.max(np.abs(trace.phis[-1])) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the step bound holds for every phi
+
+# A sample_validated draw with g(0) = 1.23 and max g = 2.15: dt = 0.019 is
+# under the step bound at phi = 0 (0.0198) but not under the bound at the
+# angles the run reaches (0.0186 there, 0.0114 over every phi).
+FOUND_COEFFS = (
+    0.9966284667817014, -1.7553421479094617, 0.8392933800943347,
+    1.8148056446248708, 0.7225669923553368, -0.19348177545979017,
+)
+
+
+def _generic_config(coeffs, dt_line, n_cells=64, t_end=1.9, amplitude=20.0):
+    mus = "\n".join(f"mu{i} = {m!r}" for i, m in enumerate(coeffs, 1))
+    return (
+        "[experiment]\nkind = poiseuille_generic\nsnapshot_stride = 1\n\n"
+        f"[coefficients]\n{mus}\n\n"
+        f"[poiseuille]\nhalf_length = 10.0\nn_cells = {n_cells}\n{dt_line}"
+        f"t_end = {t_end!r}\nvelocity_amplitude = {amplitude!r}\n"
+    )
+
+
+def _g_max_sampled(c):
+    return float(np.max(g_coeff(c, np.linspace(0.0, np.pi, 200_001))))
+
+
+def test_step_bound_uses_the_largest_g():
+    c = LeslieCoefficients(*FOUND_COEFFS)
+    grid = IntervalGrid(10.0, 64)
+    assert g_coeff(c, 0.0) == pytest.approx(1.23, abs=0.01)
+    g_max = _g_max_sampled(c)
+    assert g_max == pytest.approx(2.15, abs=0.01)
+    assert stability_bound(grid, c) == pytest.approx(0.25 * grid.dx**2 / g_max, rel=1e-9)
+    # simplified coefficients: g == 2 everywhere, the bound is g's own at 0
+    assert stability_bound(grid, SIMPLIFIED) == 0.25 * grid.dx**2 * 0.5
+
+
+def test_found_config_is_rejected_at_parse_time(tmp_path):
+    c = LeslieCoefficients(*FOUND_COEFFS)
+    with pytest.raises(ConfigError, match="stability bound"):
+        parse_config(_generic_config(FOUND_COEFFS, "dt = 0.019\n"))
+    # with the default dt the same run finishes and reaches t_end exactly
+    cfg = tmp_path / "found.ini"
+    cfg.write_text(_generic_config(FOUND_COEFFS, ""))
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "out"), "--no-plots"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["dt"] <= 0.8 * stability_bound(IntervalGrid(10.0, 64), c)
+
+
+@pytest.mark.parametrize("mu1_sign", [1.0, -1.0])
+def test_step_bound_closed_form_against_sampling(mu1_sign):
+    rng = np.random.default_rng(7)
+    grid = IntervalGrid(5.0, 32)
+    for _ in range(200):
+        c = sample_validated(rng)
+        c = LeslieCoefficients(mu1_sign * c.mu1, *c.as_tuple()[1:])
+        bound = stability_bound(grid, c)
+        g_max = _g_max_sampled(c)
+        expected = 0.25 * grid.dx**2 * min(c.lambda1, 1.0 / g_max)
+        assert bound == pytest.approx(expected, rel=1e-9)
+        assert bound <= expected * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cells=st.integers(16, 40),
+    amplitude=st.sampled_from([1.0, 20.0, 100.0]),
+)
+def test_sampled_coefficients_validate_and_run(seed, n_cells, amplitude):
+    c = sample_validated(np.random.default_rng(seed))
+    text = _generic_config(c.as_tuple(), "", n_cells=n_cells, t_end=0.5, amplitude=amplitude)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "c.ini", Path(tmp) / "out"
+        cfg.write_text(text)
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["simulate", str(cfg), "--out", str(out), "--no-plots"]) == 0
