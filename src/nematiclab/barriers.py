@@ -35,7 +35,7 @@ from typing import Literal
 
 import numpy as np
 
-from .axisym import RunTrace
+from .axisym import CHUNK_VALUES, RunTrace
 from .coeffs import LeslieCoefficients
 
 BarrierKind = Literal["super", "sub", "eta"]
@@ -187,40 +187,53 @@ def check_ordering(
     Requires the ordering to hold at t = 0 and on r in {0, 1} within the
     tolerance 10 (dr^2 + dt); a violated precondition means the harness was
     misconfigured and raises instead of reporting a comparison failure.
+
+    The trace is walked in row blocks under ``CHUNK_VALUES``; the report,
+    down to the first worst node in row-major order (a nan counting as
+    worst), is that of a scan of the whole trace at once.
     """
     if sub is None and sup is None:
         raise ValueError("need at least one barrier")
     grid = trace.grid
     tol = 10.0 * (grid.dr**2 + trace.params.dt)
     r = grid.r[np.newaxis, :]
-    t = trace.times[:, np.newaxis]
-    phi = trace.phis
+    n = len(grid.r)
+    rows = max(1, CHUNK_VALUES // n)
 
-    neg_inf = np.full_like(phi, -np.inf)
-    low_viol = (barrier_value(sub, r, t) - phi) if sub is not None else neg_inf
-    up_viol = (phi - barrier_value(sup, r, t)) if sup is not None else neg_inf
+    # per side: the largest violation at t = 0 and on the boundary nodes of
+    # each block, and the (value, flat index) of np.argmax over the trace:
+    # a later block takes over only with a larger value or the first nan
+    first, edges, worst = [], ([], []), [None, None]
+    for i in range(0, trace.n_snapshots, rows):
+        t = trace.times[i : i + rows, np.newaxis]
+        phi = trace.phis[i : i + rows]
+        neg_inf = np.full_like(phi, -np.inf)
+        low_viol = (barrier_value(sub, r, t) - phi) if sub is not None else neg_inf
+        up_viol = (phi - barrier_value(sup, r, t)) if sup is not None else neg_inf
+        for side, viol in enumerate((low_viol, up_viol)):
+            if i == 0:
+                first.append(float(np.max(viol[0])))
+            edges[side].append(np.max(viol[:, [0, -1]]))
+            k = int(np.argmax(viol))
+            v = viol.flat[k]
+            best = worst[side]
+            if best is None or v > best[0] or (np.isnan(v) and not np.isnan(best[0])):
+                worst[side] = (v, i * n + k)
 
-    precondition = max(
-        float(np.max(low_viol[0])),
-        float(np.max(up_viol[0])),
-        float(np.max(low_viol[:, [0, -1]])),
-        float(np.max(up_viol[:, [0, -1]])),
-    )
+    precondition = max(*first, *(float(np.max(e)) for e in edges))
     if precondition > tol:
         raise ValueError(
             "ordering precondition fails at t=0 or on the boundary "
             f"(worst {precondition:.3e} > tol {tol:.3e})"
         )
 
-    li = np.unravel_index(int(np.argmax(low_viol)), low_viol.shape)
-    ui = np.unravel_index(int(np.argmax(up_viol)), up_viol.shape)
-    lower_worst = float(low_viol[li])
-    upper_worst = float(up_viol[ui])
+    (lower_worst, li), (upper_worst, ui) = worst
+    lower_worst, upper_worst = float(lower_worst), float(upper_worst)
     return OrderingReport(
         passed=max(lower_worst, upper_worst) <= tol,
         tolerance=tol,
         lower_worst=lower_worst,
-        lower_at=(float(trace.times[li[0]]), float(grid.r[li[1]])),
+        lower_at=(float(trace.times[li // n]), float(grid.r[li % n])),
         upper_worst=upper_worst,
-        upper_at=(float(trace.times[ui[0]]), float(grid.r[ui[1]])),
+        upper_at=(float(trace.times[ui // n]), float(grid.r[ui % n])),
     )

@@ -333,6 +333,7 @@ def _run_hopf_decay(config: ExperimentConfig):
     table = []
     for lam in h.lambdas:
         e_sphere = hopf.dirichlet_energy_s3(lam, h.mesh)
+        exact = hopf.sphere_energy_exact(lam)
         e_vel, e_dir = hopf.ball_energy_parts(lam, h.ball_mesh)
         warn = hopf.resolution_warning(lam, h.mesh)
         rows.append((lam, e_sphere, float(h.mesh), 1.0 if warn else 0.0))
@@ -340,6 +341,8 @@ def _run_hopf_decay(config: ExperimentConfig):
             {
                 "lambda": lam,
                 "sphere_energy": e_sphere,
+                "exact_energy": exact,
+                "relative_error": abs(e_sphere - exact) / exact,
                 "ball_energy_velocity": e_vel,
                 "ball_energy_director": e_dir,
                 "ball_energy_total": e_vel + e_dir,
@@ -350,16 +353,15 @@ def _run_hopf_decay(config: ExperimentConfig):
     report = {
         "mesh": h.mesh,
         "ball_mesh": h.ball_mesh,
-        "reference_energy_lambda1": hopf.S3_ENERGY_REFERENCE,
+        "reference_energy_lambda1": hopf.sphere_energy_exact(1.0),
         "strictly_decreasing": bool(np.all(np.diff(energies) < 0.0)),
         "decay_ratio_last_first": energies[-1] / energies[0],
         "table": table,
     }
     if 1.0 in h.lambdas:
-        e1 = table[list(h.lambdas).index(1.0)]["sphere_energy"]
-        report["reference_relative_error"] = abs(
-            e1 - hopf.S3_ENERGY_REFERENCE
-        ) / hopf.S3_ENERGY_REFERENCE
+        report["reference_relative_error"] = table[list(h.lambdas).index(1.0)][
+            "relative_error"
+        ]
     series = TimeSeries(
         ("lambda", "energy", "mesh", "warning_flag"), np.asarray(rows)
     )

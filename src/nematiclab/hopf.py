@@ -19,8 +19,15 @@ the director data on the unit ball; its boundary value is hopf(POLE) for
 every dilation parameter.
 
 Energies are product-grid quadratures with tangential central differences;
-cell-centred grids keep the coordinate poles out of the stencil.  The
-built-in divergence-free velocity sample is the solenoidal vortex
+cell-centred grids keep the coordinate poles out of the stencil.  Both
+quadratures walk the radial axis (chi on the sphere, rho on the ball) in
+slabs of about ``SLAB_VALUES`` grid points.  Each slab evaluates the field
+on its rows plus a one-row halo and writes its weighted integrand into one
+full-size scalar buffer, which a single pairwise sum then totals, so the
+energies do not depend on the slab height (DECISIONS.md section 5).  Inside
+the quadratures, vector fields keep their components on the leading axis.
+
+The built-in divergence-free velocity sample is the solenoidal vortex
 
     u(x) = 4 (1 - |x|^2) (-y, x, 0),
 
@@ -38,10 +45,6 @@ from .axisym import first_derivative
 POLE = np.array([1.0, 0.0, 0.0, 0.0])
 _POLE_SNAP = 1e-14
 
-# Frozen regression target for the undilated fibration's sphere energy:
-# Richardson extrapolation of the product quadrature over meshes 64/128,
-# agreeing with the closed form 16 pi^2 to 2e-7 relative.
-S3_ENERGY_REFERENCE = 157.91337
 
 
 @dataclass(frozen=True)
@@ -71,17 +74,23 @@ class DilationParam:
             raise ValueError("dilation parameter must be positive")
 
 
+def _sq_sum(v: np.ndarray) -> np.ndarray:
+    """(v0^2 + v1^2) + v2^2 over the leading axis of v (3, ...): the order
+    np.sum takes over a trailing axis of length 3."""
+    s = v[0] ** 2
+    s += v[1] ** 2
+    s += v[2] ** 2
+    return s
+
+
 def _hopf_arr(q: np.ndarray) -> np.ndarray:
-    """Fibration on R^4 arrays (..., 4) -> (..., 3)."""
-    q0, q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    return np.stack(
-        [
-            q0**2 + q1**2 - q2**2 - q3**2,
-            2.0 * (q0 * q2 + q1 * q3),
-            2.0 * (q1 * q2 - q0 * q3),
-        ],
-        axis=-1,
-    )
+    """Fibration on R^4 arrays (4, ...) -> (3, ...)."""
+    q0, q1, q2, q3 = q
+    f = np.empty((3,) + q.shape[1:])
+    f[0] = q0**2 + q1**2 - q2**2 - q3**2
+    f[1] = 2.0 * (q0 * q2 + q1 * q3)
+    f[2] = 2.0 * (q1 * q2 - q0 * q3)
+    return f
 
 
 def hopf(p: S3Point) -> np.ndarray:
@@ -90,25 +99,36 @@ def hopf(p: S3Point) -> np.ndarray:
 
 
 def _psi_arr(q: np.ndarray, lam: float) -> np.ndarray:
-    """Conformal dilation on R^4 arrays: project from POLE, scale by lam in
-    R^3, project back.  Points within 1e-14 of the pole snap to the pole."""
-    q0 = q[..., 0]
-    denom = 1.0 - q0
-    near_pole = denom < _POLE_SNAP
-    safe = np.where(near_pole, 1.0, denom)
-    y = q[..., 1:] * (lam / safe)[..., None]
-    s = np.sum(y**2, axis=-1)
+    """Conformal dilation on R^4 arrays (4, ...): project from POLE, scale by
+    lam in R^3, project back.  Points within 1e-14 of the pole snap to the
+    pole.  Works in its output buffer, so it holds about three planes of
+    temporaries."""
+    shape = q.shape
+    q = q.reshape(4, -1)
     out = np.empty_like(q)
-    out[..., 0] = (s - 1.0) / (s + 1.0)
-    out[..., 1:] = 2.0 * y / (s + 1.0)[..., None]
-    if np.any(near_pole):
-        out[near_pole] = POLE
-    return out
+    denom = 1.0 - q[0]
+    near_pole = denom < _POLE_SNAP
+    denom[near_pole] = 1.0
+    np.divide(lam, denom, out=denom)
+    y = np.multiply(q[1:], denom, out=out[1:])
+    s = _sq_sum(y)
+    s_plus = np.add(s, 1.0, out=denom)
+    np.divide(np.subtract(s, 1.0, out=s), s_plus, out=out[0])
+    y *= 2.0
+    y /= s_plus
+    out[:, near_pole] = POLE[:, None]
+    return out.reshape(shape)
 
 
 def psi_lambda(p: S3Point, d: DilationParam) -> S3Point:
     q = _psi_arr(p.as_r4(), d.lam)
     return S3Point.from_r4(q / np.linalg.norm(q))
+
+
+def sphere_energy_exact(lam: float) -> float:
+    """Dirichlet energy of hopf o psi_lam on the unit three-sphere,
+    64 pi^2 lam / (1 + lam)^2 (DECISIONS.md section 2); 16 pi^2 at lam = 1."""
+    return 64.0 * np.pi**2 * lam / (1.0 + lam) ** 2
 
 
 def resolution_warning(lam: float, mesh: int) -> bool:
@@ -118,7 +138,13 @@ def resolution_warning(lam: float, mesh: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
+# slab quadrature
+
+# Grid points per slab (slab rows x theta x phi).  Any value gives the same
+# energies.  2**17 (4 chi rows at mesh 128, 16 at mesh 64) and 2**18 were
+# fastest in a sweep of 2**16 to 2**19 at both meshes; 2**17 holds the
+# mesh-64 peak to 18 MB (DECISIONS.md section 5).
+SLAB_VALUES = 2**17
 
 
 def _centered(n: int, width: float) -> tuple[np.ndarray, float]:
@@ -126,16 +152,67 @@ def _centered(n: int, width: float) -> tuple[np.ndarray, float]:
     return (np.arange(n) + 0.5) * h, h
 
 
-def _grad_sq(f: np.ndarray, h0: float, h1: float, h2: float, inv_m1: np.ndarray,
-             inv_m2: np.ndarray) -> np.ndarray:
-    """|grad f|^2 for f (n0, n1, n2, 3) on an orthogonal coordinate grid with
-    inverse metric weights along axes 1 and 2; axis 2 is periodic."""
+def _angles(mesh: int):
+    """Cell-centred (theta, phi) grids of a (mesh, 2 mesh) sphere and their
+    spacings."""
+    the, h_the = _centered(mesh, np.pi)
+    phi, h_phi = _centered(2 * mesh, 2.0 * np.pi)
+    return the, phi, h_the, h_phi
 
-    e2 = np.sum(first_derivative(f, h0, 0) ** 2, axis=-1)
-    e2 += np.sum(first_derivative(f, h1, 1) ** 2, axis=-1) * inv_m1
-    d2 = (np.roll(f, -1, axis=2) - np.roll(f, 1, axis=2)) / (2.0 * h2)
-    e2 += np.sum(d2**2, axis=-1) * inv_m2
+
+def _grad_sq(f: np.ndarray, rows: slice, h: tuple[float, float, float],
+             inv_m1: np.ndarray, inv_m2: np.ndarray) -> np.ndarray:
+    """|grad f|^2 on ``rows`` of a window f (3, w, n1, n2) on an orthogonal
+    coordinate grid with spacings h and inverse metric weights along axes 2
+    and 3; axis 3 is periodic.  The window holds the rows plus their
+    neighbours along axis 1, so the axis-1 stencil is the whole grid's."""
+    h0, h1, h2 = h
+    core = f[:, rows]
+    e2 = _sq_sum(first_derivative(f, h0, 1)[:, rows])
+    e2 += _sq_sum(first_derivative(core, h1, 2)) * inv_m1
+    d = np.empty_like(core)
+    np.subtract(core[..., 2:], core[..., :-2], out=d[..., 1:-1])
+    np.subtract(core[..., 1], core[..., -1], out=d[..., 0])
+    np.subtract(core[..., 0], core[..., -2], out=d[..., -1])
+    d /= 2.0 * h2
+    e2 += _sq_sum(d) * inv_m2
     return e2
+
+
+def _quadrature_sums(r: np.ndarray, h_r: float, field) -> list[float]:
+    """Sums over the (mesh, mesh, 2 mesh) product grid of the integrands
+    |grad f|^2 r^2 sin(theta), then v r^2 sin(theta) for each extra scalar v,
+    where ``field(a, b)`` returns f (3, b - a, mesh, 2 mesh) and the extras
+    (b - a, mesh, 2 mesh) on radial rows a..b-1, and r (mesh,) is the radial
+    metric factor.
+
+    The radial rows go in slabs of about SLAB_VALUES points.  Each slab
+    evaluates ``field`` on its rows plus a one-row halo (widened to three
+    rows at the ends, where the stencil is one-sided) and writes its
+    weighted integrands into full-size buffers; each buffer is then summed
+    once, in the pairwise order of a whole-grid np.sum."""
+    mesh = len(r)
+    the, _, h_the, h_phi = _angles(mesh)
+    st = np.sin(the)[:, None]
+    totals = None
+    step = max(1, SLAB_VALUES // (2 * mesh * mesh))
+    for lo in range(0, mesh, step):
+        hi = min(lo + step, mesh)
+        a, b = max(0, min(lo - 1, mesh - 3)), min(mesh, max(hi + 1, 3))
+        f, *extras = field(a, b)
+        r_s = r[lo:hi, None, None]
+        inv_m1 = 1.0 / r_s**2
+        inv_m2 = inv_m1 / st**2
+        weight = r_s**2 * st
+        rows = slice(lo - a, hi - a)
+        integrands = [_grad_sq(f, rows, (h_r, h_the, h_phi), inv_m1, inv_m2)]
+        integrands += [v[rows] for v in extras]
+        if totals is None:
+            totals = np.empty((len(integrands), mesh, mesh, 2 * mesh))
+        for total, v in zip(totals, integrands):
+            np.multiply(v, weight, out=total[lo:hi])
+        del f, extras, integrands  # not held while the next slab is built
+    return [np.sum(total) for total in totals]
 
 
 def dirichlet_energy_s3(lam: float, mesh: int) -> float:
@@ -147,72 +224,71 @@ def dirichlet_energy_s3(lam: float, mesh: int) -> float:
     if mesh < 16:
         raise ValueError("mesh must be at least 16")
     chi, h_chi = _centered(mesh, np.pi)
-    the, h_the = _centered(mesh, np.pi)
-    phi, h_phi = _centered(2 * mesh, 2.0 * np.pi)
-
+    the, phi, h_the, h_phi = _angles(mesh)
     sc, cc = np.sin(chi), np.cos(chi)
-    st, ct = np.sin(the), np.cos(the)
-    sp, cp = np.sin(phi), np.cos(phi)
+    ct = np.cos(the)[:, None]
+    st_cp = np.sin(the)[:, None] * np.cos(phi)
+    st_sp = np.sin(the)[:, None] * np.sin(phi)
 
-    q = np.empty((mesh, mesh, 2 * mesh, 4))
-    q[..., 0] = cc[:, None, None]
-    q[..., 1] = sc[:, None, None] * ct[None, :, None]
-    q[..., 2] = sc[:, None, None] * (st[None, :, None] * cp[None, None, :])
-    q[..., 3] = sc[:, None, None] * (st[None, :, None] * sp[None, None, :])
+    def points(a, b):
+        s = sc[a:b, None, None]
+        q = np.empty((4, b - a, mesh, 2 * mesh))
+        q[0] = cc[a:b, None, None]
+        np.multiply(s, ct, out=q[1])
+        np.multiply(s, st_cp, out=q[2])
+        np.multiply(s, st_sp, out=q[3])
+        return q
 
-    f = _hopf_arr(_psi_arr(q, lam))
-    inv_m1 = 1.0 / sc[:, None, None] ** 2
-    inv_m2 = inv_m1 / st[None, :, None] ** 2
-    e2 = _grad_sq(f, h_chi, h_the, h_phi, inv_m1, inv_m2)
-    weight = sc[:, None, None] ** 2 * st[None, :, None]
-    return float(np.sum(e2 * weight) * h_chi * h_the * h_phi)
+    def field(a, b):  # the points are freed before the fibration runs
+        return (_hopf_arr(_psi_arr(points(a, b), lam)),)
+
+    (total,) = _quadrature_sums(sc, h_chi, field)
+    return float(total * h_chi * h_the * h_phi)
 
 
 # ---------------------------------------------------------------------------
 # ball chart, built-in velocity, initial-data energy
 
 
-def ball_chart(x: np.ndarray) -> np.ndarray:
-    """Radial diffeomorphism of the open unit ball onto S^3 minus the pole:
-    |x| = rho goes to polar angle pi*rho measured from the antipode, so the
-    boundary sphere collapses onto the pole."""
-    rho = np.linalg.norm(x, axis=-1)
+def _chart(x: np.ndarray) -> np.ndarray:
+    """ball_chart on component-first arrays (3, ...) -> (4, ...)."""
+    rho = np.sqrt(_sq_sum(x))
     ang = np.pi * rho
     # sin(pi rho)/rho extends smoothly by pi at the origin
     with np.errstate(invalid="ignore", divide="ignore"):
         fac = np.where(rho > 0.0, np.sin(ang) / np.where(rho > 0.0, rho, 1.0), np.pi)
-    q = np.empty(x.shape[:-1] + (4,))
-    q[..., 0] = -np.cos(ang)
-    q[..., 1:] = x * fac[..., None]
+    q = np.empty((4,) + x.shape[1:])
+    q[0] = -np.cos(ang)
+    np.multiply(x, fac, out=q[1:])
     return q
+
+
+def _vortex(x: np.ndarray) -> np.ndarray:
+    """vortex_velocity on component-first arrays (3, ...)."""
+    rho2 = _sq_sum(x)
+    u = np.empty_like(x)
+    u[0] = -4.0 * (1.0 - rho2) * x[1]
+    u[1] = 4.0 * (1.0 - rho2) * x[0]
+    u[2] = 0.0
+    return u
+
+
+def ball_chart(x: np.ndarray) -> np.ndarray:
+    """Radial diffeomorphism of the open unit ball onto S^3 minus the pole:
+    |x| = rho goes to polar angle pi*rho measured from the antipode, so the
+    boundary sphere collapses onto the pole."""
+    return np.moveaxis(_chart(np.moveaxis(x, -1, 0)), 0, -1)
 
 
 def vortex_velocity(x: np.ndarray) -> np.ndarray:
     """The built-in smooth solenoidal sample u = 4 (1-|x|^2) (-y, x, 0)."""
-    rho2 = np.sum(x**2, axis=-1)
-    u = np.empty_like(x)
-    u[..., 0] = -4.0 * (1.0 - rho2) * x[..., 1]
-    u[..., 1] = 4.0 * (1.0 - rho2) * x[..., 0]
-    u[..., 2] = 0.0
-    return u
-
-
-def _ball_grids(mesh: int):
-    rho, h_r = _centered(mesh, 1.0)
-    the, h_t = _centered(mesh, np.pi)
-    phi, h_p = _centered(2 * mesh, 2.0 * np.pi)
-    st, ct = np.sin(the), np.cos(the)
-    sp, cp = np.sin(phi), np.cos(phi)
-    x = np.empty((mesh, mesh, 2 * mesh, 3))
-    x[..., 0] = rho[:, None, None] * st[None, :, None] * cp[None, None, :]
-    x[..., 1] = rho[:, None, None] * st[None, :, None] * sp[None, None, :]
-    x[..., 2] = rho[:, None, None] * ct[None, :, None]
-    return x, rho, st, h_r, h_t, h_p
+    return np.moveaxis(_vortex(np.moveaxis(x, -1, 0)), 0, -1)
 
 
 def director_field(x: np.ndarray, lam: float) -> np.ndarray:
     """hopf o psi_lam o ball_chart, pointwise on the ball."""
-    return _hopf_arr(_psi_arr(ball_chart(x), lam))
+    f = _hopf_arr(_psi_arr(_chart(np.moveaxis(x, -1, 0)), lam))
+    return np.moveaxis(f, 0, -1)
 
 
 def ball_energy_parts(
@@ -224,19 +300,23 @@ def ball_energy_parts(
         raise ValueError("lam must be positive")
     if mesh < 16:
         raise ValueError("mesh must be at least 16")
-    x, rho, st, h_r, h_t, h_p = _ball_grids(mesh)
-    weight = rho[:, None, None] ** 2 * st[None, :, None]
+    rho, h_r = _centered(mesh, 1.0)
+    the, phi, h_t, h_p = _angles(mesh)
+    st, ct = np.sin(the)[:, None], np.cos(the)[:, None]
+
+    def field(a, b):
+        r_st = rho[a:b, None, None] * st
+        x = np.empty((3, b - a, mesh, 2 * mesh))
+        np.multiply(r_st, np.cos(phi), out=x[0])
+        np.multiply(r_st, np.sin(phi), out=x[1])
+        x[2] = rho[a:b, None, None] * ct
+        return _hopf_arr(_psi_arr(_chart(x), lam)), _sq_sum(_vortex(x))
+
+    e2_sum, u2_sum = _quadrature_sums(rho, h_r, field)
     cell = h_r * h_t * h_p
-
-    u2 = np.sum(vortex_velocity(x) ** 2, axis=-1)
     u_factor = lam**-2 if scale_velocity else 1.0
-    e_vel = 0.5 * u_factor * float(np.sum(u2 * weight) * cell)
-
-    f = director_field(x, lam)
-    inv_m1 = 1.0 / rho[:, None, None] ** 2
-    inv_m2 = inv_m1 / st[None, :, None] ** 2
-    e2 = _grad_sq(f, h_r, h_t, h_p, inv_m1, inv_m2)
-    e_dir = 0.5 * float(np.sum(e2 * weight) * cell)
+    e_vel = 0.5 * u_factor * float(u2_sum * cell)
+    e_dir = 0.5 * float(e2_sum * cell)
     return e_vel, e_dir
 
 

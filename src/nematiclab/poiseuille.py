@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .axisym import first_derivative, step_count, whole_step_dt
+from .axisym import MAX_RECORD_BYTES, first_derivative, step_count, whole_step_dt
 from .coeffs import LeslieCoefficients, g_coeff, h_coeff, simplified_coefficients
 from .errors import SolverHalt
 
@@ -235,8 +235,9 @@ def plan_run(
     0.8 of the step bound, shortened so whole steps reach t_end; the stride
     defaults to about 200 recorded steps.  ValueError when dt exceeds the
     step bound, which holds for every phi, when step_count rejects the run,
-    or when it would record fewer than the 3 snapshots the energy and heat
-    checks use."""
+    when it would record fewer than the 3 snapshots the energy and heat
+    checks use, or when the buffers simulate records into would exceed
+    MAX_RECORD_BYTES."""
     bound = stability_bound(grid, c)
     if dt is None:
         dt = whole_step_dt(t_end, 0.8 * bound)
@@ -249,6 +250,12 @@ def plan_run(
         raise ValueError(
             f"need at least 3 snapshots: {n_steps} steps at snapshot_stride "
             f"{snapshot_stride} record 2"
+        )
+    rows = 2 + n_steps // snapshot_stride
+    if rows * (3 * (grid.n_cells + 1) + 1) * 8 > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"{rows} snapshots of 3 x {grid.n_cells + 1} nodes exceed the "
+            f"{MAX_RECORD_BYTES}-byte record buffer"
         )
     return dt, snapshot_stride
 
@@ -267,30 +274,35 @@ def simulate(
     state0.validate()
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
-    times = [state0.t]
-    ws = [state0.w.copy()]
-    phis = [state0.phi.copy()]
-    phi_ts = [phi_time_derivative(state0, c, bc)]
-    state = state0
     t0 = state0.t
     n_steps = step_count(t0, t_end, dt)
+    # every recorded row: the initial state, each stride step, and the last
+    # step when that is off the stride
+    times = np.empty(2 + n_steps // snapshot_stride)
+    ws, phis, phi_ts = (np.empty((len(times), len(state0.w))) for _ in range(3))
+
+    def record(j, state):
+        times[j], ws[j], phis[j] = state.t, state.w, state.phi
+        phi_ts[j] = phi_time_derivative(state, c, bc)
+
+    record(0, state0)
+    j = 1
+    state = state0
     for k in range(1, n_steps + 1):
         t_k = t_end if k == n_steps else t0 + k * dt
         state = step_general(state, c, dt, bc, t_k)
         if k % snapshot_stride == 0 or k == n_steps:
-            times.append(state.t)
-            ws.append(state.w.copy())
-            phis.append(state.phi.copy())
-            phi_ts.append(phi_time_derivative(state, c, bc))
+            record(j, state)
+            j += 1
     return PoiseuilleTrace(
         grid=state0.grid,
         coeffs=c,
         bc=bc,
         dt=dt,
-        times=np.asarray(times),
-        ws=np.asarray(ws),
-        phis=np.asarray(phis),
-        phi_ts=np.asarray(phi_ts),
+        times=times[:j],
+        ws=ws[:j],
+        phis=phis[:j],
+        phi_ts=phi_ts[:j],
     )
 
 

@@ -295,7 +295,8 @@ def hopf_ladder():
 def test_c7_hopf_decay(hopf_ladder):
     energies, elapsed = hopf_ladder
     vals = [energies[lam] for lam in (1.0, 2.0, 4.0, 8.0)]
-    rel = abs(energies[1.0] - hopf.S3_ENERGY_REFERENCE) / hopf.S3_ENERGY_REFERENCE
+    exact = hopf.sphere_energy_exact(1.0)
+    rel = abs(energies[1.0] - exact) / exact
     ok = all(b < a for a, b in zip(vals, vals[1:])) and rel <= 0.02 and elapsed < 120.0
     _report(
         "C7",

@@ -111,6 +111,28 @@ def test_step_ceiling_applies_to_poiseuille_runs():
         parse_config(body + "t_end = 5.0001e4\n")
 
 
+def test_poiseuille_record_buffer_ceiling(tmp_path, capsys):
+    # 10**8 steps at stride 1 would record 10**8 snapshots of w, phi and
+    # phi_t on 65 nodes: 156 GB, under the step ceiling
+    text = (ROOT / "configs" / "poiseuille_generic.ini").read_text()
+    for old, new in [
+        ("snapshot_stride = 50", "snapshot_stride = 1"),
+        ("n_cells = 2048", "n_cells = 64"),
+        ("dt = 1e-5", "dt = 1e-3"),
+        ("t_end = 0.05", "t_end = 1e5"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 2
+    assert "record buffer" in capsys.readouterr().err
+    shorter = text.replace("t_end = 1e5", "t_end = 1e3")  # 10**6 snapshots, 1.6 GB
+    with pytest.raises(ConfigError, match="record buffer"):
+        parse_config(shorter)
+    assert parse_config(shorter.replace("snapshot_stride = 1", "snapshot_stride = 2"))
+
+
 # ---------------------------------------------------------------------------
 # random configs
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from nematiclab.hopf import (
     POLE,
-    S3_ENERGY_REFERENCE,
     DilationParam,
     S3Point,
     ball_chart,
@@ -15,6 +14,7 @@ from nematiclab.hopf import (
     initial_data_energy,
     psi_lambda,
     resolution_warning,
+    sphere_energy_exact,
     vortex_velocity,
 )
 
@@ -42,7 +42,7 @@ def test_hopf_unit_norm_on_bulk_sample():
     q = _random_s3(rng, 100_000)
     from nematiclab.hopf import _hopf_arr
 
-    norms = np.linalg.norm(_hopf_arr(q), axis=1)
+    norms = np.linalg.norm(_hopf_arr(q.T), axis=0)  # components lead
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
@@ -101,10 +101,12 @@ def test_psi_fixes_pole_and_antipode():
 
 
 def test_sphere_energy_matches_frozen_reference():
-    # the frozen value is the pre-build refinement extrapolation; mesh 32 is
-    # within one percent of it
+    # the reference is the closed form 16 pi^2; mesh 32 is within one
+    # percent of it
     e32 = dirichlet_energy_s3(1.0, 32)
-    assert abs(e32 - S3_ENERGY_REFERENCE) / S3_ENERGY_REFERENCE <= 0.01
+    exact = sphere_energy_exact(1.0)
+    assert exact == 16.0 * np.pi**2
+    assert abs(e32 - exact) / exact <= 0.01
 
 
 def test_sphere_energy_mesh_convergence():
