@@ -128,8 +128,8 @@ def test_ball_energy_parts_equal_whole_grid_reference(mesh):
 
 @pytest.mark.parametrize("slab_rows", [1, 2, 3, 7, 100])
 def test_energies_do_not_depend_on_slab_height(monkeypatch, slab_rows):
-    # mesh 17 at 2 and 3 rows per slab leaves a last slab of one row, and
-    # at 100 rows the whole grid is one slab
+    # mesh 17 at 1 and 2 rows per slab ends on a slab of one row, at 3 rows
+    # on one of two, and at 100 rows the whole grid is one slab
     mesh = 17
     monkeypatch.setattr(hopf, "SLAB_VALUES", slab_rows * 2 * mesh * mesh)
     assert dirichlet_energy_s3(2.5, mesh) == reference_sphere_energy(2.5, mesh)
