@@ -66,8 +66,8 @@ def _sweep(args) -> int:
     failures: list[str] = []
     for path, config in configs:
         try:
-            run(config, plots=plots)
-            status = "ok"
+            warnings = run(config, plots=plots).report.get("warnings")
+            status = f"ok ({len(warnings)} warnings)" if warnings else "ok"
         except SolverHalt as exc:  # keep sweeping, report at the end
             status = f"halt: {exc}"
             failures.append(path)

@@ -321,6 +321,15 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError("lambdas must be strictly increasing")
         if hopf.mesh < 16 or hopf.ball_mesh < 16:
             raise ConfigError("mesh must be at least 16")
+        # each quadrature sums into (m, m, 2m) float totals: one for the
+        # sphere energy, two (velocity, director) for the ball
+        for key, n_sums in (("mesh", 1), ("ball_mesh", 2)):
+            m = getattr(hopf, key)
+            if n_sums * 16 * m**3 > MAX_RECORD_BYTES:
+                raise ConfigError(
+                    f"[hopf] {key} = {m}: its {n_sums * 16 * m**3}-byte totals "
+                    f"buffer exceeds the {MAX_RECORD_BYTES}-byte ceiling"
+                )
 
     return ExperimentConfig(
         **top,

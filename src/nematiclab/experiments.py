@@ -1,6 +1,9 @@
 """Experiment dispatch: build the scenario from a validated config, run it,
 and persist CSV time series, a JSON report, and SVG plots inside the
-configured output directory.  Nothing is written until the run finished.
+configured output directory.  The directory is created before the run, so
+an output path that cannot be a directory is a config error (exit 2) rather
+than a failure after the computation; no file is written into it until the
+run finished.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .coeffs import (
     simplified_coefficients,
 )
 from .config import ExperimentConfig, serialize_config
-from .errors import SolverHalt
+from .errors import ConfigError, SolverHalt
 from .reporting import TimeSeries, write_csv, write_json
 from .svgplot import emit_plot
 
@@ -56,6 +59,10 @@ def run(
     """Execute the configured experiment and write its artifacts."""
     target = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     do_plots = config.plots if plots is None else plots
+    try:
+        target.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {target}: {exc}") from exc
 
     runner = {
         "axisym_global": _run_axisym,
@@ -68,7 +75,6 @@ def run(
     report, artifacts = runner(config)
     report = {"experiment": config.kind, "config_hash": config.hash(), **report}
 
-    target.mkdir(parents=True, exist_ok=True)
     result = RunResult(kind=config.kind, out_dir=target, report=report)
 
     path = target / "report.json"
@@ -168,12 +174,20 @@ def _run_axisym(config: ExperimentConfig):
                 ).as_dict()
             except ValueError as exc:
                 report["eta_ordering"] = {"error": str(exc)}
+        warnings = []
         if blow.detected:
+            if len(blow.times) == 1:
+                warnings.append(
+                    f"blow-up detected at the initial snapshot (t = {blow.t_detect!r}): "
+                    "the initial data are steeper than the grid resolves"
+                )
             try:
                 slope, r2 = blowup.fit_beta_law(blow)
                 report["beta_law"] = {"slope": slope, "r2": r2}
             except ValueError as exc:
                 report["beta_law"] = {"error": str(exc)}
+                warnings.append(f"beta law not fitted: {exc}")
+        report["warnings"] = warnings
 
     artifacts = [Artifact("series", axisym_series(trace, b.local_energy_radius))]
     if config.kind == "axisym_blowup":

@@ -9,6 +9,14 @@ equation first, then enters the flux of the first.  Fluxes live on staggered
 midpoints with central differencing; time stepping is explicit Euler with
 the step bound dt <= 0.25 dx^2 min(lambda1, 1/max g) enforced up front.
 
+The step is a lean kernel: the scalars that depend on (grid, coeffs) only
+are cached, g and h share one cos 2phi at the midpoints (three trig calls a
+step), temporaries are updated in place, and the new w and phi are the two
+rows of one array, scaled by dt and checked for finiteness in one call each.
+Every floating-point operation keeps the operands and the order of the
+plain formulas through coeffs.g_coeff and coeffs.h_coeff, so the traces are
+bit-identical to them (DECISIONS.md section 6).
+
 The whole-line problem is truncated with Dirichlet data; supplying the data
 of the exact pair w = -2x, phi = t (simplified coefficients) preserves that
 solution identically, which is the maximum-principle counterexample: phi
@@ -19,14 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .axisym import MAX_RECORD_BYTES, first_derivative, step_count, whole_step_dt
-from .coeffs import LeslieCoefficients, g_coeff, h_coeff, simplified_coefficients
+from .coeffs import LeslieCoefficients, g_coeff, simplified_coefficients
 from .errors import SolverHalt
 
 _trapz = np.trapezoid
@@ -120,17 +128,61 @@ def stability_bound(grid: IntervalGrid, c: LeslieCoefficients) -> float:
     return 0.25 * grid.dx**2 * min(c.lambda1, 1.0 / g_max)
 
 
+class _StepScalars(NamedTuple):
+    dx: float
+    dx2: float
+    two_dx: float
+    g_sin2: float  # g = g_sin2 sin^2 2phi + g_const + g_cos cos 2phi + g_mu4
+    g_const: float
+    g_cos: float
+    g_mu4: float
+    h_const: float  # h = h_const + h_cos cos 2phi
+    h_cos: float
+    lambda1: float
+
+
+@lru_cache(maxsize=32)
+def _step_scalars(grid: IntervalGrid, c: LeslieCoefficients) -> _StepScalars:
+    """The scalars of the step that depend on (grid, coeffs) only, each
+    formed as coeffs.g_coeff and coeffs.h_coeff form it."""
+    dx = grid.dx
+    a = 0.5 * (c.mu5 - c.mu2)
+    b = 0.5 * (c.mu3 + c.mu6)
+    scalars = (
+        (dx, dx**2, 2.0 * dx)
+        + (0.25 * c.mu1, 0.5 * (a + b), 0.5 * (b - a), 0.5 * c.mu4)
+        + (0.5 * (c.mu3 - c.mu2), 0.5 * (c.mu3 + c.mu2), c.lambda1)
+    )
+    # numpy scalars: the same doubles, converted once instead of per ufunc call
+    return _StepScalars(*map(np.float64, scalars))
+
+
 def phi_time_derivative(
-    state: PoiseuilleState, c: LeslieCoefficients, bc: BoundaryData
+    state: PoiseuilleState,
+    c: LeslieCoefficients,
+    bc: BoundaryData,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """phi_t on all nodes: the angle equation at interior nodes, the rate of
-    the Dirichlet data at the ends."""
-    dx = state.grid.dx
+    """phi_t on all nodes, into ``out`` if given: the angle equation
+    (phi_xx - h(phi) w_x) / lambda1 at interior nodes, the rate of the
+    Dirichlet data at the ends."""
+    s = _step_scalars(state.grid, c)
     phi, w = state.phi, state.w
-    out = np.empty_like(phi)
-    d2phi = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx**2
-    d1w = (w[2:] - w[:-2]) / (2.0 * dx)
-    out[1:-1] = (d2phi - h_coeff(c, phi[1:-1]) * d1w) / c.lambda1
+    if out is None:
+        out = np.empty_like(phi)
+    inner = out[1:-1]
+    two_phi = np.multiply(phi[1:-1], 2.0)
+    np.subtract(phi[2:], two_phi, out=inner)
+    inner += phi[:-2]
+    inner /= s.dx2  # phi_xx
+    h = np.cos(two_phi, out=two_phi)
+    h *= s.h_cos
+    h += s.h_const
+    w_x = np.subtract(w[2:], w[:-2])
+    w_x /= s.two_dx
+    h *= w_x
+    inner -= h
+    inner /= s.lambda1
     out[0] = bc.phi_left_rate(state.t)
     out[-1] = bc.phi_right_rate(state.t)
     return out
@@ -144,61 +196,55 @@ def step_general(
     t_new: float | None = None,
 ) -> PoiseuilleState:
     """One explicit Euler step of the coupled system to time t_new, by
-    default state.t + dt; the boundary data are taken at t_new."""
-    grid = state.grid
-    dx = grid.dx
-    phi, w = state.phi, state.w
-    phi_t = phi_time_derivative(state, c, bc)
+    default state.t + dt; the boundary data are taken at t_new.
 
-    phi_mid = 0.5 * (phi[:-1] + phi[1:])
-    flux = g_coeff(c, phi_mid) * np.diff(w) / dx + h_coeff(c, phi_mid) * 0.5 * (
-        phi_t[:-1] + phi_t[1:]
-    )
-    w_t = -state.a + np.diff(flux) / dx
+    w_t = -a + (g(phi_mid) w_x + h(phi_mid) phi_t,mid)_x on staggered
+    midpoints; g and h share one cos 2phi_mid.  The new w and phi are the
+    two rows of one array."""
+    s = _step_scalars(state.grid, c)
+    phi, w = state.phi, state.w
+    new = np.empty((2, len(phi)))
+    phi_t = phi_time_derivative(state, c, bc, out=new[1])
+
+    mid = np.add(phi[:-1], phi[1:])
+    mid *= 0.5
+    two_mid = np.multiply(mid, 2.0)
+    cos_mid = np.cos(two_mid)
+    # g and h summed left to right, as g_coeff and h_coeff sum them
+    g = np.sin(two_mid, out=two_mid)
+    g *= g
+    g *= s.g_sin2
+    g += s.g_const
+    g += np.multiply(cos_mid, s.g_cos, out=mid)
+    g += s.g_mu4
+    g *= np.subtract(w[1:], w[:-1], out=mid)
+    g /= s.dx  # (g w_x,mid) / dx, then (h / 2) (phi_t sum) below
+    h = cos_mid
+    h *= s.h_cos
+    h += s.h_const
+    h *= 0.5
+    h *= np.add(phi_t[:-1], phi_t[1:], out=mid)
+    flux = g
+    flux += h
+
+    w_t = new[0, 1:-1]
+    np.subtract(flux[1:], flux[:-1], out=w_t)
+    w_t /= s.dx
+    w_t -= state.a  # x - a == -a + x in IEEE arithmetic
+    new[0, 0] = new[0, -1] = 0.0  # the ends take the Dirichlet data below
+    new *= dt
+    new[0] += w
+    new[1] += phi
 
     if t_new is None:
         t_new = state.t + dt
-    w_new = w.copy()
-    w_new[1:-1] += dt * w_t
-    phi_new = phi + dt * phi_t
-    w_new[0] = bc.w_left(t_new)
-    w_new[-1] = bc.w_right(t_new)
-    phi_new[0] = bc.phi_left(t_new)
-    phi_new[-1] = bc.phi_right(t_new)
-    if not (np.all(np.isfinite(w_new)) and np.all(np.isfinite(phi_new))):
+    new[0, 0] = bc.w_left(t_new)
+    new[0, -1] = bc.w_right(t_new)
+    new[1, 0] = bc.phi_left(t_new)
+    new[1, -1] = bc.phi_right(t_new)
+    if not np.isfinite(new).all():
         raise SolverHalt("non-finite field", t_new)
-    return PoiseuilleState(grid, w_new, phi_new, t_new, state.a)
-
-
-def step_simplified(
-    state: PoiseuilleState, dt: float, bc: BoundaryData
-) -> PoiseuilleState:
-    """Hard-coded stepper for the simplified system
-    w_t = 2 w_xx + phi_tx, 2 phi_t = phi_xx - w_x; dual route used to
-    cross-check step_general under the simplified coefficients."""
-    grid = state.grid
-    dx = grid.dx
-    phi, w = state.phi, state.w
-    phi_t = np.empty_like(phi)
-    phi_t[1:-1] = (
-        (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx**2
-        - (w[2:] - w[:-2]) / (2.0 * dx)
-    ) / 2.0
-    phi_t[0] = bc.phi_left_rate(state.t)
-    phi_t[-1] = bc.phi_right_rate(state.t)
-    w_t = 2.0 * (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dx**2 + (
-        phi_t[2:] - phi_t[:-2]
-    ) / (2.0 * dx)
-
-    t_new = state.t + dt
-    w_new = w.copy()
-    w_new[1:-1] += dt * w_t
-    phi_new = phi + dt * phi_t
-    w_new[0] = bc.w_left(t_new)
-    w_new[-1] = bc.w_right(t_new)
-    phi_new[0] = bc.phi_left(t_new)
-    phi_new[-1] = bc.phi_right(t_new)
-    return PoiseuilleState(grid, w_new, phi_new, t_new, state.a)
+    return PoiseuilleState(state.grid, new[0], new[1], t_new, state.a)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +265,6 @@ class PoiseuilleTrace:
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
-
-    def state(self, i: int) -> PoiseuilleState:
-        return PoiseuilleState(self.grid, self.ws[i], self.phis[i], float(self.times[i]))
 
 
 def plan_run(

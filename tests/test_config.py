@@ -133,6 +133,31 @@ def test_poiseuille_record_buffer_ceiling(tmp_path, capsys):
     assert parse_config(shorter.replace("snapshot_stride = 1", "snapshot_stride = 2"))
 
 
+# The sphere quadrature sums into 16 mesh^3 bytes of totals, the ball into
+# 32 ball_mesh^3; mesh 406 and ball_mesh 322 are the largest under 2**30.
+@pytest.mark.parametrize(
+    "mesh, ball_mesh, bad_key",
+    [
+        (406, 322, None),
+        (407, 32, "mesh"),
+        (64, 323, "ball_mesh"),
+        (100000, 32, "mesh"),  # a 16 PB buffer
+    ],
+)
+def test_hopf_totals_buffer_ceiling(tmp_path, capsys, mesh, ball_mesh, bad_key):
+    text = (ROOT / "configs" / "hopf_decay.ini").read_text()
+    text = text.replace("mesh = 64", f"mesh = {mesh}", 1)
+    text = text.replace("ball_mesh = 32", f"ball_mesh = {ball_mesh}")
+    cfg = tmp_path / "hopf.ini"
+    cfg.write_text(text)
+    if bad_key is None:
+        assert main(["validate", str(cfg)]) == 0
+        assert parse_config(text).hopf.mesh == mesh
+    else:
+        assert main(["validate", str(cfg)]) == 2
+        assert f"[hopf] {bad_key} = " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # random configs
 

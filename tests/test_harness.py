@@ -1,3 +1,4 @@
+import json
 import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nematiclab import experiments
 from nematiclab.cli import main
 from nematiclab.config import load_config, parse_config, serialize_config
 from nematiclab.errors import ConfigError
@@ -307,6 +309,22 @@ def test_cli_rejects_empty_config(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # no partial outputs
 
 
+def test_cli_out_dir_below_a_file_is_config_error_before_the_run(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").write_text("a regular file")
+    cfg = _write_tiny(tmp_path, out="results/cli")
+
+    def never(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiments, "_run_axisym", never)
+    assert main(["simulate", str(cfg)]) == 2
+    assert "cannot create output directory results/cli" in capsys.readouterr().err
+    assert (tmp_path / "results").read_text() == "a regular file"
+
+
 def test_cli_missing_file_is_config_error(tmp_path):
     assert main(["validate", str(tmp_path / "nope.ini")]) == 2
 
@@ -416,6 +434,55 @@ def test_cli_sweep_rejects_shared_out_dir(tmp_path, monkeypatch):
     _write_tiny(tmp_path, "a.ini", out="results/same")
     _write_tiny(tmp_path, "b.ini", out="results/same")
     assert main(["sweep", str(tmp_path / "*.ini")]) == 2
+
+
+RESOLVED_BLOWUP = """[experiment]
+kind = axisym_blowup
+out_dir = results/resolved
+snapshot_stride = 1
+
+[coefficients]
+mu1 = 0.0
+mu2 = -0.5
+mu3 = 0.5
+mu4 = 1.0
+mu5 = 0.0
+mu6 = 0.0
+
+[grid]
+n_cells = 256
+
+[time]
+dt = 5e-4
+t_end = 2.5
+
+[initial]
+preset = scaled_linear
+amplitude = 3.2986722862692828
+"""
+
+
+def test_cli_sweep_counts_blowup_warnings(tmp_path, monkeypatch, capsys):
+    # the shipped scenario is steeper than its grid: it "detects" on the
+    # initial snapshot and has one readable sample for the beta law
+    monkeypatch.chdir(tmp_path)
+    shipped = (CONFIG_DIR / "axisym_blowup.ini").read_text()
+    (tmp_path / "a.ini").write_text(shipped.replace("out/axisym_blowup", "results/shipped"))
+    (tmp_path / "b.ini").write_text(RESOLVED_BLOWUP)
+    assert main(["sweep", str(tmp_path / "*.ini"), "--no-plots"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{tmp_path / 'a.ini'}: ok (2 warnings)", f"{tmp_path / 'b.ini'}: ok"]
+
+    report = json.loads((tmp_path / "results/shipped/report.json").read_text())
+    assert report["blowup"]["n_snapshots"] == 1
+    assert report["warnings"] == [
+        "blow-up detected at the initial snapshot (t = 0.0): "
+        "the initial data are steeper than the grid resolves",
+        "beta law not fitted: insufficient samples: 1 < 20",
+    ]
+    resolved = json.loads((tmp_path / "results/resolved/report.json").read_text())
+    assert resolved["blowup"]["t_detect"] > 0.0 and "slope" in resolved["beta_law"]
+    assert resolved["warnings"] == []
 
 
 def test_cli_sweep_no_match(tmp_path):

@@ -29,7 +29,6 @@ from nematiclab.poiseuille import (
     simulate,
     stability_bound,
     step_general,
-    step_simplified,
     velocity_potential,
 )
 
@@ -49,6 +48,35 @@ def _first_derivative(f, dx):
     out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dx)
     out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dx)
     return out
+
+
+def step_simplified(state, dt, bc):
+    """Hard-coded stepper for the simplified system
+    w_t = 2 w_xx + phi_tx, 2 phi_t = phi_xx - w_x; dual route used to
+    cross-check step_general under the simplified coefficients."""
+    grid = state.grid
+    dx = grid.dx
+    phi, w = state.phi, state.w
+    phi_t = np.empty_like(phi)
+    phi_t[1:-1] = (
+        (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dx**2
+        - (w[2:] - w[:-2]) / (2.0 * dx)
+    ) / 2.0
+    phi_t[0] = bc.phi_left_rate(state.t)
+    phi_t[-1] = bc.phi_right_rate(state.t)
+    w_t = 2.0 * (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dx**2 + (
+        phi_t[2:] - phi_t[:-2]
+    ) / (2.0 * dx)
+
+    t_new = state.t + dt
+    w_new = w.copy()
+    w_new[1:-1] += dt * w_t
+    phi_new = phi + dt * phi_t
+    w_new[0] = bc.w_left(t_new)
+    w_new[-1] = bc.w_right(t_new)
+    phi_new[0] = bc.phi_left(t_new)
+    phi_new[-1] = bc.phi_right(t_new)
+    return PoiseuilleState(grid, w_new, phi_new, t_new, state.a)
 
 
 # ---------------------------------------------------------------------------
