@@ -29,9 +29,13 @@ r_i = i/n.  Two time integrators:
 The origin node carries the Dirichlet value phi = 0, so the singular terms
 are never evaluated at r = 0.
 
-``simulate`` records its snapshots into one (rows, n + 1) array allocated up
-front; ``parse_config`` keeps that buffer under ``MAX_RECORD_BYTES`` and a
-run under ``MAX_STEPS`` steps.  The trace diagnostics (``energy``,
+There is one marching loop.  ``simulate_batch`` marches runs that share the
+scheme and dt as one node vector: one ``step`` call, and for Crank-Nicolson
+one ``dgtsv`` call, advances all of them, and each run's trace is
+bit-identical to marching it alone (DECISIONS.md section 7).  ``simulate``
+is a batch of one.  Each run records its snapshots into one (rows, n + 1)
+array allocated up front; ``parse_config`` keeps that buffer under
+``MAX_RECORD_BYTES`` and a run under ``MAX_STEPS`` steps.  The trace diagnostics (``energy``,
 ``local_energy``) take a state or a whole trace and walk the trace in row
 blocks of about ``CHUNK_VALUES`` values, computing each row with the same
 operations, in the same order, as for a single state, so the numbers do
@@ -90,10 +94,6 @@ class RadialState:
             raise ValueError("origin value must be 0")
         if not np.all(np.isfinite(self.phi)):
             raise ValueError("non-finite entries in phi")
-
-    @property
-    def boundary_value(self) -> float:
-        return float(self.phi[-1])
 
 
 def make_state(grid: RadialGrid, phi0, t: float = 0.0) -> RadialState:
@@ -256,85 +256,121 @@ def max_gradient(state: RadialState) -> float:
     """max |first_derivative(phi)|, without building the derivative: the
     largest numerator is divided once by 2 dr.  The two agree exactly,
     because division by a positive constant is monotone under rounding."""
-    phi = state.phi
+    grid = state.grid
+    starts, ends = np.array([0]), np.array([grid.n_cells])
+    maxes = _max_gradients(state.phi, _end_stencils(starts, ends), starts, 2.0 * grid.dr)
+    return float(maxes[0])
+
+
+def _end_stencils(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """(3, 2 runs) node indices of the one-sided stencils at both ends of
+    each run of a node vector; run i holds nodes starts[i]..ends[i]."""
+    return np.stack([np.concatenate([starts + i, ends - i]) for i in range(3)])
+
+
+def _max_gradients(
+    phi: np.ndarray, stencils: np.ndarray, starts: np.ndarray, two_dr
+) -> np.ndarray:
+    """``max_gradient`` of each run of a node vector: one segment max of
+    the absolute numerators, divided per run by its 2 dr.  Both one-sided
+    numerators are formed as 3 f0 - 4 f1 + f2; at the left end that is the
+    exact negation of the stencil -3 f0 + 4 f1 - f2, since rounding is
+    symmetric, so its absolute value is the same.  A nan numerator
+    propagates, as in ``np.max``."""
     num = np.empty_like(phi)
     np.subtract(phi[2:], phi[:-2], out=num[1:-1])
-    num[0] = -3.0 * phi[0] + 4.0 * phi[1] - phi[2]
-    num[-1] = 3.0 * phi[-1] - 4.0 * phi[-2] + phi[-3]
-    return float(np.max(np.abs(num, out=num)) / (2.0 * state.grid.dr))
+    f = phi[stencils]
+    num[stencils[0]] = 3.0 * f[0] - 4.0 * f[1] + f[2]
+    return np.maximum.reduceat(np.abs(num, out=num), starts) / two_dr
 
 
 def _reaction(
-    p: np.ndarray, two_p: np.ndarray, two_r2: np.ndarray, lambda2: float
+    p: np.ndarray, two_p: np.ndarray, two_r2, three_l2
 ) -> np.ndarray:
-    """-sin(2 phi)/(2 r^2) - 3 lambda2 sin(phi) cos(phi), given 2 phi and 2 r^2."""
-    return -np.sin(two_p) / two_r2 - 3.0 * lambda2 * np.sin(p) * np.cos(p)
+    """-sin(2 phi)/(2 r^2) - 3 lambda2 sin(phi) cos(phi), given 2 phi, 2 r^2
+    and 3 lambda2."""
+    return -np.sin(two_p) / two_r2 - three_l2 * np.sin(p) * np.cos(p)
 
 
 def rhs(state: RadialState, c: LeslieCoefficients) -> np.ndarray:
     """phi_t at the interior nodes i = 1..n-1."""
-    grid = state.grid
-    phi = state.phi
-    dr = grid.dr
-    r = grid.r[1:-1]
+    dr = state.grid.dr
+    r = state.grid.r[1:-1]
+    return _rhs(state.phi, r, 2.0 * dr, dr**2, 2.0 * r**2, 3.0 * c.lambda2, c.lambda1)
+
+
+def _rhs(phi, r, two_dr, dr2, two_r2, three_l2, lambda1) -> np.ndarray:
+    """``rhs`` at nodes 1..N-2 of ``phi``, with the coefficients given per
+    node (a batch) or as scalars (one run)."""
     p = phi[1:-1]
-    d1 = (phi[2:] - phi[:-2]) / (2.0 * dr)
-    d2 = (phi[2:] - 2.0 * p + phi[:-2]) / dr**2
-    reaction = _reaction(p, 2.0 * p, 2.0 * r**2, c.lambda2)
-    return (d2 + d1 / r + reaction) / c.lambda1 - r * d1
+    d1 = (phi[2:] - phi[:-2]) / two_dr
+    d2 = (phi[2:] - 2.0 * p + phi[:-2]) / dr2
+    reaction = _reaction(p, 2.0 * p, two_r2, three_l2)
+    return (d2 + d1 / r + reaction) / lambda1 - r * d1
 
 
-def step(state: RadialState, c: LeslieCoefficients, p: SolverParams) -> RadialState:
-    """Advance one time step; boundary values are reimposed."""
-    p.check_stability(state.grid, c)
-    if p.scheme == "explicit":
-        new_phi = _step_rk4(state, c, p.dt)
-    else:
-        new_phi = _step_cn(state, c, p.dt)
-    if not np.all(np.isfinite(new_phi)):
-        raise SolverHalt("non-finite field", state.t + p.dt)
-    return RadialState(state.grid, new_phi, state.t + p.dt)
+def step(batch: _Batch) -> list[_Run]:
+    """Advance every run of ``batch`` one time step, in place; boundary
+    values are reimposed.  Returns the runs whose field went non-finite:
+    they have left the batch, unadvanced."""
+    if batch.scheme == "explicit":
+        return _step_rk4(batch)
+    return _step_cn(batch)
 
 
-def _step_rk4(state: RadialState, c: LeslieCoefficients, dt: float) -> np.ndarray:
-    grid = state.grid
-    phi = state.phi
+def _step_rk4(b: _Batch) -> list[_Run]:
+    phi, dt = b.phi, b.dt
 
     def f(ph: np.ndarray) -> np.ndarray:
-        return rhs(RadialState(grid, ph, state.t), c)
+        return _rhs(ph, b.r, b.two_dr, b.dr2, b.two_r2, b.three_l2, b.lambda1)
 
+    # Every stage gets its boundary values back, so a run whose stage went
+    # non-finite cannot reach its neighbour through the nodes they share
+    # as stencil ends.
     k1 = f(phi)
     ph2 = phi.copy()
     ph2[1:-1] += 0.5 * dt * k1
-    k2 = f(ph2)
+    k2 = f(b.reset_boundaries(ph2))
     ph3 = phi.copy()
     ph3[1:-1] += 0.5 * dt * k2
-    k3 = f(ph3)
+    k3 = f(b.reset_boundaries(ph3))
     ph4 = phi.copy()
     ph4[1:-1] += dt * k3
-    k4 = f(ph4)
-    out = phi.copy()
-    out[1:-1] += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out[0] = 0.0
-    out[-1] = phi[-1]
-    return out
+    k4 = f(b.reset_boundaries(ph4))
+    phi[1:-1] += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    b.reset_boundaries(phi)
+    finite = np.isfinite(phi)
+    if finite.all():
+        return []
+    bad = b.runs_failing(finite, b.starts)
+    b.remove(bad)
+    return bad
 
 
 @dataclass(frozen=True)
 class _CNBands:
-    """The parts of a Crank-Nicolson step that depend only on
-    (grid, coefficients, dt); every array is read-only."""
+    """The parts of a step of one run that depend only on (grid,
+    coefficients, dt); every array is read-only and has one entry per node,
+    so a batch concatenates them.  Nodes 1..n-1 carry the Crank-Nicolson
+    rows.  Nodes 0 and n carry what a batch needs where two runs meet: an
+    identity row (unit diagonal, zero stencil and couplings) whose explicit
+    terms vanish, through infinite denominators and zero factors."""
 
-    r: np.ndarray  # interior nodes
-    lower: np.ndarray  # sub-diagonal of phi_rr + phi_r/r, per row
-    diag: float
-    upper: np.ndarray  # super-diagonal, per row
-    theta: float  # dt / (2 lambda1)
+    r: np.ndarray
+    two_dr: np.ndarray  # 2 dr
+    dr2: np.ndarray  # dr^2
     two_r2: np.ndarray  # 2 r^2
+    three_l2: np.ndarray  # 3 lambda2
+    lambda1: np.ndarray
     lambda1_r2: np.ndarray  # lambda1 r^2
+    diag: np.ndarray  # diagonal of phi_rr + phi_r/r
+    up: np.ndarray  # its coefficient of phi[i+1]; 0 at node n-1 (see upper_last)
+    lo: np.ndarray  # its coefficient of phi[i-1]; 0 at node 1, where phi(0) = 0
+    theta: np.ndarray  # dt / (2 lambda1)
     d_const: np.ndarray  # 1 - theta diag, before the damping is added
-    du: np.ndarray  # -theta upper[:-1]
-    dl: np.ndarray  # -theta lower[1:]
+    du: np.ndarray  # -theta up: the coupling of row i to row i + 1
+    dl: np.ndarray  # -theta lo[i + 1]: the coupling of row i + 1 to row i
+    upper_last: float  # coefficient of the constant phi(1) in row n - 1
 
 
 @lru_cache(maxsize=32)
@@ -345,57 +381,69 @@ def _cn_bands(grid: RadialGrid, c: LeslieCoefficients, dt: float) -> _CNBands:
     lower = 1.0 / dr**2 - 1.0 / (2.0 * dr * r)
     diag = -2.0 / dr**2
     upper = 1.0 / dr**2 + 1.0 / (2.0 * dr * r)
-    arrays = dict(
-        r=r,
-        lower=lower,
-        upper=upper,
-        two_r2=2.0 * r**2,
-        lambda1_r2=c.lambda1 * r**2,
-        d_const=1.0 - theta * np.full(grid.n_cells - 1, diag),
-        du=-theta * upper[:-1],
-        dl=-theta * lower[1:],
+
+    def nodes(interior, end=0.0):
+        out = np.full(grid.n_cells + 1, end)
+        out[1:-1] = interior
+        out.setflags(write=False)
+        return out
+
+    return _CNBands(
+        r=nodes(r, 1.0),
+        two_dr=nodes(2.0 * dr, np.inf),
+        dr2=nodes(dr**2, np.inf),
+        two_r2=nodes(2.0 * r**2, np.inf),
+        three_l2=nodes(3.0 * c.lambda2),
+        lambda1=nodes(c.lambda1, 1.0),
+        lambda1_r2=nodes(c.lambda1 * r**2, np.inf),
+        diag=nodes(diag),
+        up=nodes(np.append(upper[:-1], 0.0)),
+        lo=nodes(np.append(0.0, lower[1:])),
+        theta=nodes(theta),
+        d_const=nodes(1.0 - theta * np.full(grid.n_cells - 1, diag), 1.0),
+        du=nodes(np.append(-theta * upper[:-1], 0.0)),
+        dl=nodes(np.append(-theta * lower[1:], 0.0)),
+        upper_last=float(upper[-1]),
     )
-    for a in arrays.values():
-        a.setflags(write=False)
-    return _CNBands(diag=diag, theta=theta, **arrays)
 
 
-def _step_cn(state: RadialState, c: LeslieCoefficients, dt: float) -> np.ndarray:
-    bands = _cn_bands(state.grid, c, dt)
-    phi = state.phi
+def _step_cn(b: _Batch) -> list[_Run]:
+    phi, dt = b.phi, b.dt
     interior = phi[1:-1]
     two_p = 2.0 * interior
 
-    l_phi = bands.diag * interior
-    l_phi[:-1] += bands.upper[:-1] * interior[1:]
-    l_phi[1:] += bands.lower[1:] * interior[:-1]
+    l_phi = b.diag * interior
+    l_phi[:-1] += b.up * interior[1:]
+    l_phi[1:] += b.lo * interior[:-1]
     # boundary columns: phi(0) = 0 contributes nothing; phi(1) is constant
-    l_phi[-1] += 2.0 * (bands.upper[-1] * phi[-1])
+    l_phi[b.last_rows] += b.boundary_column
 
     # Damping part of the singular reaction Jacobian, cos(2 phi)/r^2 where
     # positive, goes on the diagonal (and on the right so fixed points stay
     # zeros of rhs): without it the first node is as stiff as diffusion and
     # the splitting would need dt = O(dr^2).
-    dt_damp = dt * (np.maximum(np.cos(two_p), 0.0) / bands.lambda1_r2)
+    dt_damp = dt * (np.maximum(np.cos(two_p), 0.0) / b.lambda1_r2)
 
-    d1 = (phi[2:] - phi[:-2]) / (2.0 * state.grid.dr)
-    reaction = _reaction(interior, two_p, bands.two_r2, c.lambda2)
-    explicit = reaction / c.lambda1 - bands.r * d1
-    rhs_vec = interior * (1.0 + dt_damp) + bands.theta * l_phi + dt * explicit
-    if not np.all(np.isfinite(rhs_vec)):
-        raise SolverHalt("non-finite field", state.t)
+    d1 = (phi[2:] - phi[:-2]) / b.two_dr
+    reaction = _reaction(interior, two_p, b.two_r2, b.three_l2)
+    explicit = reaction / b.lambda1 - b.r * d1
+    rhs_vec = interior * (1.0 + dt_damp) + b.theta * l_phi + dt * explicit
+    finite = np.isfinite(rhs_vec)
+    if not finite.all():
+        # a non-finite row would reach every later row of the elimination
+        bad = b.runs_failing(finite, np.maximum(b.starts - 1, 0))
+        b.remove(bad)
+        return bad + (_step_cn(b) if b.runs else [])
 
-    d = bands.d_const + dt_damp
+    d = b.d_const + dt_damp
     _, _, _, new_interior, info = dgtsv(
-        bands.dl, d, bands.du, rhs_vec, overwrite_d=1, overwrite_b=1
+        b.dl, d, b.du, rhs_vec, overwrite_d=1, overwrite_b=1
     )
     if info != 0:  # pragma: no cover - defensive
-        raise SolverHalt(f"tridiagonal solve breakdown: dgtsv info {info}", state.t)
-
-    out = phi.copy()
-    out[1:-1] = new_interior
-    out[0] = 0.0
-    return out
+        raise SolverHalt(f"tridiagonal solve breakdown: dgtsv info {info}")
+    phi[1:-1] = new_interior
+    b.reset_boundaries(phi)
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +554,176 @@ class RunTrace:
         return replace(self, times=self.times[:n], phis=self.phis[:n])
 
 
+def record_rows(n_steps: int, snapshot_stride: int) -> int:
+    """Rows of the buffer a radial run records into, one row of n_cells + 1
+    nodes each: the initial state, each stride step, and the last or
+    halting step when that is off the stride."""
+    return 2 + n_steps // snapshot_stride
+
+
+class _Run:
+    """One run of a batch: its inputs, its record buffers and its halt."""
+
+    def __init__(
+        self,
+        state0: RadialState,
+        c: LeslieCoefficients,
+        p: SolverParams,
+        snapshot_stride: int = 1,
+    ):
+        state0.validate()
+        p.check_stability(state0.grid, c)
+        if snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be >= 1")
+        self.grid, self.c, self.p, self.stride = state0.grid, c, p, snapshot_stride
+        self.guard = p.guard_for(state0.grid)
+        self.t0 = state0.t
+        self.n_steps = step_count(state0.t, p.t_end, p.dt)
+        rows = record_rows(self.n_steps, snapshot_stride)
+        self.times = np.empty(rows)
+        self.phis = np.empty((rows, state0.grid.n_cells + 1))
+        self.times[0], self.phis[0] = state0.t, state0.phi
+        self.j = 1
+        self.next_record = min(snapshot_stride, self.n_steps)
+        self.halted, self.halt_reason = False, None
+        if max_gradient(state0) > self.guard:
+            self.halted, self.halt_reason = True, "gradient guard"
+
+    def advance(self, k: int, phi: np.ndarray, tripped: bool) -> bool:
+        """Take the state after step k: record it when it is due or trips
+        the guard.  True when the run ends with this step."""
+        last = k == self.n_steps
+        if k == self.next_record or tripped:
+            self.times[self.j] = self.p.t_end if last else self.t0 + k * self.p.dt
+            self.phis[self.j] = phi
+            self.j += 1
+            self.next_record = min(k + self.stride, self.n_steps)
+        if tripped:
+            self.halted, self.halt_reason = True, "gradient guard"
+        return last or tripped
+
+    def trace(self) -> RunTrace:
+        return RunTrace(
+            grid=self.grid,
+            params=self.p,
+            coeffs=self.c,
+            times=self.times[: self.j],
+            phis=self.phis[: self.j],
+            halted=self.halted,
+            halt_reason=self.halt_reason,
+        )
+
+
+class _Batch:
+    """The runs still marching, laid out as one node vector ``phi``: each
+    run's nodes 0..n in turn.  The system a step solves has a row for each
+    node 1..N-2 of that vector: a run's interior nodes are its
+    Crank-Nicolson rows, and its end nodes inside the vector are identity
+    rows with zero couplings, so one ``dgtsv`` call solves every run and
+    each run's numbers are those of its own solve (DECISIONS.md section 7).
+    Every per-row coefficient is a slice of the runs' concatenated
+    ``_cn_bands``."""
+
+    def __init__(self, runs: list[_Run]):
+        self.scheme, self.dt = runs[0].p.scheme, runs[0].p.dt
+        self._build(runs, np.concatenate([run.phis[0] for run in runs]))
+
+    def _build(self, runs: list[_Run], phi: np.ndarray) -> None:
+        self.runs, self.phi = runs, phi
+        sizes = np.array([run.grid.n_cells + 1 for run in runs])
+        self.ends = np.cumsum(sizes) - 1
+        self.starts = self.ends - sizes + 1
+        self.stencils = _end_stencils(self.starts, self.ends)
+        self.phi[self.starts] = 0.0  # phi(0) = 0, as after any step
+        self.phi_end = self.phi[self.ends]
+        self.guards = np.array([run.guard for run in runs])
+        bands = [_cn_bands(run.grid, run.c, self.dt) for run in runs]
+        self.run_two_dr = np.array([b.two_dr[1] for b in bands])
+
+        def rows(name: str) -> np.ndarray:
+            return np.concatenate([getattr(b, name) for b in bands])[1:-1]
+
+        for name in ("r", "two_dr", "dr2", "two_r2", "three_l2", "lambda1",
+                     "lambda1_r2", "diag", "theta", "d_const"):
+            setattr(self, name, rows(name))
+        self.up, self.lo = rows("up")[:-1], rows("lo")[1:]
+        self.du, self.dl = rows("du")[:-1], rows("dl")[:-1]
+        # the constant phi(1) of each run, on its row n - 1, as
+        # 2 (upper_last phi(1)): half from the old and half from the new state
+        self.last_rows = self.ends - 2
+        self.boundary_column = 2.0 * (
+            np.array([b.upper_last for b in bands]) * self.phi_end
+        )
+
+    def reset_boundaries(self, phi: np.ndarray) -> np.ndarray:
+        """Reimpose, in a node vector of this batch, phi(0) = 0 and the
+        frozen phi(1) of every run, which a step leaves unchanged up to the
+        sign of a zero; returns ``phi``."""
+        phi[self.starts] = 0.0
+        phi[self.ends] = self.phi_end
+        return phi
+
+    def max_gradients(self) -> np.ndarray:
+        return _max_gradients(self.phi, self.stencils, self.starts, self.run_two_dr)
+
+    def runs_failing(self, ok: np.ndarray, row_starts: np.ndarray) -> list[_Run]:
+        """The runs with a False in their segment of ``ok``, whose run i
+        begins at row_starts[i]."""
+        passed = np.logical_and.reduceat(ok, row_starts)
+        return [run for run, good in zip(self.runs, passed) if not good]
+
+    def remove(self, leaving: list[_Run]) -> None:
+        keep = [i for i, run in enumerate(self.runs) if run not in leaving]
+        if keep:
+            segments = [self.phi[self.starts[i] : self.ends[i] + 1] for i in keep]
+            self._build([self.runs[i] for i in keep], np.concatenate(segments))
+        else:
+            self.runs = []
+
+
+def simulate_batch(runs) -> list[RunTrace]:
+    """``simulate`` for each of ``runs``, (state0, c, p, snapshot_stride)
+    tuples that share the scheme and dt, marched as one system; the traces
+    come back in the order of ``runs``.
+
+    Every run keeps its own guard, stride, step count and halt record, and
+    leaves the batch when it reaches t_end or halts.  Its trace is
+    bit-identical to the trace of marching it alone (DECISIONS.md
+    section 7).
+    """
+    members = [_Run(*run) for run in runs]
+    if len({(run.p.scheme, run.p.dt) for run in members}) > 1:
+        raise ValueError("a batch of runs must share its scheme and dt")
+    marching = [run for run in members if not run.halted]
+    if marching:
+        _march(_Batch(marching))
+    return [run.trace() for run in members]
+
+
+def _march(batch: _Batch) -> None:
+    """Step ``batch`` until every run has left it: one call of ``step`` per
+    step, then one guard check over all runs."""
+    next_event = min(run.next_record for run in batch.runs)
+    k = 0
+    while batch.runs:
+        k += 1
+        for run in step(batch):
+            run.halted, run.halt_reason = True, "non-finite field"
+        if not batch.runs:
+            break
+        tripped = batch.max_gradients() > batch.guards
+        if k == next_event or tripped.any():
+            leaving = [
+                run
+                for run, s, e, trip in zip(batch.runs, batch.starts, batch.ends, tripped)
+                if run.advance(k, batch.phi[s : e + 1], trip)
+            ]
+            if leaving:
+                batch.remove(leaving)
+            if batch.runs:
+                next_event = min(run.next_record for run in batch.runs)
+
+
 def simulate(
     state0: RadialState,
     c: LeslieCoefficients,
@@ -517,52 +735,7 @@ def simulate(
     Step k ends at t0 + k*dt and the last step at t_end itself, which must
     lie a whole number of steps after t0.  Halts (without raising) when
     max|phi_r| exceeds the gradient guard or the field goes non-finite; the
-    offending state is the last snapshot.
+    offending state is the last snapshot.  A batch of one run of
+    ``simulate_batch``.
     """
-    state0.validate()
-    p.check_stability(state0.grid, c)
-    if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be >= 1")
-    guard = p.guard_for(state0.grid)
-    t0 = state0.t
-    n_steps = step_count(t0, p.t_end, p.dt)
-
-    # every recorded row: the initial state, each stride step, and the
-    # last step or the halting state when that is off the stride
-    times = np.empty(2 + n_steps // snapshot_stride)
-    phis = np.empty((len(times), state0.grid.n_cells + 1))
-    times[0], phis[0] = state0.t, state0.phi
-    j = 1
-    halted = False
-    halt_reason = None
-
-    state = state0
-    if max_gradient(state) > guard:
-        halted, halt_reason = True, "gradient guard"
-        n_steps = 0
-    for k in range(1, n_steps + 1):
-        try:
-            state = step(state, c, p)
-        except SolverHalt as halt:
-            halted, halt_reason = True, halt.reason
-            break
-        state.t = p.t_end if k == n_steps else t0 + k * p.dt
-        record = (k % snapshot_stride == 0) or (k == n_steps)
-        if max_gradient(state) > guard:
-            halted, halt_reason = True, "gradient guard"
-            record = True
-        if record:
-            times[j], phis[j] = state.t, state.phi
-            j += 1
-        if halted:
-            break
-
-    return RunTrace(
-        grid=state0.grid,
-        params=p,
-        coeffs=c,
-        times=times[:j],
-        phis=phis[:j],
-        halted=halted,
-        halt_reason=halt_reason,
-    )
+    return simulate_batch([(state0, c, p, snapshot_stride)])[0]

@@ -14,9 +14,10 @@ import glob
 import sys
 from pathlib import Path
 
+from .axisym import simulate_batch
 from .config import load_config, serialize_config
 from .errors import ConfigError, SolverHalt
-from .experiments import run
+from .experiments import axisym_batches, axisym_run, make_out_dir, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,11 +63,23 @@ def _sweep(args) -> int:
     if len(set(out_dirs)) != len(out_dirs):
         raise ConfigError("sweep configs must use distinct out_dir values")
 
+    # every output directory exists before anything runs
+    for _, config in configs:
+        make_out_dir(Path(config.out_dir))
+
+    # axisym configs march in batches; a batch marches when its first config
+    # comes up, so the sweep holds only the traces of the batches it started
+    batches = {batch[0]: batch for batch in axisym_batches([c for _, c in configs])}
+    traces = {}
     plots = None if not args.no_plots else False
     failures: list[str] = []
-    for path, config in configs:
+    for i, (path, config) in enumerate(configs):
+        if i in batches:
+            runs = [axisym_run(configs[j][1]) for j in batches[i]]
+            traces.update(zip(batches[i], simulate_batch(runs)))
+        trace = traces.pop(i, None)
         try:
-            warnings = run(config, plots=plots).report.get("warnings")
+            warnings = run(config, plots=plots, trace=trace).report.get("warnings")
             status = f"ok ({len(warnings)} warnings)" if warnings else "ok"
         except SolverHalt as exc:  # keep sweeping, report at the end
             status = f"halt: {exc}"

@@ -31,6 +31,7 @@ from .axisym import (
     SolverParams,
     default_dt,
     initial_profile,
+    record_rows,
     step_count,
 )
 from .barriers import eta_barrier, supersolution
@@ -265,7 +266,7 @@ def parse_config(text: str) -> ExperimentConfig:
             params.check_stability(grid, coeffs)
             n_steps = step_count(0.0, params.t_end, params.dt)
             # the buffer simulate records into, checked before the nodes exist
-            rows = 2 + n_steps // top["snapshot_stride"]
+            rows = record_rows(n_steps, top["snapshot_stride"])
             if rows * (a.n_cells + 1) * 8 > MAX_RECORD_BYTES:
                 raise ValueError(
                     f"{rows} snapshots of {a.n_cells + 1} nodes exceed the "

@@ -31,6 +31,8 @@ from .svgplot import emit_plot
 # the analysis window.
 BLOWUP_GUARD_FACTOR = 4.0
 
+AXISYM_KINDS = ("axisym_global", "axisym_blowup")
+
 
 @dataclass
 class RunResult:
@@ -51,28 +53,36 @@ class Artifact:
     plot_series: TimeSeries | None = None
 
 
-def run(
-    config: ExperimentConfig,
-    out_dir: Path | None = None,
-    plots: bool | None = None,
-) -> RunResult:
-    """Execute the configured experiment and write its artifacts."""
-    target = Path(out_dir) if out_dir is not None else Path(config.out_dir)
-    do_plots = config.plots if plots is None else plots
+def make_out_dir(target: Path) -> None:
+    """Create an output directory; ConfigError (exit 2) when it cannot be."""
     try:
         target.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {target}: {exc}") from exc
 
-    runner = {
-        "axisym_global": _run_axisym,
-        "axisym_blowup": _run_axisym,
-        "barrier_check": _run_barrier_check,
-        "poiseuille_counterexample": _run_poiseuille_counterexample,
-        "poiseuille_generic": _run_poiseuille_generic,
-        "hopf_decay": _run_hopf_decay,
-    }[config.kind]
-    report, artifacts = runner(config)
+
+def run(
+    config: ExperimentConfig,
+    out_dir: Path | None = None,
+    plots: bool | None = None,
+    trace: axisym.RunTrace | None = None,
+) -> RunResult:
+    """Execute the configured experiment and write its artifacts.  An axisym
+    config may come with its ``trace`` already marched, in a batch."""
+    target = Path(out_dir) if out_dir is not None else Path(config.out_dir)
+    do_plots = config.plots if plots is None else plots
+    make_out_dir(target)
+
+    if config.kind in AXISYM_KINDS:
+        report, artifacts = _run_axisym(config, trace)
+    else:
+        runner = {
+            "barrier_check": _run_barrier_check,
+            "poiseuille_counterexample": _run_poiseuille_counterexample,
+            "poiseuille_generic": _run_poiseuille_generic,
+            "hopf_decay": _run_hopf_decay,
+        }[config.kind]
+        report, artifacts = runner(config)
     report = {"experiment": config.kind, "config_hash": config.hash(), **report}
 
     result = RunResult(kind=config.kind, out_dir=target, report=report)
@@ -103,7 +113,8 @@ def run(
 # axisymmetric experiments
 
 
-def build_axisym_run(config: ExperimentConfig) -> axisym.RunTrace:
+def axisym_run(config: ExperimentConfig) -> tuple:
+    """The (state0, coeffs, params, snapshot_stride) an axisym config marches."""
     a = config.axisym
     grid = axisym.RadialGrid(a.n_cells)
     phi0 = axisym.initial_profile(grid, a.preset, **a.preset_params())
@@ -116,16 +127,30 @@ def build_axisym_run(config: ExperimentConfig) -> axisym.RunTrace:
     params = axisym.SolverParams(
         dt=a.dt, scheme=a.scheme, t_end=a.t_end, clip_guard=guard
     )
-    trace = axisym.simulate(
-        state0, config.coefficients, params, config.snapshot_stride
-    )
-    if trace.n_snapshots < 10:
-        raise SolverHalt(
-            f"trace too short for blow-up analysis ({trace.n_snapshots} snapshots); "
-            "raise t_end, lower snapshot_stride, or loosen clip_guard",
-            float(trace.times[-1]),
-        )
-    return trace
+    return state0, config.coefficients, params, config.snapshot_stride
+
+
+def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
+    """The positions of the axisym configs among ``configs``, in batches
+    that share (scheme, dt), in order.  A batch is closed before its record
+    buffers would pass ``axisym.MAX_RECORD_BYTES``."""
+    batches: list[list[int]] = []
+    used: list[int] = []
+    open_batch: dict[tuple, int] = {}  # (scheme, dt) -> position in batches
+    for i, config in enumerate(configs):
+        if config.kind not in AXISYM_KINDS:
+            continue
+        a = config.axisym
+        n_steps = axisym.step_count(0.0, a.t_end, a.dt)
+        size = axisym.record_rows(n_steps, config.snapshot_stride) * (a.n_cells + 1) * 8
+        j = open_batch.get((a.scheme, a.dt))
+        if j is None or used[j] + size > axisym.MAX_RECORD_BYTES:
+            j = open_batch[(a.scheme, a.dt)] = len(batches)
+            batches.append([])
+            used.append(0)
+        batches[j].append(i)
+        used[j] += size
+    return batches
 
 
 def axisym_series(trace: axisym.RunTrace, local_radius: float) -> TimeSeries:
@@ -145,8 +170,15 @@ def axisym_series(trace: axisym.RunTrace, local_radius: float) -> TimeSeries:
     )
 
 
-def _run_axisym(config: ExperimentConfig):
-    trace = build_axisym_run(config)
+def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
+    if trace is None:
+        trace = axisym.simulate(*axisym_run(config))
+    if trace.n_snapshots < 10:
+        raise SolverHalt(
+            f"trace too short for blow-up analysis ({trace.n_snapshots} snapshots); "
+            "raise t_end, lower snapshot_stride, or loosen clip_guard",
+            float(trace.times[-1]),
+        )
     coeffs = config.coefficients
     b = config.barrier
     report: dict = {
@@ -329,8 +361,12 @@ def _run_poiseuille_generic(config: ExperimentConfig):
         "heat_reduction_residual": None,
         "dt": dt,
     }
-    simplified = (
-        abs(g_coeff(c, 0.0) - 2.0) < 1e-12 and abs(h_coeff(c, 0.0) - 1.0) < 1e-12
+    # g is constant exactly when mu1 = 0 and b = a, h when mu2 + mu3 = 0
+    # (coeffs.g_coeff, coeffs.h_coeff); the heat reduction needs g == 2, h == 1
+    a, b = 0.5 * (c.mu5 - c.mu2), 0.5 * (c.mu3 + c.mu6)
+    simplified = all(
+        abs(x) < 1e-12
+        for x in (c.mu1, b - a, c.mu2 + c.mu3, g_coeff(c, 0.0) - 2.0, h_coeff(c, 0.0) - 1.0)
     )
     if simplified:
         report["heat_reduction_residual"] = poiseuille.heat_reduction_check(trace)
@@ -348,15 +384,16 @@ def _run_hopf_decay(config: ExperimentConfig):
     for lam in h.lambdas:
         e_sphere = hopf.dirichlet_energy_s3(lam, h.mesh)
         exact = hopf.sphere_energy_exact(lam)
+        error = abs(e_sphere - exact) / exact
         e_vel, e_dir = hopf.ball_energy_parts(lam, h.ball_mesh)
-        warn = hopf.resolution_warning(lam, h.mesh)
+        warn = bool(error > hopf.UNDER_RESOLVED_ERROR)
         rows.append((lam, e_sphere, float(h.mesh), 1.0 if warn else 0.0))
         table.append(
             {
                 "lambda": lam,
                 "sphere_energy": e_sphere,
                 "exact_energy": exact,
-                "relative_error": abs(e_sphere - exact) / exact,
+                "relative_error": error,
                 "ball_energy_velocity": e_vel,
                 "ball_energy_director": e_dir,
                 "ball_energy_total": e_vel + e_dir,

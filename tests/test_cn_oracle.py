@@ -2,13 +2,14 @@
 
 The reference rebuilds the tridiagonal bands on every step, solves with
 ``scipy.linalg.solve_banded`` and evaluates the reaction term twice.  The
-cached-band step in ``nematiclab.axisym`` must agree with it bit for bit.
+cached-band step in ``nematiclab.axisym``, driven through ``simulate`` (a
+batch of one run), must agree with it bit for bit.
 """
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from nematiclab.axisym import RadialGrid, SolverParams, make_state, rhs, step
+from nematiclab.axisym import RadialGrid, SolverParams, make_state, rhs, simulate
 from nematiclab.coeffs import LeslieCoefficients
 
 L2_HALF = LeslieCoefficients(0, -0.25, 0.75, 1, 0, 0.5)  # lambda1=1, lambda2=0.5
@@ -69,6 +70,13 @@ def reference_step_cn(phi, grid, c, dt):
     return out
 
 
+def program_step(state, c, dt):
+    """One step of the program: a batch of one run that is one step long."""
+    trace = simulate(state, c, SolverParams(dt=dt, t_end=state.t + dt))
+    assert not trace.halted and trace.n_snapshots == 2
+    return trace.state(-1)
+
+
 def march_both(grid, c, phi0, dts, n_steps=200):
     """Step the program and the reference side by side, cycling through
     ``dts``; return the number of steps on which cos(2 phi) changed sign
@@ -79,7 +87,7 @@ def march_both(grid, c, phi0, dts, n_steps=200):
     for k in range(n_steps):
         dt = dts[k % len(dts)]
         before = np.cos(2.0 * ref[1:-1]) > 0.0
-        state = step(state, c, SolverParams(dt=dt, t_end=1.0))
+        state = program_step(state, c, dt)
         ref = reference_step_cn(ref, grid, c, dt)
         assert np.array_equal(state.phi, ref), f"step {k + 1} (dt={dt}) differs"
         sign_flips += bool(np.any(before != (np.cos(2.0 * ref[1:-1]) > 0.0)))

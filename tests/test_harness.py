@@ -198,6 +198,28 @@ def test_global_report_contents(tmp_path):
     assert header == "t,phi_r_origin,e_total,e_grad,e_sin,local_energy_R"
 
 
+@pytest.mark.parametrize(
+    "mus, reported",
+    [
+        ((0.0, -1.0, 1.0, 3.0, 0.0, 0.0), True),  # the simplified set: g == 2, h == 1
+        # g(0) = 2 and h(0) = 1, but mu1 != 0, b != a and mu2 + mu3 != 0
+        ((1.0, -0.5, 1.0, 2.0, 0.5, 1.0), False),
+    ],
+)
+def test_heat_reduction_reported_only_for_constant_g_and_h(tmp_path, mus, reported):
+    coefficients = "".join(f"mu{i} = {m}\n" for i, m in enumerate(mus, start=1))
+    config = parse_config(
+        "[experiment]\nkind = poiseuille_generic\nout_dir = unused\nsnapshot_stride = 5\n\n"
+        f"[coefficients]\n{coefficients}\n"
+        "[poiseuille]\nhalf_length = 10.0\nn_cells = 64\nt_end = 0.5\n"
+        "velocity_amplitude = 5.0\n"
+    )
+    residual = run(config, out_dir=tmp_path, plots=False).report["heat_reduction_residual"]
+    assert isinstance(residual, float) if reported else residual is None
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["heat_reduction_residual"] == residual
+
+
 # ---------------------------------------------------------------------------
 # time series and SVG plots
 
@@ -316,13 +338,30 @@ def test_cli_out_dir_below_a_file_is_config_error_before_the_run(
     (tmp_path / "results").write_text("a regular file")
     cfg = _write_tiny(tmp_path, out="results/cli")
 
-    def never(config):
+    def never(*args):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(experiments, "_run_axisym", never)
     assert main(["simulate", str(cfg)]) == 2
     assert "cannot create output directory results/cli" in capsys.readouterr().err
     assert (tmp_path / "results").read_text() == "a regular file"
+
+
+def test_cli_sweep_out_dir_that_cannot_be_created_fails_before_any_run(
+    tmp_path, monkeypatch, capsys
+):
+    # the second of three configs cannot have its directory: exit 2, and
+    # neither the first nor the third writes a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "blocked").write_text("a regular file")
+    _write_tiny(tmp_path, "a.ini", out="results/a")
+    _write_tiny(tmp_path, "b.ini", out="blocked/b")
+    _write_tiny(tmp_path, "c.ini", out="results/c")
+    assert main(["sweep", str(tmp_path / "*.ini"), "--no-plots"]) == 2
+    captured = capsys.readouterr()
+    assert "cannot create output directory blocked/b" in captured.err
+    assert captured.out == ""
+    assert not [p for p in (tmp_path / "results").rglob("*") if p.is_file()]
 
 
 def test_cli_missing_file_is_config_error(tmp_path):

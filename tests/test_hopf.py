@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nematiclab.config import parse_config
+from nematiclab.experiments import run
 from nematiclab.hopf import (
     POLE,
+    UNDER_RESOLVED_ERROR,
     DilationParam,
     S3Point,
     ball_chart,
@@ -13,7 +16,6 @@ from nematiclab.hopf import (
     hopf,
     initial_data_energy,
     psi_lambda,
-    resolution_warning,
     sphere_energy_exact,
     vortex_velocity,
 )
@@ -129,9 +131,29 @@ def test_sphere_energy_closed_form_oracle():
         assert dirichlet_energy_s3(lam, 64) == pytest.approx(exact, rel=0.01)
 
 
-def test_resolution_warning_threshold():
-    assert resolution_warning(16.0, 64)
-    assert not resolution_warning(8.0, 64)
+@pytest.mark.parametrize(
+    "lambdas, mesh, flags",
+    [
+        # 0.89% and 1.48% off the closed form
+        ((8.0, 12.0), 64, [False, True]),
+        # 1.56% off: flagged, where the old lam > mesh/8 rule did not flag it
+        ((4.0,), 32, [True]),
+    ],
+)
+def test_under_resolved_flag_follows_the_measured_error(tmp_path, lambdas, mesh, flags):
+    config = parse_config(
+        "[experiment]\nkind = hopf_decay\nout_dir = out\n\n[hopf]\n"
+        f"lambdas = {', '.join(map(str, lambdas))}\nmesh = {mesh}\nball_mesh = 16\n"
+    )
+    result = run(config, out_dir=tmp_path, plots=False)
+    table = result.report["table"]
+    assert [row["under_resolved"] for row in table] == flags
+    assert [row["relative_error"] > UNDER_RESOLVED_ERROR for row in table] == flags
+    decay = np.loadtxt(tmp_path / "decay.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert list(decay[:, 3]) == [float(f) for f in flags]
+
+
+def test_energy_rejects_bad_dilation_and_mesh():
     with pytest.raises(ValueError):
         dirichlet_energy_s3(-1.0, 64)
     with pytest.raises(ValueError):
