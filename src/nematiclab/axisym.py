@@ -29,17 +29,18 @@ r_i = i/n.  Two time integrators:
 The origin node carries the Dirichlet value phi = 0, so the singular terms
 are never evaluated at r = 0.
 
-There is one marching loop.  ``simulate_batch`` marches runs that share the
-scheme and dt as one node vector: one ``step`` call, and for Crank-Nicolson
-one ``dgtsv`` call, advances all of them, and each run's trace is
-bit-identical to marching it alone (DECISIONS.md section 7).  ``simulate``
-is a batch of one.  Each run records its snapshots into one (rows, n + 1)
-array allocated up front; ``parse_config`` keeps that buffer under
-``MAX_RECORD_BYTES`` and a run under ``MAX_STEPS`` steps.  The trace diagnostics (``energy``,
-``local_energy``) take a state or a whole trace and walk the trace in row
-blocks of about ``CHUNK_VALUES`` values, computing each row with the same
-operations, in the same order, as for a single state, so the numbers do
-not depend on the block size (DECISIONS.md section 4).
+There is one radial marching loop.  ``simulate_batch`` marches runs that
+share the scheme and dt as one node vector: one ``step`` call, and for
+Crank-Nicolson one ``dgtsv`` call, advances all of them, and each run's
+trace is bit-identical to marching it alone (DECISIONS.md section 7).
+``simulate`` is a batch of one.  ``RunRecord`` holds the run-shape rules it
+shares with the Poiseuille loop and the buffer a run records into,
+allocated up front; ``plan_record`` checks a run against ``MAX_STEPS`` and
+``MAX_RECORD_BYTES`` without allocating (DECISIONS.md section 3).  The trace
+diagnostics (``energy``, ``local_energy``) take a state or a whole trace
+and walk it in row blocks of about ``CHUNK_VALUES`` values, computing each
+row with the same operations, in the same order, as for a single state, so
+the numbers do not depend on the block size (DECISIONS.md section 4).
 """
 
 from __future__ import annotations
@@ -209,8 +210,8 @@ def whole_step_dt(t_end: float, dt_max: float) -> float:
 
 
 # Ceilings on one run, checked before anything is allocated (DECISIONS.md
-# section 4): the steps of any marching run, and the bytes of the buffer a
-# radial run records its snapshots into.
+# section 4): the steps of any marching run, and the bytes of the buffer it
+# records its snapshots into.
 MAX_STEPS = 10**9
 MAX_RECORD_BYTES = 2**30
 
@@ -231,6 +232,60 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
             f"after t0 = {t0!r}"
         )
     return n
+
+
+def plan_record(
+    t0: float, t_end: float, dt: float, stride: int, row_values: int
+) -> tuple[int, int, int]:
+    """(steps, rows, bytes) of a run recording rows of ``row_values``
+    floats, without allocating: ValueError for a stride below 1, from
+    ``step_count``, or when the buffer would pass MAX_RECORD_BYTES."""
+    if stride < 1:
+        raise ValueError("snapshot_stride must be >= 1")
+    n_steps = step_count(t0, t_end, dt)
+    rows = 2 + n_steps // stride
+    nbytes = rows * row_values * 8
+    if nbytes > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"{rows} snapshots of {row_values} values exceed the "
+            f"{MAX_RECORD_BYTES}-byte record buffer"
+        )
+    return n_steps, rows, nbytes
+
+
+class RunRecord:
+    """The run-shape rules both marching loops share, and the buffer a run
+    records into.  Step k ends at t0 + k*dt, and the last step at t_end
+    itself.  The rows are the initial state (``values[0]``, which the caller
+    fills), each stride step, and the last or halting step off the stride."""
+
+    def __init__(
+        self, t0: float, t_end: float, dt: float, stride: int,
+        row_shape: tuple[int, ...], row_values: int,
+    ):
+        self.n_steps, rows, _ = plan_record(t0, t_end, dt, stride, row_values)
+        self.t0, self.t_end, self.dt, self.stride = t0, t_end, dt, stride
+        self.times = np.empty(rows)
+        self.values = np.empty((rows,) + row_shape)
+        self.times[0] = t0
+        self.j = 1  # rows written
+        self.next_record = min(stride, self.n_steps)
+
+    def time(self, k: int) -> float:
+        return self.t_end if k == self.n_steps else self.t0 + k * self.dt
+
+    def add(self, k: int) -> int:
+        """Record the time of step k, due or not; returns the row of
+        ``values`` the caller fills with its state."""
+        j = self.j
+        self.times[j] = self.time(k)
+        self.j = j + 1
+        self.next_record = min(k + self.stride, self.n_steps)
+        return j
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(times, values) of the rows written so far, as views."""
+        return self.times[: self.j], self.values[: self.j]
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +609,8 @@ class RunTrace:
         return replace(self, times=self.times[:n], phis=self.phis[:n])
 
 
-def record_rows(n_steps: int, snapshot_stride: int) -> int:
-    """Rows of the buffer a radial run records into, one row of n_cells + 1
-    nodes each: the initial state, each stride step, and the last or
-    halting step when that is off the stride."""
-    return 2 + n_steps // snapshot_stride
-
-
 class _Run:
-    """One run of a batch: its inputs, its record buffers and its halt."""
+    """One run of a batch: its inputs, its record and its halt."""
 
     def __init__(
         self,
@@ -573,18 +621,11 @@ class _Run:
     ):
         state0.validate()
         p.check_stability(state0.grid, c)
-        if snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
-        self.grid, self.c, self.p, self.stride = state0.grid, c, p, snapshot_stride
+        self.grid, self.c, self.p = state0.grid, c, p
         self.guard = p.guard_for(state0.grid)
-        self.t0 = state0.t
-        self.n_steps = step_count(state0.t, p.t_end, p.dt)
-        rows = record_rows(self.n_steps, snapshot_stride)
-        self.times = np.empty(rows)
-        self.phis = np.empty((rows, state0.grid.n_cells + 1))
-        self.times[0], self.phis[0] = state0.t, state0.phi
-        self.j = 1
-        self.next_record = min(snapshot_stride, self.n_steps)
+        n = len(state0.phi)
+        self.record = RunRecord(state0.t, p.t_end, p.dt, snapshot_stride, (n,), n)
+        self.record.values[0] = state0.phi
         self.halted, self.halt_reason = False, None
         if max_gradient(state0) > self.guard:
             self.halted, self.halt_reason = True, "gradient guard"
@@ -592,25 +633,16 @@ class _Run:
     def advance(self, k: int, phi: np.ndarray, tripped: bool) -> bool:
         """Take the state after step k: record it when it is due or trips
         the guard.  True when the run ends with this step."""
-        last = k == self.n_steps
-        if k == self.next_record or tripped:
-            self.times[self.j] = self.p.t_end if last else self.t0 + k * self.p.dt
-            self.phis[self.j] = phi
-            self.j += 1
-            self.next_record = min(k + self.stride, self.n_steps)
+        record = self.record
+        if k == record.next_record or tripped:
+            record.values[record.add(k)] = phi
         if tripped:
             self.halted, self.halt_reason = True, "gradient guard"
-        return last or tripped
+        return k == record.n_steps or tripped
 
     def trace(self) -> RunTrace:
         return RunTrace(
-            grid=self.grid,
-            params=self.p,
-            coeffs=self.c,
-            times=self.times[: self.j],
-            phis=self.phis[: self.j],
-            halted=self.halted,
-            halt_reason=self.halt_reason,
+            self.grid, self.p, self.c, *self.record.rows(), self.halted, self.halt_reason
         )
 
 
@@ -626,7 +658,7 @@ class _Batch:
 
     def __init__(self, runs: list[_Run]):
         self.scheme, self.dt = runs[0].p.scheme, runs[0].p.dt
-        self._build(runs, np.concatenate([run.phis[0] for run in runs]))
+        self._build(runs, np.concatenate([run.record.values[0] for run in runs]))
 
     def _build(self, runs: list[_Run], phi: np.ndarray) -> None:
         self.runs, self.phi = runs, phi
@@ -703,7 +735,7 @@ def simulate_batch(runs) -> list[RunTrace]:
 def _march(batch: _Batch) -> None:
     """Step ``batch`` until every run has left it: one call of ``step`` per
     step, then one guard check over all runs."""
-    next_event = min(run.next_record for run in batch.runs)
+    next_event = min(run.record.next_record for run in batch.runs)
     k = 0
     while batch.runs:
         k += 1
@@ -721,7 +753,7 @@ def _march(batch: _Batch) -> None:
             if leaving:
                 batch.remove(leaving)
             if batch.runs:
-                next_event = min(run.next_record for run in batch.runs)
+                next_event = min(run.record.next_record for run in batch.runs)
 
 
 def simulate(

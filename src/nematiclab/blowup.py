@@ -32,17 +32,17 @@ def gradient_history(trace: RunTrace) -> np.ndarray:
     return (4.0 * trace.phis[:, 1] - trace.phis[:, 2]) / (2.0 * trace.grid.dr)
 
 
-def extract_profile(state: RadialState, n_samples: int = 201) -> tuple[float, float]:
+def extract_profile(state: RadialState) -> tuple[float, float]:
     """(beta_hat, profile_error): rescale by beta_hat = 2/phi_r(0) and
-    measure the max-norm distance of phi(beta_hat * rho), rho in [0, 1],
-    from the bubble 2 arctan(rho).  Linear interpolation between nodes."""
+    measure the max-norm distance of phi(beta_hat * rho), rho in [0, 1] at
+    201 points, from the bubble 2 arctan(rho); linear between nodes."""
     grad = origin_gradient(state)
     if grad < PROFILE_MIN_GRADIENT:
         raise ValueError(
             f"no bubble yet: origin gradient {grad:.3g} < {PROFILE_MIN_GRADIENT}"
         )
     beta_hat = 2.0 / grad
-    rho = np.linspace(0.0, 1.0, n_samples)
+    rho = np.linspace(0.0, 1.0, 201)
     samples = np.interp(beta_hat * rho, state.grid.r, state.phi)
     error = float(np.max(np.abs(samples - 2.0 * np.arctan(rho))))
     return beta_hat, error
@@ -77,19 +77,17 @@ class BlowupReport:
 
 
 def detect(
-    trace: RunTrace,
-    resolution_cap: float | None = None,
-    local_energy_radius: float | None = 0.05,
+    trace: RunTrace, local_energy_radius: float | None = 0.05
 ) -> BlowupReport:
     """Scan a trace for the first time the origin gradient exceeds the
-    resolution cap (default 0.5/dr).
+    resolution cap 0.5/dr.
 
     A run that died on a non-finite field counts as detected with the
     hard-overflow flag.  Histories stop at the detection snapshot.
     """
     if trace.n_snapshots < 10:
         raise ValueError(f"need at least 10 snapshots, trace has {trace.n_snapshots}")
-    cap = 0.5 / trace.grid.dr if resolution_cap is None else resolution_cap
+    cap = 0.5 / trace.grid.dr
 
     grads = gradient_history(trace)
     over = np.nonzero(grads > cap)[0]

@@ -31,8 +31,7 @@ from .axisym import (
     SolverParams,
     default_dt,
     initial_profile,
-    record_rows,
-    step_count,
+    plan_record,
 )
 from .barriers import eta_barrier, supersolution
 from .coeffs import LeslieCoefficients, simplified_coefficients
@@ -264,14 +263,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 clip_guard=a.clip_guard,
             )
             params.check_stability(grid, coeffs)
-            n_steps = step_count(0.0, params.t_end, params.dt)
             # the buffer simulate records into, checked before the nodes exist
-            rows = record_rows(n_steps, top["snapshot_stride"])
-            if rows * (a.n_cells + 1) * 8 > MAX_RECORD_BYTES:
-                raise ValueError(
-                    f"{rows} snapshots of {a.n_cells + 1} nodes exceed the "
-                    f"{MAX_RECORD_BYTES}-byte record buffer"
-                )
+            plan_record(0.0, a.t_end, a.dt, top["snapshot_stride"], a.n_cells + 1)
             initial_profile(grid, a.preset, **a.preset_params())
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc

@@ -3,7 +3,8 @@ and persist CSV time series, a JSON report, and SVG plots inside the
 configured output directory.  The directory is created before the run, so
 an output path that cannot be a directory is a config error (exit 2) rather
 than a failure after the computation; no file is written into it until the
-run finished.
+run finished.  A file that cannot be written after the run is a config
+error too, naming its path.
 """
 
 from __future__ import annotations
@@ -88,24 +89,27 @@ def run(
     result = RunResult(kind=config.kind, out_dir=target, report=report)
 
     path = target / "report.json"
-    write_json(report, path)
-    result.files.append(path)
-    for art in artifacts:
-        csv_path = target / f"{art.name}.csv"
-        write_csv(art.series, csv_path)
-        result.files.append(csv_path)
-        if do_plots and art.plot_kind is not None:
-            svg_path = target / f"{art.name}.svg"
-            emit_plot(
-                art.plot_series if art.plot_series is not None else art.series,
-                svg_path,
-                title=f"{config.kind}: {art.name}",
-                kind=art.plot_kind,
-            )
-            result.files.append(svg_path)
-    cfg_path = target / "config.normalized.ini"
-    cfg_path.write_text(serialize_config(config), encoding="utf-8")
-    result.files.append(cfg_path)
+    try:
+        write_json(report, path)
+        result.files.append(path)
+        for art in artifacts:
+            path = target / f"{art.name}.csv"
+            write_csv(art.series, path)
+            result.files.append(path)
+            if do_plots and art.plot_kind is not None:
+                path = target / f"{art.name}.svg"
+                emit_plot(
+                    art.plot_series if art.plot_series is not None else art.series,
+                    path,
+                    title=f"{config.kind}: {art.name}",
+                    kind=art.plot_kind,
+                )
+                result.files.append(path)
+        path = target / "config.normalized.ini"
+        path.write_text(serialize_config(config), encoding="utf-8")
+        result.files.append(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return result
 
 
@@ -141,8 +145,9 @@ def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
         if config.kind not in AXISYM_KINDS:
             continue
         a = config.axisym
-        n_steps = axisym.step_count(0.0, a.t_end, a.dt)
-        size = axisym.record_rows(n_steps, config.snapshot_stride) * (a.n_cells + 1) * 8
+        _, _, size = axisym.plan_record(
+            0.0, a.t_end, a.dt, config.snapshot_stride, a.n_cells + 1
+        )
         j = open_batch.get((a.scheme, a.dt))
         if j is None or used[j] + size > axisym.MAX_RECORD_BYTES:
             j = open_batch[(a.scheme, a.dt)] = len(batches)
@@ -170,6 +175,15 @@ def axisym_series(trace: axisym.RunTrace, local_radius: float) -> TimeSeries:
     )
 
 
+def _ordering(sub, trace: axisym.RunTrace, sup) -> dict:
+    """The ordering report, or its error when the data break the ordering
+    at t = 0 or on the boundary, where the barriers do not apply."""
+    try:
+        return barriers.check_ordering(sub, trace, sup).as_dict()
+    except ValueError as exc:
+        return {"error": str(exc)}
+
+
 def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
     if trace is None:
         trace = axisym.simulate(*axisym_run(config))
@@ -195,17 +209,11 @@ def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
     if config.kind == "axisym_global":
         sub = barriers.subsolution(b.c, coeffs)
         sup = barriers.supersolution(b.c, coeffs)
-        report["ordering"] = barriers.check_ordering(sub, trace, sup).as_dict()
+        report["ordering"] = _ordering(sub, trace, sup)
     else:
         if b.eta_beta0 is not None:
             eta = barriers.eta_barrier(b.eta_beta0, coeffs)
-            upto = len(blow.times)
-            try:
-                report["eta_ordering"] = barriers.check_ordering(
-                    eta, trace.head(upto), None
-                ).as_dict()
-            except ValueError as exc:
-                report["eta_ordering"] = {"error": str(exc)}
+            report["eta_ordering"] = _ordering(eta, trace.head(len(blow.times)), None)
         warnings = []
         if blow.detected:
             if len(blow.times) == 1:
@@ -313,21 +321,15 @@ def _run_barrier_check(config: ExperimentConfig):
 # Poiseuille experiments
 
 
-def _poiseuille_series(trace: poiseuille.PoiseuilleTrace, exact_w=None) -> TimeSeries:
-    rows = []
-    x = trace.grid.x
-    for i in range(trace.n_snapshots):
-        e, d = poiseuille.energies(trace, i)
-        row = [trace.times[i], float(np.max(np.abs(trace.phis[i])))]
-        if exact_w is not None:
-            row.append(float(np.max(np.abs(trace.ws[i] - exact_w(x)))))
-        row += [e, d]
-        rows.append(row)
-    cols = ["t", "max_abs_phi"]
+def _poiseuille_series(
+    trace: poiseuille.PoiseuilleTrace, e: np.ndarray, d: np.ndarray, exact_w=None
+) -> TimeSeries:
+    """One row per snapshot, from the energies (E, D) of the whole trace."""
+    cols = {"t": trace.times, "max_abs_phi": np.max(np.abs(trace.phis), axis=1)}
     if exact_w is not None:
-        cols.append("max_err_w")
-    cols += ["energy", "dissipation"]
-    return TimeSeries(tuple(cols), np.asarray(rows))
+        cols["max_err_w"] = np.max(np.abs(trace.ws - exact_w(trace.grid.x)), axis=1)
+    cols["energy"], cols["dissipation"] = e, d
+    return TimeSeries(tuple(cols), np.column_stack(list(cols.values())))
 
 
 def _run_poiseuille_counterexample(config: ExperimentConfig):
@@ -335,7 +337,9 @@ def _run_poiseuille_counterexample(config: ExperimentConfig):
     report_obj, trace = poiseuille.counterexample_run(
         L=p.half_length, n=p.n_cells, t_end=p.t_end, dt=p.dt
     )
-    series = _poiseuille_series(trace, exact_w=lambda x: -2.0 * x)
+    series = _poiseuille_series(
+        trace, *poiseuille.energies(trace), exact_w=lambda x: -2.0 * x
+    )
     return report_obj.as_dict(), [Artifact("series", series)]
 
 
@@ -370,7 +374,8 @@ def _run_poiseuille_generic(config: ExperimentConfig):
     )
     if simplified:
         report["heat_reduction_residual"] = poiseuille.heat_reduction_check(trace)
-    return report, [Artifact("series", _poiseuille_series(trace))]
+    series = _poiseuille_series(trace, energy_res.energies, energy_res.dissipations)
+    return report, [Artifact("series", series)]
 
 
 # ---------------------------------------------------------------------------

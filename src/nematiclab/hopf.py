@@ -291,11 +291,9 @@ def director_field(x: np.ndarray, lam: float) -> np.ndarray:
     return np.moveaxis(f, 0, -1)
 
 
-def ball_energy_parts(
-    lam: float, mesh: int, scale_velocity: bool = True
-) -> tuple[float, float]:
+def ball_energy_parts(lam: float, mesh: int) -> tuple[float, float]:
     """(velocity part, director part) of the half-integral energy over the
-    unit ball; the velocity enters as u/lam when scale_velocity is set."""
+    unit ball; the velocity enters as u/lam."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     if mesh < 16:
@@ -314,14 +312,13 @@ def ball_energy_parts(
 
     e2_sum, u2_sum = _quadrature_sums(rho, h_r, field)
     cell = h_r * h_t * h_p
-    u_factor = lam**-2 if scale_velocity else 1.0
-    e_vel = 0.5 * u_factor * float(u2_sum * cell)
+    e_vel = 0.5 * lam**-2 * float(u2_sum * cell)
     e_dir = 0.5 * float(e2_sum * cell)
     return e_vel, e_dir
 
 
-def initial_data_energy(lam: float, mesh: int, scale_velocity: bool = True) -> float:
+def initial_data_energy(lam: float, mesh: int) -> float:
     """Half-integral of |u/lam|^2 + |grad(hopf o psi_lam o chart)|^2 over the
     unit ball."""
-    e_vel, e_dir = ball_energy_parts(lam, mesh, scale_velocity)
+    e_vel, e_dir = ball_energy_parts(lam, mesh)
     return e_vel + e_dir

@@ -26,14 +26,21 @@ climbs from 0 to t with no source in sight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .axisym import MAX_RECORD_BYTES, first_derivative, step_count, whole_step_dt
+from .axisym import (
+    CHUNK_VALUES,
+    RunRecord,
+    first_derivative,
+    plan_record,
+    step_count,
+    whole_step_dt,
+)
 from .coeffs import LeslieCoefficients, g_coeff, simplified_coefficients
 from .errors import SolverHalt
 
@@ -256,8 +263,8 @@ class PoiseuilleTrace:
     grid: IntervalGrid
     coeffs: LeslieCoefficients
     bc: BoundaryData
-    dt: float
     times: np.ndarray
+    # (snapshots, nodes) views of the one buffer a run records into
     ws: np.ndarray
     phis: np.ndarray
     phi_ts: np.ndarray  # the scheme's own update at each snapshot
@@ -294,13 +301,13 @@ def plan_run(
             f"need at least 3 snapshots: {n_steps} steps at snapshot_stride "
             f"{snapshot_stride} record 2"
         )
-    rows = 2 + n_steps // snapshot_stride
-    if rows * (3 * (grid.n_cells + 1) + 1) * 8 > MAX_RECORD_BYTES:
-        raise ValueError(
-            f"{rows} snapshots of 3 x {grid.n_cells + 1} nodes exceed the "
-            f"{MAX_RECORD_BYTES}-byte record buffer"
-        )
+    plan_record(0.0, t_end, dt, snapshot_stride, _row_values(grid))
     return dt, snapshot_stride
+
+
+def _row_values(grid: IntervalGrid) -> int:
+    """Floats a recorded snapshot holds: w, phi and phi_t, and its time."""
+    return 3 * (grid.n_cells + 1) + 1
 
 
 def simulate(
@@ -311,49 +318,35 @@ def simulate(
     bc: BoundaryData,
     snapshot_stride: int = 1,
 ) -> PoiseuilleTrace:
-    """March to t_end, recording every ``snapshot_stride``-th state.  Step k
-    ends at t0 + k*dt and the last step at t_end itself, which must lie a
-    whole number of steps after t0."""
+    """March to t_end, recording every ``snapshot_stride``-th state under
+    the rules of ``axisym.RunRecord``; t_end must lie a whole number of
+    steps after t0."""
     state0.validate()
-    if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be >= 1")
-    t0 = state0.t
-    n_steps = step_count(t0, t_end, dt)
-    # every recorded row: the initial state, each stride step, and the last
-    # step when that is off the stride
-    times = np.empty(2 + n_steps // snapshot_stride)
-    ws, phis, phi_ts = (np.empty((len(times), len(state0.w))) for _ in range(3))
-
-    def record(j, state):
-        times[j], ws[j], phis[j] = state.t, state.w, state.phi
-        phi_ts[j] = phi_time_derivative(state, c, bc)
-
-    record(0, state0)
-    j = 1
-    state = state0
-    for k in range(1, n_steps + 1):
-        t_k = t_end if k == n_steps else t0 + k * dt
-        state = step_general(state, c, dt, bc, t_k)
-        if k % snapshot_stride == 0 or k == n_steps:
-            record(j, state)
-            j += 1
-    return PoiseuilleTrace(
-        grid=state0.grid,
-        coeffs=c,
-        bc=bc,
-        dt=dt,
-        times=times[:j],
-        ws=ws[:j],
-        phis=phis[:j],
-        phi_ts=phi_ts[:j],
+    grid = state0.grid
+    record = RunRecord(
+        state0.t, t_end, dt, snapshot_stride, (3, grid.n_cells + 1), _row_values(grid)
     )
 
+    def fill(row, state):
+        row[0], row[1] = state.w, state.phi
+        phi_time_derivative(state, c, bc, out=row[2])
 
-def velocity_potential(trace: PoiseuilleTrace, i: int) -> np.ndarray:
-    """v at snapshot i: cumulative trapezoid of w from the left end plus the
-    configured left value."""
-    v = cumulative_trapezoid(trace.ws[i], trace.grid.x, initial=0.0)
-    return v + trace.bc.v_left(float(trace.times[i]))
+    fill(record.values[0], state0)
+    state = state0
+    for k in range(1, record.n_steps + 1):
+        state = step_general(state, c, dt, bc, record.time(k))
+        if k == record.next_record:
+            fill(record.values[record.add(k)], state)
+    times, values = record.rows()
+    return PoiseuilleTrace(grid, c, bc, times, *np.moveaxis(values, 1, 0))
+
+
+def velocity_potential(trace: PoiseuilleTrace) -> np.ndarray:
+    """v at every snapshot, (snapshots, nodes): cumulative trapezoid of w
+    from the left end plus the configured left value."""
+    v = cumulative_trapezoid(trace.ws, trace.grid.x, axis=1, initial=0.0)
+    v_left = np.array([trace.bc.v_left(float(t)) for t in trace.times])
+    return v + v_left[:, np.newaxis]
 
 
 def heat_reduction_check(trace: PoiseuilleTrace) -> float:
@@ -361,31 +354,28 @@ def heat_reduction_check(trace: PoiseuilleTrace) -> float:
     pairs: forward difference in time, central second difference in space."""
     if trace.n_snapshots < 3:
         raise ValueError("need at least 3 snapshots")
-    dx = trace.grid.dx
-    s = np.array(
-        [velocity_potential(trace, i) + trace.phis[i] for i in range(trace.n_snapshots)]
-    )
-    worst = 0.0
-    for m in range(trace.n_snapshots - 1):
-        dt_m = float(trace.times[m + 1] - trace.times[m])
-        s_t = (s[m + 1, 1:-1] - s[m, 1:-1]) / dt_m
-        s_xx = (s[m, 2:] - 2.0 * s[m, 1:-1] + s[m, :-2]) / dx**2
-        worst = max(worst, float(np.max(np.abs(s_t - s_xx))))
-    return worst
+    s = velocity_potential(trace) + trace.phis
+    s_t = (s[1:, 1:-1] - s[:-1, 1:-1]) / np.diff(trace.times)[:, np.newaxis]
+    s_xx = (s[:-1, 2:] - 2.0 * s[:-1, 1:-1] + s[:-1, :-2]) / trace.grid.dx**2
+    worst = np.max(np.abs(s_t - s_xx), axis=1)
+    # a pair with a nan residual is passed over, as a running max() would
+    return float(np.max(worst, initial=0.0, where=~np.isnan(worst)))
 
 
-def energies(trace: PoiseuilleTrace, i: int) -> tuple[float, float]:
-    """(E, D) at snapshot i: E = 0.5 int(w^2 + phi_x^2),
-    D = int(w_x^2 + phi_t^2 + (w_x + phi_t)^2); trapezoidal quadrature."""
-    x = trace.grid.x
-    dx = trace.grid.dx
-    w = trace.ws[i]
-    phi_x = first_derivative(trace.phis[i], dx)
-    w_x = first_derivative(w, dx)
-    phi_t = trace.phi_ts[i]
-    e = 0.5 * float(_trapz(w**2 + phi_x**2, x))
-    d = float(_trapz(w_x**2 + phi_t**2 + (w_x + phi_t) ** 2, x))
-    return e, d
+def energies(trace: PoiseuilleTrace) -> tuple[np.ndarray, np.ndarray]:
+    """(E, D) at every snapshot: E = 0.5 int(w^2 + phi_x^2),
+    D = int(w_x^2 + phi_t^2 + (w_x + phi_t)^2); trapezoidal quadrature, in
+    row blocks of about ``CHUNK_VALUES`` values (DECISIONS.md section 4)."""
+    x, dx = trace.grid.x, trace.grid.dx
+    rows = max(1, CHUNK_VALUES // len(x))
+    e, d = [], []
+    for i in range(0, trace.n_snapshots, rows):
+        w, phi_t = trace.ws[i : i + rows], trace.phi_ts[i : i + rows]
+        phi_x = first_derivative(trace.phis[i : i + rows], dx, axis=1)
+        w_x = first_derivative(w, dx, axis=1)
+        e.append(0.5 * _trapz(w**2 + phi_x**2, x, axis=1))
+        d.append(_trapz(w_x**2 + phi_t**2 + (w_x + phi_t) ** 2, x, axis=1))
+    return np.concatenate(e), np.concatenate(d)
 
 
 @dataclass(frozen=True)
@@ -402,9 +392,7 @@ def energy_identity_residual(trace: PoiseuilleTrace) -> EnergyIdentityResult:
     truncated interval; that raises the warning flag, not an error."""
     if trace.n_snapshots < 3:
         raise ValueError("need at least 3 snapshots")
-    pairs = [energies(trace, i) for i in range(trace.n_snapshots)]
-    e = np.array([p[0] for p in pairs])
-    d = np.array([p[1] for p in pairs])
+    e, d = energies(trace)
     de = np.diff(e) / np.diff(trace.times)
     resid = float(np.max(np.abs(de + 0.5 * (d[:-1] + d[1:]))))
     edge = max(
@@ -431,15 +419,7 @@ class CounterexampleReport:
     t_end: float
 
     def as_dict(self) -> dict:
-        return {
-            "max_phi_initial": self.max_phi_initial,
-            "max_phi_final": self.max_phi_final,
-            "max_phi_error": self.max_phi_error,
-            "max_w_error": self.max_w_error,
-            "heat_residual": self.heat_residual,
-            "maximum_principle_violated": self.maximum_principle_violated,
-            "t_end": self.t_end,
-        }
+        return asdict(self)
 
 
 def counterexample_run(

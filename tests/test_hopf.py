@@ -215,5 +215,6 @@ def test_velocity_energy_matches_analytic_value():
 def test_initial_data_energy_decreasing_in_lambda():
     vals = [initial_data_energy(lam, 24) for lam in (1.0, 2.0, 4.0, 8.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-    unscaled = initial_data_energy(8.0, 24, scale_velocity=False)
+    # u in place of u/lam: the velocity part is that of lam = 1
+    unscaled = ball_energy_parts(1.0, 24)[0] + ball_energy_parts(8.0, 24)[1]
     assert unscaled > vals[3]  # the velocity term is no longer suppressed

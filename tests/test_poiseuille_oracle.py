@@ -1,14 +1,22 @@
-"""The Poiseuille step against a reference copy of its original form.
+"""The Poiseuille step, run loop and trace diagnostics against reference
+copies of their original forms.
 
-The references below evaluate g and h through ``coeffs.g_coeff`` and
+The step references evaluate g and h through ``coeffs.g_coeff`` and
 ``coeffs.h_coeff`` on every call (four cosines and sines per step), with
 fresh temporaries and separate w and phi arrays.  The lean step in
 ``nematiclab.poiseuille`` must agree with them bit for bit: w, phi and t
 after every step, and the time at which a non-finite step halts.
+
+The run-loop reference records into three separate buffers with its own
+time rule and stride schedule, and the diagnostic references work one
+snapshot at a time.  ``simulate`` (which records through
+``axisym.RunRecord`` into one buffer) and the whole-trace diagnostics must
+agree with them bit for bit.
 """
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from nematiclab.coeffs import (
     LeslieCoefficients,
@@ -17,15 +25,23 @@ from nematiclab.coeffs import (
     sample_validated,
     simplified_coefficients,
 )
+from nematiclab import axisym, poiseuille
 from nematiclab.errors import SolverHalt
 from nematiclab.poiseuille import (
     IntervalGrid,
     PoiseuilleState,
+    PoiseuilleTrace,
     counterexample_bc,
+    counterexample_run,
+    energies,
+    energy_identity_residual,
+    heat_reduction_check,
     homogeneous_bc,
     phi_time_derivative,
+    simulate,
     stability_bound,
     step_general,
+    velocity_potential,
 )
 
 SIMPLIFIED = simplified_coefficients()
@@ -147,3 +163,171 @@ def test_non_finite_step_halts_at_the_same_time():
     dt = 6.0 * stability_bound(state.grid, SIMPLIFIED)
     t_halt = march_both(state, SIMPLIFIED, dt, homogeneous_bc(), 1000)
     assert t_halt is not None and t_halt > 200 * dt
+
+
+# ---------------------------------------------------------------------------
+# the run loop and the trace diagnostics
+
+
+def reference_simulate(state0, c, dt, t_end, bc, snapshot_stride=1):
+    t0 = state0.t
+    n_steps = axisym.step_count(t0, t_end, dt)
+    times = np.empty(2 + n_steps // snapshot_stride)
+    ws, phis, phi_ts = (np.empty((len(times), len(state0.w))) for _ in range(3))
+
+    def record(j, state):
+        times[j], ws[j], phis[j] = state.t, state.w, state.phi
+        phi_ts[j] = phi_time_derivative(state, c, bc)
+
+    record(0, state0)
+    j = 1
+    state = state0
+    for k in range(1, n_steps + 1):
+        t_k = t_end if k == n_steps else t0 + k * dt
+        state = step_general(state, c, dt, bc, t_k)
+        if k % snapshot_stride == 0 or k == n_steps:
+            record(j, state)
+            j += 1
+    return PoiseuilleTrace(state0.grid, c, bc, times[:j], ws[:j], phis[:j], phi_ts[:j])
+
+
+def reference_velocity_potential(trace, i):
+    v = cumulative_trapezoid(trace.ws[i], trace.grid.x, initial=0.0)
+    return v + trace.bc.v_left(float(trace.times[i]))
+
+
+def reference_heat_reduction_check(trace):
+    dx = trace.grid.dx
+    s = np.array(
+        [reference_velocity_potential(trace, i) + trace.phis[i] for i in range(trace.n_snapshots)]
+    )
+    worst = 0.0
+    for m in range(trace.n_snapshots - 1):
+        dt_m = float(trace.times[m + 1] - trace.times[m])
+        s_t = (s[m + 1, 1:-1] - s[m, 1:-1]) / dt_m
+        s_xx = (s[m, 2:] - 2.0 * s[m, 1:-1] + s[m, :-2]) / dx**2
+        worst = max(worst, float(np.max(np.abs(s_t - s_xx))))
+    return worst
+
+
+def reference_energies(trace, i):
+    x = trace.grid.x
+    dx = trace.grid.dx
+    w = trace.ws[i]
+    phi_x = axisym.first_derivative(trace.phis[i], dx)
+    w_x = axisym.first_derivative(w, dx)
+    phi_t = trace.phi_ts[i]
+    e = 0.5 * float(np.trapezoid(w**2 + phi_x**2, x))
+    d = float(np.trapezoid(w_x**2 + phi_t**2 + (w_x + phi_t) ** 2, x))
+    return e, d
+
+
+def reference_energy_identity_residual(trace):
+    pairs = [reference_energies(trace, i) for i in range(trace.n_snapshots)]
+    e = np.array([p[0] for p in pairs])
+    d = np.array([p[1] for p in pairs])
+    de = np.diff(e) / np.diff(trace.times)
+    resid = float(np.max(np.abs(de + 0.5 * (d[:-1] + d[1:]))))
+    edge = max(
+        float(np.max(np.abs(trace.ws[:, [0, -1]]))),
+        float(np.max(np.abs(trace.phi_ts[:, [0, -1]]))),
+    )
+    return resid, edge > 1e-12, e, d
+
+
+def assert_diagnostics_match(trace, heat=True):
+    e, d = energies(trace)
+    pairs = [reference_energies(trace, i) for i in range(trace.n_snapshots)]
+    assert np.array_equal(e, [p[0] for p in pairs], equal_nan=True)
+    assert np.array_equal(d, [p[1] for p in pairs], equal_nan=True)
+    v = velocity_potential(trace)
+    assert v.shape == (trace.n_snapshots, trace.grid.n_cells + 1)
+    for i in range(trace.n_snapshots):
+        assert np.array_equal(v[i], reference_velocity_potential(trace, i), equal_nan=True)
+    result = energy_identity_residual(trace)
+    resid, warning, e_ref, d_ref = reference_energy_identity_residual(trace)
+    assert result.residual == resid and result.boundary_warning == warning
+    assert np.array_equal(result.energies, e_ref) and np.array_equal(result.dissipations, d_ref)
+    if heat:
+        assert heat_reduction_check(trace) == reference_heat_reduction_check(trace)
+
+
+def assert_traces_equal(ours, ref):
+    for name in ("times", "ws", "phis", "phi_ts"):
+        assert np.array_equal(getattr(ours, name), getattr(ref, name)), name
+
+
+def test_counterexample_trace_and_diagnostics_match_reference():
+    report, trace = counterexample_run(L=5.0, n=200, t_end=0.5)
+    dt, stride = poiseuille.plan_run(trace.grid, SIMPLIFIED, 0.5)
+    state0 = PoiseuilleState(trace.grid, w=-2.0 * trace.grid.x, phi=np.zeros(201))
+    ref = reference_simulate(state0, SIMPLIFIED, dt, 0.5, trace.bc, stride)
+    assert_traces_equal(trace, ref)
+    assert report.heat_residual == reference_heat_reduction_check(ref)
+    assert_diagnostics_match(trace)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_sampled_coefficient_traces_and_diagnostics_match_reference(seed):
+    c = sample_validated(np.random.default_rng(seed))
+    for state, bc in [
+        (_pulse(128, L=5.0, amplitude=2.0, a=-0.3), counterexample_bc(5.0)),
+        (_pulse(96, amplitude=20.0), homogeneous_bc()),
+    ]:
+        dt = 0.8 * stability_bound(state.grid, c)
+        trace = simulate(state, c, dt, 222 * dt, bc, 1)
+        assert trace.n_snapshots == 223
+        assert_traces_equal(trace, reference_simulate(state, c, dt, 222 * dt, bc, 1))
+        assert_diagnostics_match(trace)
+
+
+@pytest.mark.parametrize("stride", [3, 7, 50, 100])
+def test_stride_off_the_step_count_matches_reference(stride):
+    # 68 steps from t0 = 0.25 to 0.2568, which t0 + 68 dt misses by one ulp:
+    # the last step is off every stride
+    state = _pulse(64, amplitude=1.5)
+    state.t = 0.25
+    trace = simulate(state, SIMPLIFIED, 1e-4, 0.2568, homogeneous_bc(), stride)
+    ref = reference_simulate(state, SIMPLIFIED, 1e-4, 0.2568, homogeneous_bc(), stride)
+    assert trace.n_snapshots == 2 + 68 // stride
+    assert_traces_equal(trace, ref)
+    if trace.n_snapshots >= 3:  # stride 100 records the first and last steps
+        assert_diagnostics_match(trace)
+
+
+@pytest.mark.parametrize("chunk", [1, 65 * 3, 10**9])
+def test_energies_do_not_depend_on_the_block_size(monkeypatch, chunk):
+    # 1 value: one row per block; 3 rows; the whole trace in one block
+    state = _pulse(64, amplitude=1.5)
+    trace = simulate(state, SIMPLIFIED, 1e-3, 0.04, homogeneous_bc(), 3)
+    monkeypatch.setattr(poiseuille, "CHUNK_VALUES", chunk)
+    assert_diagnostics_match(trace)
+
+
+def test_heat_check_passes_over_a_nan_pair_as_the_reference_does():
+    state = _pulse(64, amplitude=1.5)
+    trace = simulate(state, SIMPLIFIED, 1e-3, 0.02, homogeneous_bc(), 2)
+    trace.phis[4] = np.nan  # snapshot pairs 3 and 4 have nan residuals
+    checked = heat_reduction_check(trace)
+    assert checked == reference_heat_reduction_check(trace) and checked > 0.0
+
+
+# t0 + k dt misses t_end by one ulp at the last step in the last two cases:
+# 700 * 1e-3 and 0.25 + 68 * 1e-4
+@pytest.mark.parametrize(
+    "t0, t_end, dt, stride",
+    [(0.0, 0.011, 1e-3, 1), (0.0, 0.7, 1e-3, 9), (0.25, 0.2568, 1e-4, 5)],
+)
+def test_radial_and_poiseuille_runs_record_the_same_times(t0, t_end, dt, stride):
+    radial = axisym.simulate(
+        axisym.make_state(axisym.RadialGrid(16), lambda r: 0.1 * r, t=t0),
+        LeslieCoefficients(0.0, -0.5, 0.5, 1.0, 0.0, 0.0),
+        axisym.SolverParams(dt=dt, t_end=t_end),
+        stride,
+    )
+    state = _pulse(32)
+    state.t = t0
+    pois = simulate(state, SIMPLIFIED, dt, t_end, homogeneous_bc(), stride)
+    assert not radial.halted
+    assert radial.times.tolist() == pois.times.tolist()
+    assert pois.times[-1] == t_end
