@@ -97,11 +97,11 @@ class RadialState:
             raise ValueError("non-finite entries in phi")
 
 
-def make_state(grid: RadialGrid, phi0, t: float = 0.0) -> RadialState:
+def make_state(grid: RadialGrid, phi0) -> RadialState:
     """Build a state from an array or a callable phi0(r); pins phi(0) = 0."""
     phi = np.asarray(phi0(grid.r) if callable(phi0) else phi0, dtype=float).copy()
     phi[0] = 0.0
-    state = RadialState(grid, phi, t)
+    state = RadialState(grid, phi)
     state.validate()
     return state
 
@@ -203,7 +203,7 @@ def whole_step_dt(t_end: float, dt_max: float) -> float:
     t_end; ValueError when that number of steps is not a finite float."""
     if not (dt_max > 0.0 and math.isfinite(t_end / dt_max)):
         raise ValueError(f"t_end = {t_end!r} takes too many steps of {dt_max!r}")
-    steps = math.ceil(t_end / dt_max)
+    steps = max(1, math.ceil(t_end / dt_max))  # the quotient may underflow to 0
     if t_end / steps > dt_max:  # t_end / dt_max rounded onto an integer from above
         steps += 1
     return t_end / steps

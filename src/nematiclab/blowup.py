@@ -15,21 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axisym import RadialState, RunTrace, local_energy
+from .axisym import RadialState, RunTrace
 
 PROFILE_MIN_GRADIENT = 100.0
 BETA_FIT_MIN_SAMPLES = 20
 
 
+def _origin_slope(phi: np.ndarray, dr: float):
+    return (4.0 * phi[..., 1] - phi[..., 2]) / (2.0 * dr)
+
+
 def origin_gradient(state: RadialState) -> float:
     """One-sided second-order estimate of phi_r at r = 0 (phi(0) = 0)."""
-    phi = state.phi
-    return float((4.0 * phi[1] - phi[2]) / (2.0 * state.grid.dr))
+    return float(_origin_slope(state.phi, state.grid.dr))
 
 
 def gradient_history(trace: RunTrace) -> np.ndarray:
     """origin_gradient of every snapshot."""
-    return (4.0 * trace.phis[:, 1] - trace.phis[:, 2]) / (2.0 * trace.grid.dr)
+    return _origin_slope(trace.phis, trace.grid.dr)
 
 
 def extract_profile(state: RadialState) -> tuple[float, float]:
@@ -56,10 +59,7 @@ class BlowupReport:
     grad_history: np.ndarray
     profile_beta: float | None
     profile_fit_error: float | None
-    beta_fit_times: np.ndarray
-    beta_fit: np.ndarray
     local_energy_radius: float | None
-    local_energy_trace: np.ndarray
     hard_overflow: bool = False
 
     def as_dict(self) -> dict:
@@ -109,15 +109,6 @@ def detect(
     if detected and grads[last] >= PROFILE_MIN_GRADIENT:
         profile_beta, profile_err = extract_profile(trace.state(last))
 
-    resolvable = grads >= PROFILE_MIN_GRADIENT
-    beta_fit_times = times[resolvable]
-    beta_fit = 2.0 / grads[resolvable]
-
-    if local_energy_radius is not None:
-        le = local_energy(trace.head(last + 1), local_energy_radius)
-    else:
-        le = np.array([])
-
     return BlowupReport(
         detected=detected,
         t_detect=t_detect,
@@ -125,10 +116,7 @@ def detect(
         grad_history=grads,
         profile_beta=profile_beta,
         profile_fit_error=profile_err,
-        beta_fit_times=beta_fit_times,
-        beta_fit=beta_fit,
         local_energy_radius=local_energy_radius,
-        local_energy_trace=le,
         hard_overflow=hard,
     )
 
@@ -140,12 +128,13 @@ def fit_beta_law(report: BlowupReport) -> tuple[float, float]:
     actual run is reported, not asserted against it."""
     if not report.detected:
         raise ValueError("no blow-up detected")
-    t = report.beta_fit_times
+    resolvable = report.grad_history >= PROFILE_MIN_GRADIENT
+    t = report.times[resolvable]
     if len(t) < BETA_FIT_MIN_SAMPLES:
         raise ValueError(
             f"insufficient samples: {len(t)} < {BETA_FIT_MIN_SAMPLES}"
         )
-    y = report.beta_fit ** (1.0 / 3.0)
+    y = (2.0 / report.grad_history[resolvable]) ** (1.0 / 3.0)
     slope, intercept = np.polyfit(t, y, 1)
     fit = slope * t + intercept
     ss_res = float(np.sum((y - fit) ** 2))

@@ -42,6 +42,11 @@ class LeslieCoefficients:
     def lambda2(self) -> float:
         return self.mu6 - self.mu5
 
+    @property
+    def g_weights(self) -> tuple[float, float]:
+        """g's sin^2 and cos^2 weights ((mu5 - mu2)/2, (mu3 + mu6)/2)."""
+        return 0.5 * (self.mu5 - self.mu2), 0.5 * (self.mu3 + self.mu6)
+
     def as_tuple(self) -> tuple[float, ...]:
         return (self.mu1, self.mu2, self.mu3, self.mu4, self.mu5, self.mu6)
 
@@ -50,9 +55,6 @@ class LeslieCoefficients:
 class ValidationResult:
     ok: bool
     violations: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def simplified_coefficients() -> LeslieCoefficients:
@@ -88,8 +90,7 @@ def g_coeff(c: LeslieCoefficients, phi):
     g = mu1 sin^2 cos^2 + (mu5-mu2)/2 sin^2 + (mu3+mu6)/2 cos^2 + mu4/2,
     evaluated in double-angle form so constant cases (equal sin^2 and cos^2
     weights) come out exact, not within rounding of sin^2 + cos^2."""
-    a = 0.5 * (c.mu5 - c.mu2)
-    b = 0.5 * (c.mu3 + c.mu6)
+    a, b = c.g_weights
     return (
         0.25 * c.mu1 * np.sin(2.0 * np.asarray(phi, dtype=float)) ** 2
         + 0.5 * (a + b)

@@ -37,6 +37,7 @@ from .barriers import eta_barrier, supersolution
 from .coeffs import LeslieCoefficients, simplified_coefficients
 from .coeffs import validate as validate_coeffs
 from .errors import ConfigError
+from .hopf import LAMBDA_RANGE
 from .poiseuille import IntervalGrid, plan_run
 
 
@@ -286,9 +287,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
     barrier_check = None
     if "barrier_check" in used:
-        barrier_check = BarrierCheckSection(**_read(cp, "barrier_check"))
-        if min(barrier_check.n_sets, barrier_check.n_r, barrier_check.n_t) < 1:
+        bc = barrier_check = BarrierCheckSection(**_read(cp, "barrier_check"))
+        if min(bc.n_sets, bc.n_r, bc.n_t) < 1:
             raise ConfigError("barrier_check sample counts must be positive")
+        if 8 * bc.n_t * bc.n_r > MAX_RECORD_BYTES:
+            raise ConfigError(
+                f"[barrier_check] n_t x n_r = {bc.n_t} x {bc.n_r}: its (n_t, n_r) "
+                f"residual arrays exceed the {MAX_RECORD_BYTES}-byte ceiling"
+            )
 
     poiseuille = None
     if "poiseuille" in used:
@@ -309,8 +315,9 @@ def parse_config(text: str) -> ExperimentConfig:
     hopf = None
     if "hopf" in used:
         hopf = HopfSection(**_read(cp, "hopf"))
-        if any(l <= 0 for l in hopf.lambdas):
-            raise ConfigError("lambdas must be positive")
+        lo, hi = LAMBDA_RANGE
+        if not all(lo <= l <= hi for l in hopf.lambdas):
+            raise ConfigError(f"lambdas must lie in [{lo!r}, {hi!r}]")
         if any(b <= a for a, b in zip(hopf.lambdas, hopf.lambdas[1:])):
             raise ConfigError("lambdas must be strictly increasing")
         if hopf.mesh < 16 or hopf.ball_mesh < 16:

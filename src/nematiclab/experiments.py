@@ -15,13 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import axisym, barriers, blowup, hopf, poiseuille
-from .coeffs import (
-    LeslieCoefficients,
-    g_coeff,
-    h_coeff,
-    sample_validated,
-    simplified_coefficients,
-)
+from .coeffs import g_coeff, h_coeff, sample_validated, simplified_coefficients
 from .config import ExperimentConfig, serialize_config
 from .errors import ConfigError, SolverHalt
 from .reporting import TimeSeries, write_csv, write_json
@@ -254,11 +248,6 @@ def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
 # barrier sign sampling
 
 
-def _eta_beta0_for(coeffs: LeslieCoefficients, fraction: float = 0.5) -> float:
-    limit = coeffs.lambda1 / (coeffs.lambda1 + 3.0 * abs(coeffs.lambda2))
-    return (fraction * limit) ** 3
-
-
 def _run_barrier_check(config: ExperimentConfig):
     bc = config.barrier_check
     rng = np.random.default_rng(bc.seed)
@@ -276,7 +265,9 @@ def _run_barrier_check(config: ExperimentConfig):
         super_min = float(np.min(barriers.barrier_residual(sup, coeffs, r, t)))
         sub_max = float(np.max(barriers.barrier_residual(sub, coeffs, r, t)))
 
-        beta0 = _eta_beta0_for(coeffs)
+        # the beta0 whose cube root is half the eta clock's limit
+        limit = coeffs.lambda1 / (coeffs.lambda1 + 3.0 * abs(coeffs.lambda2))
+        beta0 = (0.5 * limit) ** 3
         eta = barriers.eta_barrier(beta0, coeffs)
         t_eta = np.linspace(0.0, 0.999 * eta.clock().t0, bc.n_t)[:, np.newaxis]
         eta_max = float(np.max(barriers.barrier_residual(eta, coeffs, r, t_eta)))
@@ -367,7 +358,7 @@ def _run_poiseuille_generic(config: ExperimentConfig):
     }
     # g is constant exactly when mu1 = 0 and b = a, h when mu2 + mu3 = 0
     # (coeffs.g_coeff, coeffs.h_coeff); the heat reduction needs g == 2, h == 1
-    a, b = 0.5 * (c.mu5 - c.mu2), 0.5 * (c.mu3 + c.mu6)
+    a, b = c.g_weights
     simplified = all(
         abs(x) < 1e-12
         for x in (c.mu1, b - a, c.mu2 + c.mu3, g_coeff(c, 0.0) - 2.0, h_coeff(c, 0.0) - 1.0)

@@ -36,42 +36,12 @@ smooth, tangential, and vanishing on the boundary sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .axisym import first_derivative
 
 POLE = np.array([1.0, 0.0, 0.0, 0.0])
 _POLE_SNAP = 1e-14
-
-
-
-@dataclass(frozen=True)
-class S3Point:
-    z: complex
-    w: complex
-
-    def __post_init__(self):
-        norm = abs(self.z) ** 2 + abs(self.w) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"not on the unit three-sphere: |p|^2 = {norm!r}")
-
-    def as_r4(self) -> np.ndarray:
-        return np.array([self.z.real, self.z.imag, self.w.real, self.w.imag])
-
-    @staticmethod
-    def from_r4(q: np.ndarray) -> "S3Point":
-        return S3Point(complex(q[0], q[1]), complex(q[2], q[3]))
-
-
-@dataclass(frozen=True)
-class DilationParam:
-    lam: float
-
-    def __post_init__(self):
-        if self.lam <= 0.0:
-            raise ValueError("dilation parameter must be positive")
 
 
 def _sq_sum(v: np.ndarray) -> np.ndarray:
@@ -84,18 +54,13 @@ def _sq_sum(v: np.ndarray) -> np.ndarray:
 
 
 def _hopf_arr(q: np.ndarray) -> np.ndarray:
-    """Fibration on R^4 arrays (4, ...) -> (3, ...)."""
+    """Fibration on R^4 arrays (4, ...) -> unit vectors (3, ...)."""
     q0, q1, q2, q3 = q
     f = np.empty((3,) + q.shape[1:])
     f[0] = q0**2 + q1**2 - q2**2 - q3**2
     f[1] = 2.0 * (q0 * q2 + q1 * q3)
     f[2] = 2.0 * (q1 * q2 - q0 * q3)
     return f
-
-
-def hopf(p: S3Point) -> np.ndarray:
-    """Unit vector in R^3, laid out as (|z|^2 - |w|^2, Re 2 z w*, Im 2 z w*)."""
-    return _hopf_arr(p.as_r4())
 
 
 def _psi_arr(q: np.ndarray, lam: float) -> np.ndarray:
@@ -120,15 +85,17 @@ def _psi_arr(q: np.ndarray, lam: float) -> np.ndarray:
     return out.reshape(shape)
 
 
-def psi_lambda(p: S3Point, d: DilationParam) -> S3Point:
-    q = _psi_arr(p.as_r4(), d.lam)
-    return S3Point.from_r4(q / np.linalg.norm(q))
-
-
 def sphere_energy_exact(lam: float) -> float:
     """Dirichlet energy of hopf o psi_lam on the unit three-sphere,
     64 pi^2 lam / (1 + lam)^2 (DECISIONS.md section 2); 16 pi^2 at lam = 1."""
     return 64.0 * np.pi**2 * lam / (1.0 + lam) ** 2
+
+
+# Accepted dilations.  Unresolved, the sphere and director energies fall like
+# lam^-2 and lam^2 (to 1e-197..1e-192 at the ends, meshes 16 and 64) and the
+# velocity part grows like lam^-2 (1.7e200), so all stay positive normal
+# floats.  The closed form overflows above 1.3e154, the velocity part below 1e-154.
+LAMBDA_RANGE = (1e-100, 1e100)
 
 
 # A sphere energy whose quadrature is further than this, relatively, from
@@ -145,6 +112,13 @@ UNDER_RESOLVED_ERROR = 1e-2
 # fastest in a sweep of 2**16 to 2**19 at both meshes; 2**17 holds the
 # mesh-64 peak to 18 MB (DECISIONS.md section 5).
 SLAB_VALUES = 2**17
+
+
+def _check(lam: float, mesh: int) -> None:
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    if mesh < 16:
+        raise ValueError("mesh must be at least 16")
 
 
 def _centered(n: int, width: float) -> tuple[np.ndarray, float]:
@@ -219,10 +193,7 @@ def dirichlet_energy_s3(lam: float, mesh: int) -> float:
     """Quadrature of |grad (hopf o psi_lam)|^2 over the three-sphere using
     hyperspherical angles (chi, theta, phi) on a cell-centred product grid
     of shape (mesh, mesh, 2 mesh)."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if mesh < 16:
-        raise ValueError("mesh must be at least 16")
+    _check(lam, mesh)
     chi, h_chi = _centered(mesh, np.pi)
     the, phi, h_the, h_phi = _angles(mesh)
     sc, cc = np.sin(chi), np.cos(chi)
@@ -247,11 +218,12 @@ def dirichlet_energy_s3(lam: float, mesh: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ball chart, built-in velocity, initial-data energy
+# ball chart, built-in velocity, ball energy
 
 
 def _chart(x: np.ndarray) -> np.ndarray:
-    """ball_chart on component-first arrays (3, ...) -> (4, ...)."""
+    """Ball chart (3, ...) -> S^3 (4, ...): |x| = rho goes to polar angle
+    pi*rho from the antipode, so the boundary sphere collapses onto the pole."""
     rho = np.sqrt(_sq_sum(x))
     ang = np.pi * rho
     # sin(pi rho)/rho extends smoothly by pi at the origin
@@ -264,7 +236,7 @@ def _chart(x: np.ndarray) -> np.ndarray:
 
 
 def _vortex(x: np.ndarray) -> np.ndarray:
-    """vortex_velocity on component-first arrays (3, ...)."""
+    """The built-in sample u = 4 (1-|x|^2) (-y, x, 0) on arrays (3, ...)."""
     rho2 = _sq_sum(x)
     u = np.empty_like(x)
     u[0] = -4.0 * (1.0 - rho2) * x[1]
@@ -273,31 +245,10 @@ def _vortex(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def ball_chart(x: np.ndarray) -> np.ndarray:
-    """Radial diffeomorphism of the open unit ball onto S^3 minus the pole:
-    |x| = rho goes to polar angle pi*rho measured from the antipode, so the
-    boundary sphere collapses onto the pole."""
-    return np.moveaxis(_chart(np.moveaxis(x, -1, 0)), 0, -1)
-
-
-def vortex_velocity(x: np.ndarray) -> np.ndarray:
-    """The built-in smooth solenoidal sample u = 4 (1-|x|^2) (-y, x, 0)."""
-    return np.moveaxis(_vortex(np.moveaxis(x, -1, 0)), 0, -1)
-
-
-def director_field(x: np.ndarray, lam: float) -> np.ndarray:
-    """hopf o psi_lam o ball_chart, pointwise on the ball."""
-    f = _hopf_arr(_psi_arr(_chart(np.moveaxis(x, -1, 0)), lam))
-    return np.moveaxis(f, 0, -1)
-
-
 def ball_energy_parts(lam: float, mesh: int) -> tuple[float, float]:
     """(velocity part, director part) of the half-integral energy over the
     unit ball; the velocity enters as u/lam."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if mesh < 16:
-        raise ValueError("mesh must be at least 16")
+    _check(lam, mesh)
     rho, h_r = _centered(mesh, 1.0)
     the, phi, h_t, h_p = _angles(mesh)
     st, ct = np.sin(the)[:, None], np.cos(the)[:, None]
@@ -316,9 +267,3 @@ def ball_energy_parts(lam: float, mesh: int) -> tuple[float, float]:
     e_dir = 0.5 * float(e2_sum * cell)
     return e_vel, e_dir
 
-
-def initial_data_energy(lam: float, mesh: int) -> float:
-    """Half-integral of |u/lam|^2 + |grad(hopf o psi_lam o chart)|^2 over the
-    unit ball."""
-    e_vel, e_dir = ball_energy_parts(lam, mesh)
-    return e_vel + e_dir

@@ -125,8 +125,7 @@ def stability_bound(grid: IntervalGrid, c: LeslieCoefficients) -> float:
     With u = cos 2phi, g = mu1/4 (1 - u^2) + (b - a)/2 u + const is a
     quadratic on u in [-1, 1]; g is evaluated at the angle of its maximum,
     which is phi = 0 (g's own float there) whenever u = 1 is the top."""
-    a = 0.5 * (c.mu5 - c.mu2)
-    b = 0.5 * (c.mu3 + c.mu6)
+    a, b = c.g_weights
     if c.mu1 > 0.0:  # concave: the vertex, clipped onto [-1, 1]
         u = min(1.0, max(-1.0, (b - a) / c.mu1))
     else:  # linear or convex: the higher end
@@ -153,8 +152,7 @@ def _step_scalars(grid: IntervalGrid, c: LeslieCoefficients) -> _StepScalars:
     """The scalars of the step that depend on (grid, coeffs) only, each
     formed as coeffs.g_coeff and coeffs.h_coeff form it."""
     dx = grid.dx
-    a = 0.5 * (c.mu5 - c.mu2)
-    b = 0.5 * (c.mu3 + c.mu6)
+    a, b = c.g_weights
     scalars = (
         (dx, dx**2, 2.0 * dx)
         + (0.25 * c.mu1, 0.5 * (a + b), 0.5 * (b - a), 0.5 * c.mu4)
@@ -427,14 +425,13 @@ def counterexample_run(
     n: int = 500,
     t_end: float = 1.0,
     dt: float | None = None,
-    snapshot_stride: int | None = None,
 ) -> tuple[CounterexampleReport, PoiseuilleTrace]:
     """Evolve w0 = -2x, phi0 = 0 under the simplified coefficients with the
     exact pair's boundary data and compare against w = -2x, phi = t."""
     c = simplified_coefficients()
     grid = IntervalGrid(L, n)
     state0 = PoiseuilleState(grid, w=-2.0 * grid.x, phi=np.zeros(n + 1))
-    dt, snapshot_stride = plan_run(grid, c, t_end, dt, snapshot_stride)
+    dt, snapshot_stride = plan_run(grid, c, t_end, dt)
     bc = counterexample_bc(L)
     trace = simulate(state0, c, dt, t_end, bc, snapshot_stride)
 

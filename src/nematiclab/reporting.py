@@ -29,13 +29,6 @@ class TimeSeries:
         if len(t) > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("time column must be strictly increasing")
 
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.columns.index(name)]
-
 
 def write_csv(series: TimeSeries, path: Path) -> None:
     lines = [",".join(series.columns)]

@@ -36,7 +36,7 @@ def emit_plot(
 ) -> None:
     """Write the plot; ``kind`` is ``linear`` or ``loglog``.  Rows with a
     non-finite coordinate are dropped (count recorded in the SVG desc)."""
-    if series.n_rows == 0:
+    if len(series.rows) == 0:
         raise ValueError("empty series")
     if kind not in ("linear", "loglog"):
         raise ValueError(f"unknown plot kind {kind!r}")

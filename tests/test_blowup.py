@@ -6,6 +6,7 @@ from nematiclab.axisym import (
     RunTrace,
     SolverParams,
     initial_profile,
+    local_energy,
     make_state,
     simulate,
 )
@@ -120,7 +121,7 @@ def test_resolvable_formation_detects_with_clean_bubble():
     assert np.all(np.diff(tail) > 0)
     # local energy concentrates monotonically over the last decade of growth
     decade = report.grad_history >= report.grad_history[-1] / 10.0
-    le = report.local_energy_trace[decade]
+    le = local_energy(trace.head(len(report.times)), report.local_energy_radius)[decade]
     assert np.all(np.diff(le) > 0)
 
     slope, r2 = fit_beta_law(report)
@@ -192,10 +193,7 @@ def _synthetic_report(times, beta_hats):
         grad_history=2.0 / beta_hats,
         profile_beta=None,
         profile_fit_error=None,
-        beta_fit_times=times,
-        beta_fit=beta_hats,
         local_energy_radius=None,
-        local_energy_trace=np.array([]),
     )
 
 

@@ -83,6 +83,17 @@ def test_step_count_beyond_float_range_is_a_config_error(time):
         parse_config(TINY.replace(old, time))
 
 
+def test_step_quotient_that_underflows_to_zero_is_a_config_error():
+    # t_end / (0.8 step bound) is 1e-153 / 1.6e171, which is 0.0: one step
+    # of t_end, used to divide by zero steps instead
+    text = (
+        "[experiment]\nkind = poiseuille_counterexample\n\n[poiseuille]\n"
+        "half_length = 1e87\nn_cells = 16\nt_end = 1e-153\n"
+    )
+    with pytest.raises(ConfigError, match="need at least 3 snapshots: 1 steps"):
+        parse_config(text)
+
+
 # The record buffer of a radial run holds (2 + steps // stride) rows of
 # n_cells + 1 floats.  n_cells = 2**20 - 1 gives rows of 2**23 bytes, so 128
 # rows (126 steps at stride 1) fill the 2**30-byte ceiling exactly.
@@ -160,6 +171,33 @@ def test_hopf_totals_buffer_ceiling(tmp_path, capsys, mesh, ball_mesh, bad_key):
     else:
         assert main(["validate", str(cfg)]) == 2
         assert f"[hopf] {bad_key} = " in capsys.readouterr().err
+
+
+# Each barrier residual is an (n_t, n_r) float array: 2**13 x 2**14 and
+# 1 x 2**27 fill the 2**30-byte ceiling exactly.  Validated only, never run.
+@pytest.mark.parametrize(
+    "n_t, n_r, ok",
+    [
+        (2**13, 2**14, True),
+        (2**13, 2**14 + 1, False),
+        (1, 2**27, True),
+        (2**27 + 1, 1, False),
+        (100000, 100000, False),  # 80 GB
+    ],
+)
+def test_barrier_check_residual_array_ceiling(tmp_path, capsys, n_t, n_r, ok):
+    text = (ROOT / "configs" / "barrier_check.ini").read_text()
+    for old, new in [("n_r = 100", f"n_r = {n_r}"), ("n_t = 100", f"n_t = {n_t}")]:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "barriers.ini"
+    cfg.write_text(text)
+    if ok:
+        assert main(["validate", str(cfg)]) == 0
+        assert parse_config(text).barrier_check.n_r == n_r
+    else:
+        assert main(["validate", str(cfg)]) == 2
+        assert "residual arrays exceed the 1073741824-byte ceiling" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +330,29 @@ _validated_mus = st.one_of(
         [(0, -0.5, 0.5, 1, 0, 0), (0, -0.25, 0.75, 1, 0, 0.5), (0, -0.75, 0.25, 1, 0, -0.5)]
     ),
 )
+
+
+def _log_uniform(lo_exp, hi_exp):
+    """Floats 10**e, e uniform in [lo_exp, hi_exp], in round-trip text."""
+    return st.floats(lo_exp, hi_exp).map(lambda e: repr(10.0**e))
+
+
+def _log_int(lo, hi):
+    """Integers from lo to about hi, uniform in their logarithm."""
+    return st.floats(np.log2(lo), np.log2(hi)).map(lambda e: str(int(2.0**e)))
+
+
+# dilations log-uniform over the float range, with the resolved ladder;
+# LAMBDA_RANGE rejects the ends at parse
+_lambdas = st.sets(
+    st.one_of(
+        st.sampled_from([0.5, 1.0, 2.0, 8.0, 1e3, 1e8]),
+        st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda lams: ", ".join(map(repr, sorted(lams))))
+
 # values that keep a run small: at most a few thousand steps on at most 64
 # cells, Hopf meshes of 16.  The size keys are always written, since their
 # defaults are large, and so are the keys without which most draws would be
@@ -337,9 +398,7 @@ SMALL = {
         "a": st.sampled_from(["0.0", "-3.0", "2.5"]),
     },
     "hopf": {
-        "lambdas": st.sets(
-            st.sampled_from([0.5, 1.0, 2.0, 8.0, 1e3, 1e8]), min_size=1, max_size=3
-        ).map(lambda lams: ", ".join(map(repr, sorted(lams)))),
+        "lambdas": _lambdas,
         "mesh": st.just("16"),
         "ball_mesh": st.just("16"),
     },
@@ -350,8 +409,50 @@ ALWAYS = {
 }
 
 
+# values across the documented ranges, up to the ceilings and past them,
+# for configs that are only validated; each key draws from these or from
+# its small values, so that many draws still validate.  Radial grids stay
+# at most 2**16 cells, since parsing builds the radial nodes.
+_EXTREMES = {
+    "experiment": {"snapshot_stride": _log_int(1, 1e12)},
+    "grid": {"n_cells": _log_int(16, 2**16)},
+    "time": {
+        "dt": _log_uniform(-300, 0),
+        "t_end": _log_uniform(-300, 300),
+        "clip_guard": _log_uniform(-300, 300),
+    },
+    "initial": {"beta0": _log_uniform(-300, 300), "amplitude": _log_uniform(-300, 300)},
+    "barrier": {
+        "c": _log_uniform(-300, 300),
+        "eta_beta0": _log_uniform(-300, 300),
+        "local_energy_radius": _log_uniform(-300, 0),
+    },
+    "barrier_check": {
+        "n_sets": _log_int(1, 1e6),
+        "n_r": _log_int(1, 2**28),
+        "n_t": _log_int(1, 2**28),
+        "t_max": _log_uniform(-300, 300),
+    },
+    "poiseuille": {
+        "half_length": _log_uniform(-300, 300),
+        "n_cells": _log_int(16, 2**40),
+        "dt": _log_uniform(-300, 0),
+        "t_end": _log_uniform(-300, 300),
+        "velocity_amplitude": _log_uniform(-300, 300),
+    },
+    "hopf": {"mesh": _log_int(16, 2**11), "ball_mesh": _log_int(16, 2**11)},
+}
+WIDE = {
+    name: {
+        key: st.one_of(small, _EXTREMES[name][key]) if key in _EXTREMES[name] else small
+        for key, small in values.items()
+    }
+    for name, values in SMALL.items()
+}
+
+
 @st.composite
-def small_config_texts(draw):
+def config_texts_from(draw, values):
     kind = draw(st.sampled_from(list(KINDS)))
     lines = ["[experiment]", f"kind = {kind}"]
     for name in ("experiment", *KINDS[kind]):
@@ -361,14 +462,14 @@ def small_config_texts(draw):
             mus = draw(_validated_mus)
             lines += [f"mu{i} = {m!r}" for i, m in enumerate(mus, 1)]
             continue
-        for key, values in SMALL[name].items():
+        for key, strategy in values[name].items():
             if key in ALWAYS or draw(st.booleans()):
-                lines.append(f"{key} = {draw(values)}")
+                lines.append(f"{key} = {draw(strategy)}")
     return "\n".join(lines) + "\n"
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_config_texts())
+@given(config_texts_from(SMALL))
 def test_random_small_config_that_validates_runs_to_exit_0_or_3(text):
     try:
         parse_config(text)
@@ -378,3 +479,12 @@ def test_random_small_config_that_validates_runs_to_exit_0_or_3(text):
         cfg = Path(tmp) / "c.ini"
         cfg.write_text(text)
         assert main(["simulate", str(cfg), "--out", str(Path(tmp) / "out")]) in (0, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts_from(WIDE))
+def test_random_config_in_the_documented_ranges_validates_to_exit_0_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.ini"
+        cfg.write_text(text)
+        assert main(["validate", str(cfg)]) in (0, 2)

@@ -1,33 +1,34 @@
+"""The Hopf kernels the quadratures run (fibration, dilation, ball chart,
+vortex) on (4, ...) and (3, ...) arrays, the sphere and ball energies, and
+the dilation range a hopf_decay run accepts."""
+
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nematiclab.cli import main
 from nematiclab.config import parse_config
 from nematiclab.experiments import run
 from nematiclab.hopf import (
+    LAMBDA_RANGE,
     POLE,
     UNDER_RESOLVED_ERROR,
-    DilationParam,
-    S3Point,
-    ball_chart,
+    _chart,
+    _hopf_arr,
+    _psi_arr,
+    _vortex,
     ball_energy_parts,
     dirichlet_energy_s3,
-    director_field,
-    hopf,
-    initial_data_energy,
-    psi_lambda,
     sphere_energy_exact,
-    vortex_velocity,
 )
 
 
 def _random_s3(rng, size):
-    q = rng.standard_normal((size, 4))
-    return q / np.linalg.norm(q, axis=1, keepdims=True)
-
-
-def _point(q):
-    return S3Point(complex(q[0], q[1]), complex(q[2], q[3]))
+    """size points of the unit three-sphere as a (4, size) array."""
+    q = rng.standard_normal((4, size))
+    return q / np.linalg.norm(q, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -35,36 +36,25 @@ def _point(q):
 
 
 def test_hopf_axis_points():
-    assert np.allclose(hopf(S3Point(1 + 0j, 0j)), [1.0, 0.0, 0.0])
-    assert np.allclose(hopf(S3Point(0j, 1 + 0j)), [-1.0, 0.0, 0.0])
+    assert np.allclose(_hopf_arr(np.array([1.0, 0.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
+    assert np.allclose(_hopf_arr(np.array([0.0, 0.0, 1.0, 0.0])), [-1.0, 0.0, 0.0])
 
 
 def test_hopf_unit_norm_on_bulk_sample():
-    rng = np.random.default_rng(7)
-    q = _random_s3(rng, 100_000)
-    from nematiclab.hopf import _hopf_arr
-
-    norms = np.linalg.norm(_hopf_arr(q.T), axis=0)  # components lead
+    q = _random_s3(np.random.default_rng(7), 100_000)
+    norms = np.linalg.norm(_hopf_arr(q), axis=0)  # components lead
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
 
-def test_s3point_rejects_off_sphere():
-    with pytest.raises(ValueError, match="three-sphere"):
-        S3Point(1 + 0j, 1 + 0j)
-    with pytest.raises(ValueError):
-        DilationParam(0.0)
-
-
 # ---------------------------------------------------------------------------
-# conformal dilations
+# conformal dilations (the kernel does not renormalise its output)
 
 
 @given(seed=st.integers(min_value=0, max_value=5000))
 @settings(max_examples=50, deadline=None)
 def test_psi_identity_at_lambda_one(seed):
-    q = _random_s3(np.random.default_rng(seed), 1)[0]
-    out = psi_lambda(_point(q), DilationParam(1.0))
-    assert np.max(np.abs(out.as_r4() - q)) <= 1e-12
+    q = _random_s3(np.random.default_rng(seed), 1)[:, 0]
+    assert np.max(np.abs(_psi_arr(q, 1.0) - q)) <= 1e-12
 
 
 @given(
@@ -73,10 +63,9 @@ def test_psi_identity_at_lambda_one(seed):
 )
 @settings(max_examples=50, deadline=None)
 def test_psi_group_inverse(seed, lam):
-    q = _random_s3(np.random.default_rng(seed), 1)[0]
-    p = _point(q)
-    out = psi_lambda(psi_lambda(p, DilationParam(lam)), DilationParam(1.0 / lam))
-    assert np.max(np.abs(out.as_r4() - q)) <= 1e-10
+    q = _random_s3(np.random.default_rng(seed), 1)[:, 0]
+    out = _psi_arr(_psi_arr(q, lam), 1.0 / lam)
+    assert np.max(np.abs(out - q)) <= 1e-10
 
 
 @given(
@@ -85,17 +74,14 @@ def test_psi_group_inverse(seed, lam):
 )
 @settings(max_examples=50, deadline=None)
 def test_psi_preserves_unit_norm(seed, lam):
-    q = _random_s3(np.random.default_rng(seed), 1)[0]
-    out = psi_lambda(_point(q), DilationParam(lam)).as_r4()
-    assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+    q = _random_s3(np.random.default_rng(seed), 1)[:, 0]
+    assert abs(np.linalg.norm(_psi_arr(q, lam)) - 1.0) <= 1e-12
 
 
 def test_psi_fixes_pole_and_antipode():
     for lam in (0.5, 1.0, 7.0):
-        d = DilationParam(lam)
-        assert np.allclose(psi_lambda(_point(POLE), d).as_r4(), POLE)
-        antipode = -POLE
-        assert np.allclose(psi_lambda(_point(antipode), d).as_r4(), antipode)
+        assert np.allclose(_psi_arr(POLE, lam), POLE)
+        assert np.allclose(_psi_arr(-POLE, lam), -POLE)
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +140,9 @@ def test_under_resolved_flag_follows_the_measured_error(tmp_path, lambdas, mesh,
 
 
 def test_energy_rejects_bad_dilation_and_mesh():
-    with pytest.raises(ValueError):
-        dirichlet_energy_s3(-1.0, 64)
+    for lam in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            dirichlet_energy_s3(lam, 64)
     with pytest.raises(ValueError):
         dirichlet_energy_s3(1.0, 8)
 
@@ -165,38 +152,38 @@ def test_energy_rejects_bad_dilation_and_mesh():
 
 
 def test_ball_chart_hits_antipode_and_pole():
-    origin = ball_chart(np.zeros(3))
+    origin = _chart(np.zeros(3))
     assert np.allclose(origin, -POLE)
-    near_boundary = ball_chart(np.array([0.0, 0.0, 1.0 - 1e-9]))
+    near_boundary = _chart(np.array([0.0, 0.0, 1.0 - 1e-9]))
     assert abs(near_boundary[0] - 1.0) <= 1e-14
 
 
 def test_boundary_director_is_pole_image_for_all_lambdas():
     x = np.array([0.0, 0.0, 1.0 - 1e-9])
     for lam in (1.0, 4.0, 64.0):
-        assert np.allclose(director_field(x, lam), hopf(_point(POLE)))
+        assert np.allclose(_hopf_arr(_psi_arr(_chart(x), lam)), _hopf_arr(POLE))
 
 
 def test_director_field_unit_norm():
     rng = np.random.default_rng(3)
-    x = rng.uniform(-0.57, 0.57, (2000, 3))  # inside the ball
-    f = director_field(x, 5.0)
-    assert np.max(np.abs(np.linalg.norm(f, axis=-1) - 1.0)) <= 1e-12
+    x = rng.uniform(-0.57, 0.57, (3, 2000))  # inside the ball
+    f = _hopf_arr(_psi_arr(_chart(x), 5.0))
+    assert np.max(np.abs(np.linalg.norm(f, axis=0) - 1.0)) <= 1e-12
 
 
 def test_vortex_velocity_divergence_free_and_boundary_zero():
     rng = np.random.default_rng(11)
-    x = rng.uniform(-0.5, 0.5, (200, 3))
+    x = rng.uniform(-0.5, 0.5, (3, 200))
     h = 1e-6
-    div = np.zeros(len(x))
+    div = np.zeros(x.shape[1])
     for a in range(3):
-        dx = np.zeros(3)
+        dx = np.zeros((3, 1))
         dx[a] = h
-        div += (vortex_velocity(x + dx)[:, a] - vortex_velocity(x - dx)[:, a]) / (2 * h)
+        div += (_vortex(x + dx)[a] - _vortex(x - dx)[a]) / (2 * h)
     assert np.max(np.abs(div)) <= 1e-8
-    sphere = rng.standard_normal((50, 3))
-    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
-    assert np.max(np.abs(vortex_velocity(sphere))) <= 1e-12
+    sphere = rng.standard_normal((3, 50))
+    sphere /= np.linalg.norm(sphere, axis=0)
+    assert np.max(np.abs(_vortex(sphere))) <= 1e-12
 
 
 def test_velocity_energy_scales_exactly_as_inverse_square():
@@ -213,8 +200,42 @@ def test_velocity_energy_matches_analytic_value():
 
 
 def test_initial_data_energy_decreasing_in_lambda():
-    vals = [initial_data_energy(lam, 24) for lam in (1.0, 2.0, 4.0, 8.0)]
+    vals = [sum(ball_energy_parts(lam, 24)) for lam in (1.0, 2.0, 4.0, 8.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     # u in place of u/lam: the velocity part is that of lam = 1
     unscaled = ball_energy_parts(1.0, 24)[0] + ball_energy_parts(8.0, 24)[1]
     assert unscaled > vals[3]  # the velocity term is no longer suppressed
+
+
+# ---------------------------------------------------------------------------
+# the dilations a run accepts
+
+
+@pytest.mark.parametrize(
+    "lambdas, code",
+    [
+        (LAMBDA_RANGE, 0),
+        ((np.nextafter(LAMBDA_RANGE[0], 0.0),), 2),
+        ((np.nextafter(LAMBDA_RANGE[1], np.inf),), 2),
+        ((1e300, 1e301), 2),  # overflowed the closed form, exit 1, before the range
+        ((0.0,), 2),
+    ],
+)
+def test_lambda_range_runs_to_exit_0_or_is_a_config_error(tmp_path, capsys, lambdas, code):
+    out = tmp_path / "out"
+    cfg = tmp_path / "hopf.ini"
+    cfg.write_text(
+        f"[experiment]\nkind = hopf_decay\nout_dir = {out}\n\n[hopf]\n"
+        f"lambdas = {', '.join(repr(float(lam)) for lam in lambdas)}\n"
+        "mesh = 16\nball_mesh = 16\n"
+    )
+    assert main(["simulate", str(cfg)]) == code
+    if code == 2:
+        assert "lambdas must lie in [1e-100, 1e+100]" in capsys.readouterr().err
+        return
+    report = json.loads((out / "report.json").read_text())
+    parts = ("sphere_energy", "ball_energy_velocity", "ball_energy_director")
+    energies = np.array([[row[k] for k in parts] for row in report["table"]])
+    assert np.all(np.isfinite(energies)) and np.all(energies > 0.0)
+    # so the log-log plot keeps every point
+    assert "<desc>dropped=0;kind=loglog</desc>" in (out / "decay.svg").read_text()
