@@ -37,10 +37,10 @@ trace is bit-identical to marching it alone (DECISIONS.md section 7).
 shares with the Poiseuille loop and the buffer a run records into,
 allocated up front; ``plan_record`` checks a run against ``MAX_STEPS`` and
 ``MAX_RECORD_BYTES`` without allocating (DECISIONS.md section 3).  The trace
-diagnostics (``energy``, ``local_energy``) take a state or a whole trace
-and walk it in row blocks of about ``CHUNK_VALUES`` values, computing each
-row with the same operations, in the same order, as for a single state, so
-the numbers do not depend on the block size (DECISIONS.md section 4).
+diagnostics (``energy``, ``local_energy``) take the ``(snapshots, nodes)``
+array a run records and walk it in ``row_blocks``, with the same operations
+on each row in the same order whatever the block size, so the numbers do
+not depend on it (DECISIONS.md section 4).
 """
 
 from __future__ import annotations
@@ -502,7 +502,7 @@ def _step_cn(b: _Batch) -> list[_Run]:
 
 
 # ---------------------------------------------------------------------------
-# energies, of one state or of every snapshot of a trace
+# energies of every snapshot of a trace
 
 # Trace diagnostics walk the snapshots in blocks of about this many values
 # per temporary array, so their memory does not grow with the trace.  At
@@ -512,17 +512,11 @@ def _step_cn(b: _Batch) -> list[_Run]:
 CHUNK_VALUES = 2**16
 
 
-def _blocks(source: RadialState | RunTrace):
-    """(grid, blocks, single): the snapshots of ``source`` as consecutive
-    (rows, n_nodes) blocks under ``CHUNK_VALUES``; a state is one row, and
-    ``single`` says so."""
-    if isinstance(source, RunTrace):
-        phis, single = source.phis, False
-    else:
-        phis, single = source.phi[np.newaxis], True
-    rows = max(1, CHUNK_VALUES // phis.shape[1])
-    blocks = (phis[i : i + rows] for i in range(0, len(phis), rows))
-    return source.grid, blocks, single
+def row_blocks(n_rows: int, row_len: int) -> list[slice]:
+    """Consecutive row slices of an (n_rows, row_len) array, each under
+    ``CHUNK_VALUES`` values and at least one row long."""
+    rows = max(1, CHUNK_VALUES // row_len)
+    return [slice(i, i + rows) for i in range(0, n_rows, rows)]
 
 
 def _grad_integrand(block: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -533,30 +527,26 @@ def _grad_integrand(block: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return first_derivative(block, grid.dr, axis=1) ** 2 * grid.r[:m]
 
 
-def energy(source: RadialState | RunTrace):
-    """(e_total, e_grad, e_sin): trapezoidal quadrature over [0, 1] of
-    phi_r^2 * r and sin^2(phi)/r; the second integrand extends to 0 at the
-    origin by continuity.  Floats for a state, arrays with one entry per
-    snapshot for a trace."""
-    grid, blocks, single = _blocks(source)
+def energy(grid: RadialGrid, phis: np.ndarray):
+    """(e_total, e_grad, e_sin), one entry per snapshot (row) of ``phis``:
+    trapezoidal quadrature over [0, 1] of phi_r^2 * r and sin^2(phi)/r; the
+    second integrand extends to 0 at the origin by continuity."""
     r = grid.r
     e_grad, e_sin = [], []
-    for block in blocks:
+    for rows in row_blocks(*phis.shape):
+        block = phis[rows]
         sin_integrand = np.empty_like(block)
         sin_integrand[:, 0] = 0.0
         sin_integrand[:, 1:] = np.sin(block[:, 1:]) ** 2 / r[1:]
         e_grad.append(_trapz(_grad_integrand(block, grid), r, axis=1))
         e_sin.append(_trapz(sin_integrand, r, axis=1))
     e_grad, e_sin = np.concatenate(e_grad), np.concatenate(e_sin)
-    if single:
-        return float(e_grad[0] + e_sin[0]), float(e_grad[0]), float(e_sin[0])
     return e_grad + e_sin, e_grad, e_sin
 
 
-def local_energy(source: RadialState | RunTrace, R: float):
-    """Trapezoidal quadrature of phi_r^2 r over [0, R]: a float for a state,
-    an array with one entry per snapshot for a trace."""
-    grid, blocks, single = _blocks(source)
+def local_energy(grid: RadialGrid, phis: np.ndarray, R: float) -> np.ndarray:
+    """Trapezoidal quadrature of phi_r^2 r over [0, R], one entry per
+    snapshot (row) of ``phis``."""
     dr = grid.dr
     if R < 2.0 * dr:
         raise ValueError(f"R = {R} unresolvable: need R >= 2*dr = {2 * dr}")
@@ -565,9 +555,9 @@ def local_energy(source: RadialState | RunTrace, R: float):
     r = grid.r
     k = int(np.floor(R / dr + 1e-12))
     totals = []
-    for block in blocks:
+    for rows in row_blocks(*phis.shape):
         # nodes 0..k+1 are used; node k+2 keeps the stencil at k+1 central
-        integrand = _grad_integrand(block[:, : k + 3], grid)
+        integrand = _grad_integrand(phis[rows, : k + 3], grid)
         total = _trapz(integrand[:, : k + 1], r[: k + 1], axis=1)
         if k < grid.n_cells and R > r[k]:
             # partial trapezoid on the clipped last interval
@@ -576,8 +566,7 @@ def local_energy(source: RadialState | RunTrace, R: float):
             f_r = f_k + frac * (integrand[:, k + 1] - f_k)
             total += 0.5 * (f_k + f_r) * (R - r[k])
         totals.append(total)
-    totals = np.concatenate(totals)
-    return float(totals[0]) if single else totals
+    return np.concatenate(totals)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +580,6 @@ class RunTrace:
 
     grid: RadialGrid
     params: SolverParams
-    coeffs: LeslieCoefficients
     times: np.ndarray
     phis: np.ndarray  # shape (n_snapshots, n_nodes)
     halted: bool = False
@@ -600,9 +588,6 @@ class RunTrace:
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
-
-    def state(self, i: int) -> RadialState:
-        return RadialState(self.grid, self.phis[i], float(self.times[i]))
 
     def head(self, n: int) -> RunTrace:
         """The same run cut after its first n snapshots."""
@@ -641,9 +626,8 @@ class _Run:
         return k == record.n_steps or tripped
 
     def trace(self) -> RunTrace:
-        return RunTrace(
-            self.grid, self.p, self.c, *self.record.rows(), self.halted, self.halt_reason
-        )
+        times, phis = self.record.rows()
+        return RunTrace(self.grid, self.p, times, phis, self.halted, self.halt_reason)
 
 
 class _Batch:

@@ -35,7 +35,7 @@ from typing import Literal
 
 import numpy as np
 
-from .axisym import CHUNK_VALUES, RunTrace
+from .axisym import RunTrace, row_blocks
 from .coeffs import LeslieCoefficients
 
 BarrierKind = Literal["super", "sub", "eta"]
@@ -188,52 +188,47 @@ def check_ordering(
     tolerance 10 (dr^2 + dt); a violated precondition means the harness was
     misconfigured and raises instead of reporting a comparison failure.
 
-    The trace is walked in row blocks under ``CHUNK_VALUES``; the report,
-    down to the first worst node in row-major order (a nan counting as
-    worst), is that of a scan of the whole trace at once.
+    The trace is walked in the row blocks of ``row_blocks``, keeping per
+    snapshot and side the worst violation, its first node and the worst
+    edge violation; one ``np.argmax`` over the snapshots then reports the
+    first worst node in row-major order, a nan counting as worst.
     """
     if sub is None and sup is None:
         raise ValueError("need at least one barrier")
     grid = trace.grid
     tol = 10.0 * (grid.dr**2 + trace.params.dt)
     r = grid.r[np.newaxis, :]
-    n = len(grid.r)
-    rows = max(1, CHUNK_VALUES // n)
 
-    # per side: the largest violation at t = 0 and on the boundary nodes of
-    # each block, and the (value, flat index) of np.argmax over the trace:
-    # a later block takes over only with a larger value or the first nan
-    first, edges, worst = [], ([], []), [None, None]
-    for i in range(0, trace.n_snapshots, rows):
-        t = trace.times[i : i + rows, np.newaxis]
-        phi = trace.phis[i : i + rows]
+    # [side, snapshot] of the lower (0) and upper (1) violations
+    shape = (2, trace.n_snapshots)
+    worst, node, edge = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape)
+    for rows in row_blocks(trace.n_snapshots, len(grid.r)):
+        t = trace.times[rows, np.newaxis]
+        phi = trace.phis[rows]
         neg_inf = np.full_like(phi, -np.inf)
         low_viol = (barrier_value(sub, r, t) - phi) if sub is not None else neg_inf
         up_viol = (phi - barrier_value(sup, r, t)) if sup is not None else neg_inf
         for side, viol in enumerate((low_viol, up_viol)):
-            if i == 0:
-                first.append(float(np.max(viol[0])))
-            edges[side].append(np.max(viol[:, [0, -1]]))
-            k = int(np.argmax(viol))
-            v = viol.flat[k]
-            best = worst[side]
-            if best is None or v > best[0] or (np.isnan(v) and not np.isnan(best[0])):
-                worst[side] = (v, i * n + k)
+            k = node[side, rows] = np.argmax(viol, axis=1)
+            worst[side, rows] = np.take_along_axis(viol, k[:, np.newaxis], axis=1)[:, 0]
+            edge[side, rows] = np.max(viol[:, [0, -1]], axis=1)
 
-    precondition = max(*first, *(float(np.max(e)) for e in edges))
+    precondition = max(worst[0, 0], worst[1, 0], np.max(edge[0]), np.max(edge[1]))
     if precondition > tol:
         raise ValueError(
             "ordering precondition fails at t=0 or on the boundary "
             f"(worst {precondition:.3e} > tol {tol:.3e})"
         )
 
-    (lower_worst, li), (upper_worst, ui) = worst
-    lower_worst, upper_worst = float(lower_worst), float(upper_worst)
+    (lower_worst, lower_at), (upper_worst, upper_at) = (
+        (float(worst[side, i]), (float(trace.times[i]), float(grid.r[node[side, i]])))
+        for side, i in enumerate(np.argmax(worst, axis=1))
+    )
     return OrderingReport(
         passed=max(lower_worst, upper_worst) <= tol,
         tolerance=tol,
         lower_worst=lower_worst,
-        lower_at=(float(trace.times[li // n]), float(grid.r[li % n])),
+        lower_at=lower_at,
         upper_worst=upper_worst,
-        upper_at=(float(trace.times[ui // n]), float(grid.r[ui % n])),
+        upper_at=upper_at,
     )

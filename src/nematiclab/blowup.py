@@ -15,38 +15,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axisym import RadialState, RunTrace
+from .axisym import RadialGrid, RunTrace
 
 PROFILE_MIN_GRADIENT = 100.0
 BETA_FIT_MIN_SAMPLES = 20
+MIN_SNAPSHOTS = 10  # a radial schedule that records fewer fails to parse
 
 
-def _origin_slope(phi: np.ndarray, dr: float):
-    return (4.0 * phi[..., 1] - phi[..., 2]) / (2.0 * dr)
+def gradient_history(grid: RadialGrid, phis: np.ndarray) -> np.ndarray:
+    """One-sided second-order estimate of phi_r at r = 0 (phi(0) = 0) in
+    each snapshot (row) of ``phis``, or in a single snapshot ``phis``."""
+    return (4.0 * phis[..., 1] - phis[..., 2]) / (2.0 * grid.dr)
 
 
-def origin_gradient(state: RadialState) -> float:
-    """One-sided second-order estimate of phi_r at r = 0 (phi(0) = 0)."""
-    return float(_origin_slope(state.phi, state.grid.dr))
-
-
-def gradient_history(trace: RunTrace) -> np.ndarray:
-    """origin_gradient of every snapshot."""
-    return _origin_slope(trace.phis, trace.grid.dr)
-
-
-def extract_profile(state: RadialState) -> tuple[float, float]:
+def extract_profile(grid: RadialGrid, phi: np.ndarray) -> tuple[float, float]:
     """(beta_hat, profile_error): rescale by beta_hat = 2/phi_r(0) and
     measure the max-norm distance of phi(beta_hat * rho), rho in [0, 1] at
     201 points, from the bubble 2 arctan(rho); linear between nodes."""
-    grad = origin_gradient(state)
+    grad = float(gradient_history(grid, phi))
     if grad < PROFILE_MIN_GRADIENT:
         raise ValueError(
             f"no bubble yet: origin gradient {grad:.3g} < {PROFILE_MIN_GRADIENT}"
         )
     beta_hat = 2.0 / grad
     rho = np.linspace(0.0, 1.0, 201)
-    samples = np.interp(beta_hat * rho, state.grid.r, state.phi)
+    samples = np.interp(beta_hat * rho, grid.r, phi)
     error = float(np.max(np.abs(samples - 2.0 * np.arctan(rho))))
     return beta_hat, error
 
@@ -85,11 +78,11 @@ def detect(
     A run that died on a non-finite field counts as detected with the
     hard-overflow flag.  Histories stop at the detection snapshot.
     """
-    if trace.n_snapshots < 10:
-        raise ValueError(f"need at least 10 snapshots, trace has {trace.n_snapshots}")
+    if trace.n_snapshots < MIN_SNAPSHOTS:
+        raise ValueError(f"need {MIN_SNAPSHOTS} snapshots, trace has {trace.n_snapshots}")
     cap = 0.5 / trace.grid.dr
 
-    grads = gradient_history(trace)
+    grads = gradient_history(trace.grid, trace.phis)
     over = np.nonzero(grads > cap)[0]
     hard = trace.halted and trace.halt_reason == "non-finite field"
 
@@ -107,7 +100,7 @@ def detect(
 
     profile_beta = profile_err = None
     if detected and grads[last] >= PROFILE_MIN_GRADIENT:
-        profile_beta, profile_err = extract_profile(trace.state(last))
+        profile_beta, profile_err = extract_profile(trace.grid, trace.phis[last])
 
     return BlowupReport(
         detected=detected,

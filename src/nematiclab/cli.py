@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from .axisym import simulate_batch
-from .config import load_config, serialize_config
+from .config import load_config, radial_run, serialize_config
 from .errors import ConfigError, SolverHalt
-from .experiments import axisym_batches, axisym_run, make_out_dir, run
+from .experiments import axisym_batches, make_out_dir, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,7 +75,7 @@ def _sweep(args) -> int:
     failures: list[str] = []
     for i, (path, config) in enumerate(configs):
         if i in batches:
-            runs = [axisym_run(configs[j][1]) for j in batches[i]]
+            runs = [radial_run(configs[j][1]) for j in batches[i]]
             traces.update(zip(batches[i], simulate_batch(runs)))
         trace = traces.pop(i, None)
         try:

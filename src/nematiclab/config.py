@@ -31,9 +31,11 @@ from .axisym import (
     SolverParams,
     default_dt,
     initial_profile,
+    make_state,
     plan_record,
 )
 from .barriers import eta_barrier, supersolution
+from .blowup import MIN_SNAPSHOTS
 from .coeffs import LeslieCoefficients, simplified_coefficients
 from .coeffs import validate as validate_coeffs
 from .errors import ConfigError
@@ -136,6 +138,22 @@ _uses = {
 
 EXPERIMENT_KINDS = tuple(_uses)
 
+# keys of a used section that a kind cannot act on, accepted only at defaults
+_NO_EFFECT = {
+    "axisym_global": [("barrier", "eta_beta0")],
+    "axisym_blowup": [("barrier", "c")],
+    "barrier_check": [("experiment", "snapshot_stride"), ("experiment", "plots")],
+    "poiseuille_counterexample": [
+        ("experiment", "snapshot_stride"), ("poiseuille", "velocity_amplitude"),
+        ("poiseuille", "a"),
+    ],
+    "hopf_decay": [("experiment", "snapshot_stride")],
+}
+
+# Default blow-up guard, in units of 1/dr: the run continues past detection
+# to the discrete step profile (slope a bit above pi/dr) to cover the analysis.
+BLOWUP_GUARD_FACTOR = 4.0
+
 
 def _as_bool(raw: str) -> bool:
     low = raw.lower()
@@ -202,6 +220,29 @@ def _read(cp, section: str) -> dict:
     return {key: _value(cp, section, key) for key in _SCHEMA[section][2]}
 
 
+def radial_run(config: ExperimentConfig) -> tuple:
+    """The (state0, coeffs, params, snapshot_stride) run of an axisym config
+    with a resolved ``dt``.  ValueError when it cannot march, records fewer
+    than MIN_SNAPSHOTS snapshots, or would pass the record buffer ceiling,
+    which is checked before the nodes exist."""
+    a, coeffs, stride = config.axisym, config.coefficients, config.snapshot_stride
+    grid = RadialGrid(a.n_cells)
+    guard = a.clip_guard
+    if guard is None and config.kind == "axisym_blowup":
+        guard = BLOWUP_GUARD_FACTOR / grid.dr
+    params = SolverParams(dt=a.dt, scheme=a.scheme, t_end=a.t_end, clip_guard=guard)
+    params.check_stability(grid, coeffs)
+    n_steps, _, _ = plan_record(0.0, a.t_end, a.dt, stride, a.n_cells + 1)
+    rows = 1 + math.ceil(n_steps / stride)  # the initial state, each record step
+    if rows < MIN_SNAPSHOTS:
+        raise ValueError(
+            f"need at least {MIN_SNAPSHOTS} snapshots: {n_steps} steps at "
+            f"snapshot_stride {stride} record {rows}"
+        )
+    phi0 = initial_profile(grid, a.preset, **a.preset_params())
+    return make_state(grid, phi0), coeffs, params, stride
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate one experiment configuration."""
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -231,6 +272,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if _value(cp, "experiment", "snapshot_stride") < 1:
         raise ConfigError("snapshot_stride must be >= 1")
     top = _read(cp, "experiment")
+    for section, key in _NO_EFFECT.get(kind, ()):
+        if _value(cp, section, key) != _SCHEMA[section][1].__dataclass_fields__[key].default:
+            raise ConfigError(f"[{section}] {key} has no effect on {kind}: leave it unset")
 
     coeffs = None
     if "coefficients" in used:
@@ -251,22 +295,16 @@ def parse_config(text: str) -> ExperimentConfig:
         for key in PRESET_PARAMS[a.preset]:
             if getattr(a, key) is None:
                 raise ConfigError(f"preset {a.preset!r} requires [initial] {key}")
+        for key in ("beta0", "amplitude", "points"):
+            if key not in PRESET_PARAMS[a.preset] and getattr(a, key) is not None:
+                raise ConfigError(f"preset {a.preset!r} does not read [initial] {key}")
         try:
-            grid = RadialGrid(a.n_cells)
             if a.dt is None:  # 1e-4 stands in where SolverParams rejects the rest
                 known = a.scheme in ("semi_implicit", "explicit") and a.t_end > 0.0
+                grid = RadialGrid(a.n_cells)
                 dt = default_dt(grid, coeffs, a.scheme, a.t_end) if known else 1e-4
                 a = replace(a, dt=dt)
-            params = SolverParams(
-                dt=a.dt,
-                scheme=a.scheme,  # type: ignore[arg-type]
-                t_end=a.t_end,
-                clip_guard=a.clip_guard,
-            )
-            params.check_stability(grid, coeffs)
-            # the buffer simulate records into, checked before the nodes exist
-            plan_record(0.0, a.t_end, a.dt, top["snapshot_stride"], a.n_cells + 1)
-            initial_profile(grid, a.preset, **a.preset_params())
+            radial_run(ExperimentConfig(**top, coefficients=coeffs, axisym=a))
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         axisym = a
@@ -309,8 +347,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 plan_run(grid, coeffs, p.t_end, p.dt, top["snapshot_stride"])
             else:  # counterexample_run picks its own snapshot stride
                 plan_run(grid, simplified_coefficients(), p.t_end, p.dt)
-        except (ValueError, OverflowError) as exc:  # dx**2 may overflow
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except OverflowError as exc:  # dx**2 in the step bound
+            raise ConfigError(
+                f"[poiseuille] half_length = {p.half_length!r} over n_cells = "
+                f"{p.n_cells}: the squared cell width overflows"
+            ) from exc
 
     hopf = None
     if "hopf" in used:

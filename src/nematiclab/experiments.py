@@ -16,15 +16,10 @@ import numpy as np
 
 from . import axisym, barriers, blowup, hopf, poiseuille
 from .coeffs import g_coeff, h_coeff, sample_validated, simplified_coefficients
-from .config import ExperimentConfig, serialize_config
+from .config import ExperimentConfig, radial_run, serialize_config
 from .errors import ConfigError, SolverHalt
 from .reporting import TimeSeries, write_csv, write_json
 from .svgplot import emit_plot
-
-# Blow-up runs are allowed to continue past the detection threshold up to
-# the discrete step profile (slope a bit above pi/dr) so the trace covers
-# the analysis window.
-BLOWUP_GUARD_FACTOR = 4.0
 
 AXISYM_KINDS = ("axisym_global", "axisym_blowup")
 
@@ -111,23 +106,6 @@ def run(
 # axisymmetric experiments
 
 
-def axisym_run(config: ExperimentConfig) -> tuple:
-    """The (state0, coeffs, params, snapshot_stride) an axisym config marches."""
-    a = config.axisym
-    grid = axisym.RadialGrid(a.n_cells)
-    phi0 = axisym.initial_profile(grid, a.preset, **a.preset_params())
-    state0 = axisym.make_state(grid, phi0)
-    guard = a.clip_guard
-    if guard is None and config.kind == "axisym_blowup":
-        # let steep runs continue past the detection threshold so the trace
-        # covers the analysis window; detection keeps its own cap
-        guard = BLOWUP_GUARD_FACTOR / grid.dr
-    params = axisym.SolverParams(
-        dt=a.dt, scheme=a.scheme, t_end=a.t_end, clip_guard=guard
-    )
-    return state0, config.coefficients, params, config.snapshot_stride
-
-
 def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
     """The positions of the axisym configs among ``configs``, in batches
     that share (scheme, dt), in order.  A batch is closed before its record
@@ -153,17 +131,15 @@ def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
 
 
 def axisym_series(trace: axisym.RunTrace, local_radius: float) -> TimeSeries:
-    e_total, e_grad, e_sin = axisym.energy(trace)
+    grid, phis = trace.grid, trace.phis
     return TimeSeries(
         columns=("t", "phi_r_origin", "e_total", "e_grad", "e_sin", "local_energy_R"),
         rows=np.column_stack(
             [
                 trace.times,
-                blowup.gradient_history(trace),
-                e_total,
-                e_grad,
-                e_sin,
-                axisym.local_energy(trace, local_radius),
+                blowup.gradient_history(grid, phis),
+                *axisym.energy(grid, phis),  # e_total, e_grad, e_sin
+                axisym.local_energy(grid, phis, local_radius),
             ]
         ),
     )
@@ -180,8 +156,8 @@ def _ordering(sub, trace: axisym.RunTrace, sup) -> dict:
 
 def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
     if trace is None:
-        trace = axisym.simulate(*axisym_run(config))
-    if trace.n_snapshots < 10:
+        trace = axisym.simulate(*radial_run(config))
+    if trace.n_snapshots < blowup.MIN_SNAPSHOTS:
         raise SolverHalt(
             f"trace too short for blow-up analysis ({trace.n_snapshots} snapshots); "
             "raise t_end, lower snapshot_stride, or loosen clip_guard",
@@ -227,7 +203,7 @@ def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
     if config.kind == "axisym_blowup":
         # full-trace gradient history; beta_hat only where the bubble scale
         # is readable (gradient >= 100), nan elsewhere
-        grads = blowup.gradient_history(trace)
+        grads = blowup.gradient_history(trace.grid, trace.phis)
         beta_hat = np.where(
             grads >= blowup.PROFILE_MIN_GRADIENT, 2.0 / np.maximum(grads, 1e-300), np.nan
         )

@@ -34,10 +34,10 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .axisym import (
-    CHUNK_VALUES,
     RunRecord,
     first_derivative,
     plan_record,
+    row_blocks,
     step_count,
     whole_step_dt,
 )
@@ -259,7 +259,6 @@ def step_general(
 @dataclass
 class PoiseuilleTrace:
     grid: IntervalGrid
-    coeffs: LeslieCoefficients
     bc: BoundaryData
     times: np.ndarray
     # (snapshots, nodes) views of the one buffer a run records into
@@ -336,7 +335,7 @@ def simulate(
         if k == record.next_record:
             fill(record.values[record.add(k)], state)
     times, values = record.rows()
-    return PoiseuilleTrace(grid, c, bc, times, *np.moveaxis(values, 1, 0))
+    return PoiseuilleTrace(grid, bc, times, *np.moveaxis(values, 1, 0))
 
 
 def velocity_potential(trace: PoiseuilleTrace) -> np.ndarray:
@@ -363,13 +362,12 @@ def heat_reduction_check(trace: PoiseuilleTrace) -> float:
 def energies(trace: PoiseuilleTrace) -> tuple[np.ndarray, np.ndarray]:
     """(E, D) at every snapshot: E = 0.5 int(w^2 + phi_x^2),
     D = int(w_x^2 + phi_t^2 + (w_x + phi_t)^2); trapezoidal quadrature, in
-    row blocks of about ``CHUNK_VALUES`` values (DECISIONS.md section 4)."""
+    the row blocks of ``axisym.row_blocks`` (DECISIONS.md section 4)."""
     x, dx = trace.grid.x, trace.grid.dx
-    rows = max(1, CHUNK_VALUES // len(x))
     e, d = [], []
-    for i in range(0, trace.n_snapshots, rows):
-        w, phi_t = trace.ws[i : i + rows], trace.phi_ts[i : i + rows]
-        phi_x = first_derivative(trace.phis[i : i + rows], dx, axis=1)
+    for rows in row_blocks(trace.n_snapshots, len(x)):
+        w, phi_t = trace.ws[rows], trace.phi_ts[rows]
+        phi_x = first_derivative(trace.phis[rows], dx, axis=1)
         w_x = first_derivative(w, dx, axis=1)
         e.append(0.5 * _trapz(w**2 + phi_x**2, x, axis=1))
         d.append(_trapz(w_x**2 + phi_t**2 + (w_x + phi_t) ** 2, x, axis=1))

@@ -168,9 +168,10 @@ def test_energy_stays_bounded_on_global_run():
         SolverParams(dt=1e-4, scheme="semi_implicit", t_end=1.0),
         snapshot_stride=100,
     )
-    e0 = energy(trace.state(0))[0]
+    e_total = energy(trace.grid, trace.phis)[0]
+    e0 = e_total[0]
     c_hat = 2.0  # fitted once on this family of runs, then frozen
-    assert np.all(energy(trace)[0] <= np.exp(c_hat * trace.times) * (e0 + 1.0))
+    assert np.all(e_total <= np.exp(c_hat * trace.times) * (e0 + 1.0))
 
 
 def test_simulate_records_strictly_increasing_times():
@@ -212,7 +213,7 @@ def test_simulate_rejects_t_end_off_the_step_grid(t_end):
 
 def test_energy_zero_field():
     state = make_state(RadialGrid(64), lambda r: 0 * r)
-    assert energy(state) == (0.0, 0.0, 0.0)
+    assert [e[0] for e in energy(state.grid, state.phi[np.newaxis])] == [0.0, 0.0, 0.0]
 
 
 def test_energy_bubble_against_quadrature_oracle():
@@ -224,7 +225,7 @@ def test_energy_bubble_against_quadrature_oracle():
     assert oracle == pytest.approx(1.0, abs=1e-10)
 
     state = make_state(RadialGrid(1024), lambda r: 2 * np.arctan(r))
-    e_total, e_grad, e_sin = energy(state)
+    e_total, e_grad, e_sin = (e[0] for e in energy(state.grid, state.phi[np.newaxis]))
     assert e_grad == pytest.approx(oracle, abs=5e-6)
     assert e_sin == pytest.approx(oracle, abs=5e-6)
     assert e_total == pytest.approx(2.0, abs=1e-5)
@@ -239,12 +240,12 @@ def test_bubble_gradient_energy_whole_line_limit():
 
 def test_local_energy_monotone_and_guarded():
     grid = RadialGrid(256)
-    state = make_state(grid, lambda r: 2 * np.arctan(r / 0.2))
+    phis = make_state(grid, lambda r: 2 * np.arctan(r / 0.2)).phi[np.newaxis]
     radii = np.linspace(2.5 * grid.dr, 1.0, 40)
-    vals = [local_energy(state, R) for R in radii]
+    vals = [local_energy(grid, phis, R)[0] for R in radii]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-    assert local_energy(make_state(grid, lambda r: 0 * r), 0.5) == 0.0
+    assert local_energy(grid, np.zeros((1, grid.n_cells + 1)), 0.5)[0] == 0.0
     with pytest.raises(ValueError, match="unresolvable"):
-        local_energy(state, 1.5 * grid.dr)
+        local_energy(grid, phis, 1.5 * grid.dr)
     with pytest.raises(ValueError):
-        local_energy(state, 1.2)
+        local_energy(grid, phis, 1.2)

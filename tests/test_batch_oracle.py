@@ -144,7 +144,7 @@ def assert_batch_matches_reference(runs):
         assert trace.phis.tobytes() == phis.tobytes()  # signed zeros too
         assert trace.halted == halted
         assert trace.halt_reason == reason
-        assert trace.grid is state0.grid and trace.coeffs is c and trace.params is p
+        assert trace.grid is state0.grid and trace.params is p
     return traces
 
 

@@ -16,7 +16,6 @@ from nematiclab.blowup import (
     extract_profile,
     fit_beta_law,
     gradient_history,
-    origin_gradient,
 )
 from nematiclab.coeffs import LeslieCoefficients
 
@@ -31,7 +30,6 @@ def _constant_trace(n_snapshots=12, n=64):
     return RunTrace(
         grid=grid,
         params=params,
-        coeffs=L2_ZERO,
         times=times,
         phis=np.tile(phi, (n_snapshots, 1)),
     )
@@ -39,6 +37,10 @@ def _constant_trace(n_snapshots=12, n=64):
 
 # ---------------------------------------------------------------------------
 # origin gradient
+
+
+def origin_gradient(state):
+    return gradient_history(state.grid, state.phi[np.newaxis])[0]
 
 
 def test_origin_gradient_zero_field():
@@ -121,7 +123,8 @@ def test_resolvable_formation_detects_with_clean_bubble():
     assert np.all(np.diff(tail) > 0)
     # local energy concentrates monotonically over the last decade of growth
     decade = report.grad_history >= report.grad_history[-1] / 10.0
-    le = local_energy(trace.head(len(report.times)), report.local_energy_radius)[decade]
+    phis = trace.phis[: len(report.times)]
+    le = local_energy(trace.grid, phis, report.local_energy_radius)[decade]
     assert np.all(np.diff(le) > 0)
 
     slope, r2 = fit_beta_law(report)
@@ -141,7 +144,7 @@ def test_detection_mesh_consistency_on_resolvable_run():
             snapshot_stride=10,
         )
         # the first snapshot whose origin gradient passes the threshold 128
-        t_det[n] = float(trace.times[np.nonzero(gradient_history(trace) > 128.0)[0][0]])
+        t_det[n] = float(trace.times[np.nonzero(gradient_history(trace.grid, trace.phis) > 128.0)[0][0]])
     # the crossing time of a fixed gradient threshold converges with the
     # mesh: measured 2.0052, 2.1090, 2.1440
     d_coarse = abs(t_det[256] - t_det[512])
@@ -156,12 +159,12 @@ def test_detection_mesh_consistency_on_resolvable_run():
 
 def test_extract_profile_needs_a_bubble():
     with pytest.raises(ValueError, match="no bubble yet"):
-        extract_profile(make_state(RadialGrid(256), lambda r: 0 * r))
+        extract_profile(RadialGrid(256), np.zeros(257))
 
 
 def test_extract_profile_exact_bubble_self_test():
     state = make_state(RadialGrid(1024), lambda r: 2 * np.arctan(r / 0.005))
-    beta_hat, err = extract_profile(state)
+    beta_hat, err = extract_profile(state.grid, state.phi)
     assert beta_hat == pytest.approx(0.005, rel=0.025)  # measured -2.13%
     assert err <= 0.03  # measured 0.0267 (one-sided gradient bias dominates)
 
@@ -173,8 +176,8 @@ def test_extract_profile_scale_consistency():
     grid = RadialGrid(n)
     s1 = make_state(grid, lambda r: 2 * np.arctan(r / beta))
     s2 = make_state(grid, lambda r: 2 * np.arctan(s * r / beta))
-    b1, e1 = extract_profile(s1)
-    b2, e2 = extract_profile(s2)
+    b1, e1 = extract_profile(grid, s1.phi)
+    b2, e2 = extract_profile(grid, s2.phi)
     assert abs(b1 / (s * b2) - 1.0) <= 1e-6
     assert abs(e1 - e2) <= 1e-6
 
@@ -225,8 +228,9 @@ def test_fit_beta_law_requires_detection():
 
 def test_gradient_history_matches_pointwise():
     trace = _constant_trace()
-    hist = gradient_history(trace)
-    assert np.allclose(hist, origin_gradient(trace.state(0)))
+    hist = gradient_history(trace.grid, trace.phis)
+    phi = trace.phis[0]
+    assert np.allclose(hist, (4.0 * phi[1] - phi[2]) / (2.0 * trace.grid.dr))
 
 
 def test_nonfinite_halt_flags_hard_overflow():

@@ -9,7 +9,7 @@ batch of one run), must agree with it bit for bit.
 import numpy as np
 from scipy.linalg import solve_banded
 
-from nematiclab.axisym import RadialGrid, SolverParams, make_state, rhs, simulate
+from nematiclab.axisym import RadialGrid, RadialState, SolverParams, make_state, rhs, simulate
 from nematiclab.coeffs import LeslieCoefficients
 
 L2_HALF = LeslieCoefficients(0, -0.25, 0.75, 1, 0, 0.5)  # lambda1=1, lambda2=0.5
@@ -74,7 +74,7 @@ def program_step(state, c, dt):
     """One step of the program: a batch of one run that is one step long."""
     trace = simulate(state, c, SolverParams(dt=dt, t_end=state.t + dt))
     assert not trace.halted and trace.n_snapshots == 2
-    return trace.state(-1)
+    return RadialState(trace.grid, trace.phis[-1], float(trace.times[-1]))
 
 
 def march_both(grid, c, phi0, dts, n_steps=200):

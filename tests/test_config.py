@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nematiclab.axisym import PRESET_PARAMS
 from nematiclab.cli import main
 from nematiclab.coeffs import sample_validated
 from nematiclab.config import load_config, parse_config, serialize_config
@@ -116,6 +117,76 @@ def test_radial_record_buffer_ceiling(n_cells, t_end, ok):
     else:
         with pytest.raises(ConfigError, match="record buffer"):
             parse_config(text)
+
+
+# 80 steps at the default stride 10 record 9 snapshots, one short of the 10
+# the blow-up analysis reads; 81 steps record 10
+@pytest.mark.parametrize("t_end, code", [("0.008", 2), ("0.0081", 0)])
+def test_radial_schedule_short_of_ten_snapshots_is_a_config_error(
+    tmp_path, capsys, t_end, code
+):
+    text = TINY.replace("t_end = 0.05", f"t_end = {t_end}").replace("dt = 1e-3", "dt = 1e-4")
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == code
+    if code == 2:
+        assert "need at least 10 snapshots: 80 steps" in capsys.readouterr().err
+    else:
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_poiseuille_step_bound_overflow_names_its_keys(tmp_path, capsys):
+    # dx = 1.25e199, whose square overflows in the step bound
+    text = (
+        "[experiment]\nkind = poiseuille_counterexample\n\n[poiseuille]\n"
+        "half_length = 1e200\nn_cells = 16\n"
+    )
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "[poiseuille] half_length = 1e+200" in err and "n_cells = 16" in err
+
+
+# (config, text, a key that cannot take effect there, the same key at its
+# default); the default passes
+NO_EFFECT = [
+    ("axisym_global.ini", "[barrier]\n", "[barrier]\neta_beta0 = 1e-3\n",
+     "[barrier]\neta_beta0 =\n", "[barrier] eta_beta0"),
+    ("axisym_global.ini", "preset = scaled_linear\namplitude = 3.041592653589793\n",
+     "preset = linear\namplitude = 7.0\n", "preset = linear\n", "[initial] amplitude"),
+    ("axisym_blowup.ini", "c = 0.05\n", "c = 0.03\n", "c = 0.05\n", "[barrier] c"),
+    ("barrier_check.ini", "[barrier_check]\n", "snapshot_stride = 5\n[barrier_check]\n",
+     "snapshot_stride = 10\n[barrier_check]\n", "[experiment] snapshot_stride"),
+    ("barrier_check.ini", "[barrier_check]\n", "plots = false\n[barrier_check]\n",
+     "plots = true\n[barrier_check]\n", "[experiment] plots"),
+    ("poiseuille_counterexample.ini", "[poiseuille]\n", "snapshot_stride = 5\n[poiseuille]\n",
+     "snapshot_stride = 10\n[poiseuille]\n", "[experiment] snapshot_stride"),
+    ("poiseuille_counterexample.ini", "t_end = 1.0\n", "t_end = 1.0\na = 7\n",
+     "t_end = 1.0\na = 0\n", "[poiseuille] a"),
+    ("poiseuille_counterexample.ini", "t_end = 1.0\n", "t_end = 1.0\nvelocity_amplitude = 9\n",
+     "t_end = 1.0\nvelocity_amplitude = 1.0\n", "[poiseuille] velocity_amplitude"),
+    ("hopf_decay.ini", "[hopf]\n", "snapshot_stride = 1\n[hopf]\n",
+     "snapshot_stride = 10\n[hopf]\n", "[experiment] snapshot_stride"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, old, ignored, default, key",
+    NO_EFFECT,
+    ids=[f"{name[:-4]}-{key.split()[-1]}" for name, *_, key in NO_EFFECT],
+)
+def test_key_that_cannot_take_effect_is_a_config_error(
+    tmp_path, capsys, name, old, ignored, default, key
+):
+    text = (ROOT / "configs" / name).read_text()
+    assert text.count(old) == 1
+    cfg = tmp_path / name
+    cfg.write_text(text.replace(old, ignored))
+    assert main(["validate", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    cfg.write_text(text.replace(old, default))
+    assert main(["validate", str(cfg)]) == 0
 
 
 def test_step_ceiling_applies_to_poiseuille_runs():
@@ -265,14 +336,15 @@ VALUES = {
 }
 
 
-# a valid value for every key; a section drawn "as base" uses these only
+# a value for every key that every kind reading its section accepts; a
+# section drawn "as base" uses these only
 BASE = {
-    "experiment": {"out_dir": "out", "snapshot_stride": "5", "plots": "true"},
+    "experiment": {"out_dir": "out", "snapshot_stride": "10", "plots": "true"},
     "coefficients": dict(zip(SECTIONS["coefficients"], "0 -0.5 0.5 1 0 0".split())),
     "grid": {"n_cells": "64"},
-    "time": {"dt": "1e-3", "scheme": "semi_implicit", "t_end": "0.05"},
-    "initial": {"preset": "scaled_linear", "amplitude": "3.0", "beta0": "0.1"},
-    "barrier": {"c": "0.03", "local_energy_radius": "0.1", "eta_beta0": "0.001"},
+    "time": {"dt": "1e-3", "scheme": "semi_implicit", "t_end": "0.1"},
+    "initial": {"preset": "scaled_linear", "amplitude": "3.0"},
+    "barrier": {"c": "0.05", "local_energy_radius": "0.1"},
     "barrier_check": {"n_sets": "2", "n_r": "10", "n_t": "10", "t_max": "1.0"},
     "poiseuille": {"half_length": "5.0", "n_cells": "64", "t_end": "0.05"},
     "hopf": {"lambdas": "1, 2", "mesh": "16", "ball_mesh": "16"},
@@ -404,8 +476,7 @@ SMALL = {
     },
 }
 ALWAYS = {
-    "n_cells", "t_end", "mesh", "ball_mesh", "n_sets", "n_r", "n_t",
-    "beta0", "amplitude", "points", "local_energy_radius",
+    "n_cells", "t_end", "mesh", "ball_mesh", "n_sets", "n_r", "n_t", "local_energy_radius",
 }
 
 
@@ -461,6 +532,11 @@ def config_texts_from(draw, values):
         if name == "coefficients":
             mus = draw(_validated_mus)
             lines += [f"mu{i} = {m!r}" for i, m in enumerate(mus, 1)]
+            continue
+        if name == "initial":  # the preset and the parameters it reads
+            preset = draw(values[name]["preset"])
+            lines.append(f"preset = {preset}")
+            lines += [f"{key} = {draw(values[name][key])}" for key in PRESET_PARAMS[preset]]
             continue
         for key, strategy in values[name].items():
             if key in ALWAYS or draw(st.booleans()):

@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nematiclab import barriers
+from nematiclab import axisym
 from nematiclab.axisym import RadialGrid, SolverParams, initial_profile, make_state, simulate
 from nematiclab.barriers import (
     OrderingReport,
@@ -76,7 +76,7 @@ def global_trace():
     grid = RadialGrid(128)
     state0 = make_state(grid, lambda r: (np.pi - 0.1) * r)
     trace = simulate(state0, L2_ZERO, SolverParams(dt=1e-4, t_end=0.3), 1)
-    assert trace.n_snapshots * (grid.n_cells + 1) > 5 * barriers.CHUNK_VALUES
+    assert trace.n_snapshots * (grid.n_cells + 1) > 5 * axisym.CHUNK_VALUES
     return trace
 
 
@@ -96,7 +96,7 @@ ROWS = [1, 7, 10**6]
 def test_global_trace_matches_reference(global_trace, monkeypatch, rows):
     assert_matches(SUB, global_trace, SUP)
     assert_matches(None, global_trace, SUP)
-    monkeypatch.setattr(barriers, "CHUNK_VALUES", rows * global_trace.phis.shape[1])
+    monkeypatch.setattr(axisym, "CHUNK_VALUES", rows * global_trace.phis.shape[1])
     assert_matches(SUB, global_trace, SUP)
     assert_matches(SUB, global_trace, None)
 
@@ -107,7 +107,7 @@ def test_one_sided_eta_trace_matches_reference(eta_trace, monkeypatch, rows):
     report = check_ordering(spec, eta_trace, None)
     assert report.upper_worst == -np.inf
     assert_matches(spec, eta_trace, None)
-    monkeypatch.setattr(barriers, "CHUNK_VALUES", rows * eta_trace.phis.shape[1])
+    monkeypatch.setattr(axisym, "CHUNK_VALUES", rows * eta_trace.phis.shape[1])
     assert_matches(spec, eta_trace, None)
 
 
@@ -132,14 +132,14 @@ def _with(trace, cells):
 @pytest.mark.parametrize("rows", [7, 500])
 def test_ties_and_nans_pick_the_same_node(global_trace, monkeypatch, cells, rows):
     trace = _with(global_trace, cells)
-    monkeypatch.setattr(barriers, "CHUNK_VALUES", rows * trace.phis.shape[1])
+    monkeypatch.setattr(axisym, "CHUNK_VALUES", rows * trace.phis.shape[1])
     with np.errstate(invalid="ignore"):
         assert_matches(SUB, trace, SUP)
         assert_matches(SUB, trace, None)
 
 
 def test_precondition_error_matches_reference(global_trace, monkeypatch):
-    monkeypatch.setattr(barriers, "CHUNK_VALUES", 7 * global_trace.phis.shape[1])
+    monkeypatch.setattr(axisym, "CHUNK_VALUES", 7 * global_trace.phis.shape[1])
     for trace in (global_trace, _with(global_trace, {(1000, 128): 9.0})):
         sup = supersolution(30.0, L2_ZERO) if trace is global_trace else SUP
         with pytest.raises(ValueError) as got:

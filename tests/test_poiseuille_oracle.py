@@ -188,7 +188,7 @@ def reference_simulate(state0, c, dt, t_end, bc, snapshot_stride=1):
         if k % snapshot_stride == 0 or k == n_steps:
             record(j, state)
             j += 1
-    return PoiseuilleTrace(state0.grid, c, bc, times[:j], ws[:j], phis[:j], phi_ts[:j])
+    return PoiseuilleTrace(state0.grid, bc, times[:j], ws[:j], phis[:j], phi_ts[:j])
 
 
 def reference_velocity_potential(trace, i):
@@ -300,7 +300,7 @@ def test_energies_do_not_depend_on_the_block_size(monkeypatch, chunk):
     # 1 value: one row per block; 3 rows; the whole trace in one block
     state = _pulse(64, amplitude=1.5)
     trace = simulate(state, SIMPLIFIED, 1e-3, 0.04, homogeneous_bc(), 3)
-    monkeypatch.setattr(poiseuille, "CHUNK_VALUES", chunk)
+    monkeypatch.setattr(axisym, "CHUNK_VALUES", chunk)
     assert_diagnostics_match(trace)
 
 
