@@ -51,7 +51,6 @@ from functools import cached_property, lru_cache
 from typing import Literal
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .coeffs import LeslieCoefficients
 from .errors import SolverHalt
@@ -491,7 +490,7 @@ def _step_cn(b: _Batch) -> list[_Run]:
         return bad + (_step_cn(b) if b.runs else [])
 
     d = b.d_const + dt_damp
-    _, _, _, new_interior, info = dgtsv(
+    _, _, _, new_interior, info = b.dgtsv(
         b.dl, d, b.du, rhs_vec, overwrite_d=1, overwrite_b=1
     )
     if info != 0:  # pragma: no cover - defensive
@@ -642,6 +641,10 @@ class _Batch:
 
     def __init__(self, runs: list[_Run]):
         self.scheme, self.dt = runs[0].p.scheme, runs[0].p.dt
+        if self.scheme == "semi_implicit":
+            # scipy loads with a Crank-Nicolson batch only (DECISIONS.md section 8)
+            from scipy.linalg.lapack import dgtsv
+            self.dgtsv = dgtsv
         self._build(runs, np.concatenate([run.record.values[0] for run in runs]))
 
     def _build(self, runs: list[_Run], phi: np.ndarray) -> None:

@@ -389,7 +389,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parse_config(text)
 

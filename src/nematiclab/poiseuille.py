@@ -31,7 +31,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .axisym import (
     RunRecord,
@@ -340,8 +339,11 @@ def simulate(
 
 def velocity_potential(trace: PoiseuilleTrace) -> np.ndarray:
     """v at every snapshot, (snapshots, nodes): cumulative trapezoid of w
-    from the left end plus the configured left value."""
-    v = cumulative_trapezoid(trace.ws, trace.grid.x, axis=1, initial=0.0)
+    from the left end (scipy's ``cumulative_trapezoid``, operation for
+    operation; DECISIONS.md section 8) plus the configured left value."""
+    ws = trace.ws
+    v = np.zeros(ws.shape)
+    np.cumsum(np.diff(trace.grid.x) * (ws[:, 1:] + ws[:, :-1]) / 2.0, axis=1, out=v[:, 1:])
     v_left = np.array([trace.bc.v_left(float(t)) for t in trace.times])
     return v + v_left[:, np.newaxis]
 

@@ -148,6 +148,24 @@ def test_poiseuille_step_bound_overflow_names_its_keys(tmp_path, capsys):
     assert "[poiseuille] half_length = 1e+200" in err and "n_cells = 16" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe",  # a UTF-16 byte-order mark
+        (ROOT / "configs" / "barrier_check.ini")
+        .read_text()
+        .replace("out_dir = out/barrier_check", "out_dir = out/caf\xe9")
+        .encode("latin-1"),
+    ],
+    ids=["bom", "latin1_out_dir"],
+)
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, data):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(data)
+    assert main(["validate", str(cfg)]) == 2
+    assert f"config error: cannot read {cfg}: 'utf-8' codec" in capsys.readouterr().err
+
+
 # (config, text, a key that cannot take effect there, the same key at its
 # default); the default passes
 NO_EFFECT = [

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -571,3 +574,56 @@ def test_cli_sweep_counts_blowup_warnings(tmp_path, monkeypatch, capsys):
 
 def test_cli_sweep_no_match(tmp_path):
     assert main(["sweep", str(tmp_path / "*.ini")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# start-up: the package imports numpy only, and scipy with the first
+# Crank-Nicolson batch (DECISIONS.md section 8)
+
+SCIPY_PROBE = """
+import json, sys
+from pathlib import Path
+from nematiclab.cli import main
+from nematiclab.config import load_config
+
+configs = Path(sys.argv[1])
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {}
+for path in sorted(configs.glob("*.ini")):
+    load_config(path)
+loaded["import and parse"] = scipy_modules()
+for name in ("barrier_check", "hopf_decay", "poiseuille_generic"):
+    assert main(["simulate", str(configs / f"{name}.ini"), "--out", name, "--no-plots"]) == 0
+loaded["simulate"] = scipy_modules()
+for scheme in ("explicit", "semi_implicit"):
+    assert main(["simulate", f"{scheme}.ini", "--out", scheme, "--no-plots"]) == 0
+    loaded[scheme] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_crank_nicolson_runs_load_scipy(tmp_path):
+    rk4 = (
+        TINY_GLOBAL.format(out="unused")
+        .replace("dt = 1e-3\n", "")
+        .replace("scheme = semi_implicit", "scheme = explicit")
+        .replace("t_end = 0.05", "t_end = 0.01")
+    )
+    (tmp_path / "explicit.ini").write_text(rk4)
+    (tmp_path / "semi_implicit.ini").write_text(TINY_GLOBAL.format(out="unused"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(CONFIG_DIR)],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["import and parse"] == []
+    assert loaded["simulate"] == []
+    assert loaded["explicit"] == []
+    assert "scipy.linalg" in loaded["semi_implicit"]

@@ -12,10 +12,19 @@ time rule and stride schedule, and the diagnostic references work one
 snapshot at a time.  ``simulate`` (which records through
 ``axisym.RunRecord`` into one buffer) and the whole-trace diagnostics must
 agree with them bit for bit.
+
+``velocity_potential`` computes scipy's trapezoid in numpy; a property
+checks it bit for bit against ``scipy.integrate.cumulative_trapezoid`` on
+whole traces of arbitrary doubles, overflow, nan and signed zeros included.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_trapezoid
 
 from nematiclab.coeffs import (
@@ -310,6 +319,37 @@ def test_heat_check_passes_over_a_nan_pair_as_the_reference_does():
     trace.phis[4] = np.nan  # snapshot pairs 3 and 4 have nan residuals
     checked = heat_reduction_check(trace)
     assert checked == reference_heat_reduction_check(trace) and checked > 0.0
+
+
+FINITE = st.floats(-1e300, 1e300)
+DOUBLES = FINITE | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+@st.composite
+def potential_traces(draw):
+    """A trace of 1-50 snapshots of 2-300 nodes, with any doubles for w and
+    sorted finite x, under the counterexample's v_left."""
+    rows, nodes = draw(st.integers(1, 50)), draw(st.integers(2, 300))
+    ws = draw(arrays(np.float64, (rows, nodes), elements=DOUBLES))
+    x = np.sort(draw(arrays(np.float64, nodes, elements=FINITE)))
+    times = np.arange(rows) * 0.25
+    # velocity_potential reads only grid.x, which IntervalGrid (at least 16
+    # cells) cannot give for every node count drawn here
+    grid = SimpleNamespace(x=x)
+    return PoiseuilleTrace(grid, counterexample_bc(10.0), times, ws, ws, ws)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is drawn on purpose
+@settings(max_examples=200, deadline=None)
+@given(potential_traces())
+def test_velocity_potential_is_scipys_cumulative_trapezoid(trace):
+    v_left = np.array([trace.bc.v_left(float(t)) for t in trace.times])
+    ref = cumulative_trapezoid(trace.ws, trace.grid.x, axis=1, initial=0.0)
+    ref = ref + v_left[:, np.newaxis]
+    v = velocity_potential(trace)
+    assert np.array_equal(v, ref, equal_nan=True)
+    signed = ~np.isnan(ref)  # zeros keep their sign, as CSV text shows it
+    assert np.array_equal(np.signbit(v[signed]), np.signbit(ref[signed]))
 
 
 # t0 + k dt misses t_end by one ulp at the last step in the last two cases:
