@@ -9,6 +9,7 @@ error too, naming its path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -299,14 +300,27 @@ def _poiseuille_series(
     return TimeSeries(tuple(cols), np.column_stack(list(cols.values())))
 
 
+def _require_finite(trace, e: np.ndarray, d: np.ndarray, **residuals) -> None:
+    """SolverHalt (exit 3) at the first snapshot whose energy or dissipation
+    is non-finite, else at the last one when a reported residual, a maximum
+    over the whole run, is: an overflowed run is not a result."""
+    bad = ~(np.isfinite(e) & np.isfinite(d))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SolverHalt(f"non-finite energy or dissipation at snapshot {i}", float(trace.times[i]))
+    for name, value in residuals.items():
+        if value is not None and not math.isfinite(value):
+            raise SolverHalt(f"non-finite {name} over the run", float(trace.times[-1]))
+
+
 def _run_poiseuille_counterexample(config: ExperimentConfig):
     p = config.poiseuille
     report_obj, trace = poiseuille.counterexample_run(
         L=p.half_length, n=p.n_cells, t_end=p.t_end, dt=p.dt
     )
-    series = _poiseuille_series(
-        trace, *poiseuille.energies(trace), exact_w=lambda x: -2.0 * x
-    )
+    e, d = poiseuille.energies(trace)
+    _require_finite(trace, e, d, heat_residual=report_obj.heat_residual)
+    series = _poiseuille_series(trace, e, d, exact_w=lambda x: -2.0 * x)
     return report_obj.as_dict(), [Artifact("series", series)]
 
 
@@ -341,6 +355,13 @@ def _run_poiseuille_generic(config: ExperimentConfig):
     )
     if simplified:
         report["heat_reduction_residual"] = poiseuille.heat_reduction_check(trace)
+    _require_finite(
+        trace,
+        energy_res.energies,
+        energy_res.dissipations,
+        energy_identity_residual=energy_res.residual,
+        heat_reduction_residual=report["heat_reduction_residual"],
+    )
     series = _poiseuille_series(trace, energy_res.energies, energy_res.dissipations)
     return report, [Artifact("series", series)]
 

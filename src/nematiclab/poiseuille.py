@@ -10,12 +10,15 @@ midpoints with central differencing; time stepping is explicit Euler with
 the step bound dt <= 0.25 dx^2 min(lambda1, 1/max g) enforced up front.
 
 The step is a lean kernel: the scalars that depend on (grid, coeffs) only
-are cached, g and h share one cos 2phi at the midpoints (three trig calls a
-step), temporaries are updated in place, and the new w and phi are the two
-rows of one array, scaled by dt and checked for finiteness in one call each.
-Every floating-point operation keeps the operands and the order of the
-plain formulas through coeffs.g_coeff and coeffs.h_coeff, so the traces are
-bit-identical to them (DECISIONS.md section 6).
+are cached, temporaries are updated in place, and the new w and phi are the
+two rows of one array, scaled by dt and checked for finiteness in one call
+each.  When g and h depend on phi they share one cos 2phi at the midpoints
+(three trig calls a step); when their trig weights are +0.0, as under the
+simplified coefficients, they are cached constants and the step makes no
+trig call.  Every floating-point operation keeps the operands and the order
+of the plain formulas through coeffs.g_coeff and coeffs.h_coeff, up to
+exact commutations, so the traces are bit-identical to them (DECISIONS.md
+section 6).
 
 The whole-line problem is truncated with Dirichlet data; supplying the data
 of the exact pair w = -2x, phi = t (simplified coefficients) preserves that
@@ -26,6 +29,7 @@ climbs from 0 to t with no source in sight.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -144,12 +148,33 @@ class _StepScalars(NamedTuple):
     h_const: float  # h = h_const + h_cos cos 2phi
     h_cos: float
     lambda1: float
+    # g, h and h/2 when they do not depend on phi
+    g: float | None = None
+    h: float | None = None
+    h_half: float | None = None
+
+
+def _is_plus_zero(x: float) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) > 0.0
+
+
+def _step_scalars(grid: IntervalGrid, c: LeslieCoefficients) -> _StepScalars:
+    """The scalars of the step that depend on (grid, coeffs) only, each
+    formed as coeffs.g_coeff and coeffs.h_coeff form it.
+
+    When the three trig weights are +0.0 and h_const is not zero, each
+    weighted trig term is a signed zero that leaves its sum unchanged, so
+    g, h and h/2 are the constants below, the same doubles the per-node
+    formulas give wherever the trig values are finite (DECISIONS.md
+    section 6)."""
+    # cached on the bits of the viscosities: sets that differ only in the
+    # sign of a zero are equal, but their weights are not the same doubles
+    return _cached_scalars(grid, struct.pack("6d", *c.as_tuple()))
 
 
 @lru_cache(maxsize=32)
-def _step_scalars(grid: IntervalGrid, c: LeslieCoefficients) -> _StepScalars:
-    """The scalars of the step that depend on (grid, coeffs) only, each
-    formed as coeffs.g_coeff and coeffs.h_coeff form it."""
+def _cached_scalars(grid: IntervalGrid, viscosities: bytes) -> _StepScalars:
+    c = LeslieCoefficients(*struct.unpack("6d", viscosities))
     dx = grid.dx
     a, b = c.g_weights
     scalars = (
@@ -158,7 +183,10 @@ def _step_scalars(grid: IntervalGrid, c: LeslieCoefficients) -> _StepScalars:
         + (0.5 * (c.mu3 - c.mu2), 0.5 * (c.mu3 + c.mu2), c.lambda1)
     )
     # numpy scalars: the same doubles, converted once instead of per ufunc call
-    return _StepScalars(*map(np.float64, scalars))
+    s = _StepScalars(*map(np.float64, scalars))
+    if all(map(_is_plus_zero, (s.g_sin2, s.g_cos, s.h_cos))) and s.h_const != 0.0:
+        s = s._replace(g=(0.0 + s.g_const) + s.g_mu4, h=s.h_const, h_half=s.h_const * 0.5)
+    return s
 
 
 def phi_time_derivative(
@@ -179,13 +207,15 @@ def phi_time_derivative(
     np.subtract(phi[2:], two_phi, out=inner)
     inner += phi[:-2]
     inner /= s.dx2  # phi_xx
-    h = np.cos(two_phi, out=two_phi)
-    h *= s.h_cos
-    h += s.h_const
+    h = s.h
+    if h is None:
+        h = np.cos(two_phi, out=two_phi)
+        h *= s.h_cos
+        h += s.h_const
     w_x = np.subtract(w[2:], w[:-2])
     w_x /= s.two_dx
-    h *= w_x
-    inner -= h
+    w_x *= h
+    inner -= w_x
     inner /= s.lambda1
     out[0] = bc.phi_left_rate(state.t)
     out[-1] = bc.phi_right_rate(state.t)
@@ -210,26 +240,29 @@ def step_general(
     new = np.empty((2, len(phi)))
     phi_t = phi_time_derivative(state, c, bc, out=new[1])
 
-    mid = np.add(phi[:-1], phi[1:])
-    mid *= 0.5
-    two_mid = np.multiply(mid, 2.0)
-    cos_mid = np.cos(two_mid)
-    # g and h summed left to right, as g_coeff and h_coeff sum them
-    g = np.sin(two_mid, out=two_mid)
-    g *= g
-    g *= s.g_sin2
-    g += s.g_const
-    g += np.multiply(cos_mid, s.g_cos, out=mid)
-    g += s.g_mu4
-    g *= np.subtract(w[1:], w[:-1], out=mid)
-    g /= s.dx  # (g w_x,mid) / dx, then (h / 2) (phi_t sum) below
-    h = cos_mid
-    h *= s.h_cos
-    h += s.h_const
-    h *= 0.5
-    h *= np.add(phi_t[:-1], phi_t[1:], out=mid)
-    flux = g
-    flux += h
+    g, h_half = s.g, s.h_half
+    if g is None:
+        mid = np.add(phi[:-1], phi[1:])
+        mid *= 0.5
+        two_mid = np.multiply(mid, 2.0)
+        cos_mid = np.cos(two_mid)
+        # g and h summed left to right, as g_coeff and h_coeff sum them
+        g = np.sin(two_mid, out=two_mid)
+        g *= g
+        g *= s.g_sin2
+        g += s.g_const
+        g += np.multiply(cos_mid, s.g_cos, out=mid)
+        g += s.g_mu4
+        h_half = cos_mid
+        h_half *= s.h_cos
+        h_half += s.h_const
+        h_half *= 0.5
+    flux = np.subtract(w[1:], w[:-1])
+    flux *= g
+    flux /= s.dx  # (g w_x,mid) / dx + (h / 2) (phi_t sum)
+    h_term = np.add(phi_t[:-1], phi_t[1:])
+    h_term *= h_half
+    flux += h_term
 
     w_t = new[0, 1:-1]
     np.subtract(flux[1:], flux[:-1], out=w_t)
@@ -246,7 +279,10 @@ def step_general(
     new[0, -1] = bc.w_right(t_new)
     new[1, 0] = bc.phi_left(t_new)
     new[1, -1] = bc.phi_right(t_new)
-    if not np.isfinite(new).all():
+    # an end midpoint whose phi sum overflows makes the trig flux nan, with
+    # no interior phi_xx to show it: constant g and h must halt there too
+    ends_finite = math.isfinite(phi[0] + phi[1]) and math.isfinite(phi[-2] + phi[-1])
+    if not (np.isfinite(new).all() and ends_finite):
         raise SolverHalt("non-finite field", t_new)
     return PoiseuilleState(state.grid, new[0], new[1], t_new, state.a)
 

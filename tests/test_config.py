@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # config.hash() of each shipped config, recorded with its normal form in
 # tests/golden/ before the schema became one table
 HASHES = {
-    "axisym_blowup.ini": "a8904f311058",
+    "axisym_blowup.ini": "522792f6c6a2",
     "axisym_global.ini": "820ead5f4e54",
     "barrier_check.ini": "5c24a4aca613",
     "hopf_decay.ini": "bba0fc3d9590",
@@ -173,7 +173,8 @@ NO_EFFECT = [
      "[barrier]\neta_beta0 =\n", "[barrier] eta_beta0"),
     ("axisym_global.ini", "preset = scaled_linear\namplitude = 3.041592653589793\n",
      "preset = linear\namplitude = 7.0\n", "preset = linear\n", "[initial] amplitude"),
-    ("axisym_blowup.ini", "c = 0.05\n", "c = 0.03\n", "c = 0.05\n", "[barrier] c"),
+    ("axisym_blowup.ini", "[initial]\n", "[barrier]\nc = 0.03\n\n[initial]\n",
+     "[barrier]\nc = 0.05\n\n[initial]\n", "[barrier] c"),
     ("barrier_check.ini", "[barrier_check]\n", "snapshot_stride = 5\n[barrier_check]\n",
      "snapshot_stride = 10\n[barrier_check]\n", "[experiment] snapshot_stride"),
     ("barrier_check.ini", "[barrier_check]\n", "plots = false\n[barrier_check]\n",

@@ -523,10 +523,11 @@ def test_cli_sweep_rejects_shared_out_dir(tmp_path, monkeypatch):
     assert main(["sweep", str(tmp_path / "*.ini")]) == 2
 
 
-RESOLVED_BLOWUP = """[experiment]
+# scenario A: data dominating the concentrating barrier at beta0 = 1e-3
+STEEP_BLOWUP = """[experiment]
 kind = axisym_blowup
-out_dir = results/resolved
-snapshot_stride = 1
+out_dir = results/steep
+snapshot_stride = 10
 
 [coefficients]
 mu1 = 0.0
@@ -537,30 +538,35 @@ mu5 = 0.0
 mu6 = 0.0
 
 [grid]
-n_cells = 256
+n_cells = 1024
 
 [time]
-dt = 5e-4
-t_end = 2.5
+dt = 1e-4
+t_end = 0.35
 
 [initial]
-preset = scaled_linear
+preset = bubble_linear_max
+beta0 = 1e-3
 amplitude = 3.2986722862692828
+
+[barrier]
+eta_beta0 = 1e-3
 """
 
 
 def test_cli_sweep_counts_blowup_warnings(tmp_path, monkeypatch, capsys):
-    # the shipped scenario is steeper than its grid: it "detects" on the
-    # initial snapshot and has one readable sample for the beta law
+    # scenario A is steeper than its grid: it "detects" on the initial
+    # snapshot and has one readable sample for the beta law; the shipped
+    # scenario B forms its bubble on resolved scales
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.ini").write_text(STEEP_BLOWUP)
     shipped = (CONFIG_DIR / "axisym_blowup.ini").read_text()
-    (tmp_path / "a.ini").write_text(shipped.replace("out/axisym_blowup", "results/shipped"))
-    (tmp_path / "b.ini").write_text(RESOLVED_BLOWUP)
+    (tmp_path / "b.ini").write_text(shipped.replace("out/axisym_blowup", "results/resolved"))
     assert main(["sweep", str(tmp_path / "*.ini"), "--no-plots"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{tmp_path / 'a.ini'}: ok (2 warnings)", f"{tmp_path / 'b.ini'}: ok"]
 
-    report = json.loads((tmp_path / "results/shipped/report.json").read_text())
+    report = json.loads((tmp_path / "results/steep/report.json").read_text())
     assert report["blowup"]["n_snapshots"] == 1
     assert report["warnings"] == [
         "blow-up detected at the initial snapshot (t = 0.0): "
@@ -627,3 +633,12 @@ def test_only_crank_nicolson_runs_load_scipy(tmp_path):
     assert loaded["simulate"] == []
     assert loaded["explicit"] == []
     assert "scipy.linalg" in loaded["semi_implicit"]
+    # every report is strict JSON: no NaN or Infinity token
+    reports = sorted(tmp_path.glob("*/report.json"))
+    assert len(reports) == 5
+    for report in reports:
+        json.loads(report.read_text(), parse_constant=_reject_json_constant)
+
+
+def _reject_json_constant(token):
+    raise ValueError(f"{token} is not JSON")

@@ -16,10 +16,12 @@ from nematiclab.coeffs import (
     simplified_coefficients,
 )
 from nematiclab.config import parse_config
-from nematiclab.errors import ConfigError
+from nematiclab.errors import ConfigError, SolverHalt
+from nematiclab.experiments import _require_finite
 from nematiclab.poiseuille import (
     IntervalGrid,
     PoiseuilleState,
+    PoiseuilleTrace,
     counterexample_bc,
     counterexample_run,
     energy_identity_residual,
@@ -340,3 +342,31 @@ def test_sampled_coefficients_validate_and_run(seed, n_cells, amplitude):
         cfg.write_text(text)
         assert main(["validate", str(cfg)]) == 0
         assert main(["simulate", str(cfg), "--out", str(out), "--no-plots"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the runs overflow on purpose
+@pytest.mark.parametrize(
+    "amplitude, extra, snapshot, t",
+    [
+        (1e200, "", 0, "0"),  # w^2 overflows at t = 0
+        (1.0, "a = 1e308\n", 1, "0.005"),  # w = -a t overflows w^2 after one step
+    ],
+)
+def test_overflowed_run_halts_at_its_first_non_finite_snapshot(
+    tmp_path, capsys, amplitude, extra, snapshot, t
+):
+    cfg = tmp_path / "overflow.ini"
+    cfg.write_text(_generic_config(SIMPLIFIED.as_tuple(), "", t_end=0.01, amplitude=amplitude) + extra)
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out), "--no-plots"]) == 3
+    err = capsys.readouterr().err
+    assert f"non-finite energy or dissipation at snapshot {snapshot} at t={t}" in err
+    assert not (out / "report.json").exists()
+
+
+def test_non_finite_residual_halts_at_the_last_snapshot():
+    trace = PoiseuilleTrace(IntervalGrid(10.0, 16), homogeneous_bc(), np.array([0.0, 0.5]), *[None] * 3)
+    _require_finite(trace, np.ones(2), np.ones(2), heat_reduction_residual=None)
+    with pytest.raises(SolverHalt, match="non-finite energy_identity_residual") as halt:
+        _require_finite(trace, np.ones(2), np.ones(2), energy_identity_residual=math.inf)
+    assert halt.value.t == 0.5

@@ -13,6 +13,13 @@ snapshot at a time.  ``simulate`` (which records through
 ``axisym.RunRecord`` into one buffer) and the whole-trace diagnostics must
 agree with them bit for bit.
 
+Under the simplified coefficients, and under any set whose trig weights are
++0.0 with h_const != 0, the step takes g and h as constants and calls no
+trig function.  The same references pin that branch, down to the sign of a
+zero, and the cases below show where the selection and the constants
+would go wrong: a -0.0 weight, g without its ``0.0 +``, h/2 taken after
+the phi_t sum, and angles or rates near overflow.
+
 ``velocity_potential`` computes scipy's trapezoid in numpy; a property
 checks it bit for bit against ``scipy.integrate.cumulative_trapezoid`` on
 whole traces of arbitrary doubles, overflow, nan and signed zeros included.
@@ -37,6 +44,7 @@ from nematiclab.coeffs import (
 from nematiclab import axisym, poiseuille
 from nematiclab.errors import SolverHalt
 from nematiclab.poiseuille import (
+    BoundaryData,
     IntervalGrid,
     PoiseuilleState,
     PoiseuilleTrace,
@@ -54,6 +62,8 @@ from nematiclab.poiseuille import (
 )
 
 SIMPLIFIED = simplified_coefficients()
+# the relations hold, mu1 = 0 and b = a, lambda2 = 0: g == 2.375, h == 1.5
+CONSTANT_15 = LeslieCoefficients(0.0, -1.5, 1.5, 3.0, 0.25, 0.25)
 
 
 def reference_phi_time_derivative(state, c, bc):
@@ -94,6 +104,14 @@ def reference_step_general(state, c, dt, bc, t_new=None):
     return PoiseuilleState(grid, w_new, phi_new, t_new, state.a)
 
 
+def same_bits(ours, ref):
+    """Equal values, nan equal to nan, and every other zero of the same sign."""
+    signed = ~np.isnan(ref)
+    return np.array_equal(ours, ref, equal_nan=True) and np.array_equal(
+        np.signbit(ours[signed]), np.signbit(ref[signed])
+    )
+
+
 def _advance(step, state, c, dt, bc, t_new):
     """(state, None) after one step, or (None, t) when it halts at t."""
     try:
@@ -110,10 +128,8 @@ def march_both(state0, c, dt, bc, n_steps=200, explicit_t=False):
     ref = state0
     for k in range(1, n_steps + 1):
         t_new = state0.t + k * dt if explicit_t else None
-        assert np.array_equal(
-            phi_time_derivative(ours, c, bc),
-            reference_phi_time_derivative(ref, c, bc),
-            equal_nan=True,
+        assert same_bits(
+            phi_time_derivative(ours, c, bc), reference_phi_time_derivative(ref, c, bc)
         ), f"phi_t before step {k} differs"
         ours, t_ours = _advance(step_general, ours, c, dt, bc, t_new)
         ref, t_ref = _advance(reference_step_general, ref, c, dt, bc, t_new)
@@ -121,8 +137,8 @@ def march_both(state0, c, dt, bc, n_steps=200, explicit_t=False):
         if t_ref is not None:
             return t_ref
         assert ours.t == ref.t, f"step {k}: t differs"
-        assert np.array_equal(ours.w, ref.w), f"step {k}: w differs"
-        assert np.array_equal(ours.phi, ref.phi), f"step {k}: phi differs"
+        assert same_bits(ours.w, ref.w), f"step {k}: w differs"
+        assert same_bits(ours.phi, ref.phi), f"step {k}: phi differs"
     return None
 
 
@@ -172,6 +188,91 @@ def test_non_finite_step_halts_at_the_same_time():
     dt = 6.0 * stability_bound(state.grid, SIMPLIFIED)
     t_halt = march_both(state, SIMPLIFIED, dt, homogeneous_bc(), 1000)
     assert t_halt is not None and t_halt > 200 * dt
+
+
+# ---------------------------------------------------------------------------
+# constant g and h
+
+
+@pytest.mark.parametrize(
+    "c, g, h",
+    [
+        (SIMPLIFIED, 2.0, 1.0),
+        (CONSTANT_15, 2.375, 1.5),
+        # g_sin2 = 0.25 mu1 is -0.0
+        (LeslieCoefficients(-0.0, -1.0, 1.0, 3.0, 0.0, 0.0), None, None),
+        # mu1 = 0 and h_cos = 0 but b != a, so g_cos != 0 (Parodi does not
+        # hold, which the step does not check)
+        (LeslieCoefficients(0.0, -1.0, 1.0, 3.0, 0.5, 0.0), None, None),
+    ],
+)
+def test_constant_g_and_h_only_for_plus_zero_trig_weights(c, g, h):
+    state = _pulse(128, L=5.0, amplitude=2.0, a=-0.3)
+    scalars = poiseuille._step_scalars(state.grid, c)
+    assert (scalars.g, scalars.h) == (g, h)
+    dt = 0.8 * stability_bound(state.grid, c)
+    assert march_both(state, c, dt, counterexample_bc(5.0), 200, explicit_t=True) is None
+
+
+@pytest.mark.parametrize("mu1", [-0.0, 0.0])
+def test_signed_zero_g_matches_reference(mu1):
+    # subnormal viscosities make g_const = 0.5 (a + b) and g_mu4 -0.0 while
+    # h_const = -5e-324 != 0 (lambda1 < 0, which the step does not check);
+    # at phi = pi/2, cos 2phi = -1, and the sign of g = 0 reaches w through
+    # the right end flux, since w is -0.0
+    c = LeslieCoefficients(mu1, 5e-324, -5e-324, -0.0, 0.0, 0.0)
+    quarter = lambda t: np.pi / 2
+    minus_zero = lambda t: -0.0
+    bc = BoundaryData(minus_zero, minus_zero, quarter, quarter)
+    state = PoiseuilleState(IntervalGrid(10.0, 16), np.full(17, -0.0), np.full(17, np.pi / 2))
+    assert march_both(state, c, 1e-3, bc, 5) is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+@pytest.mark.parametrize(
+    "n, node, value",
+    [
+        (64, 30, 1e308),  # 2 phi overflows at an interior node
+        (16, 0, 1.79e308),  # phi_0 + phi_1 overflows, phi_xx stays finite
+        (16, 16, 1.79e308),  # phi_n-1 + phi_n
+    ],
+)
+def test_overflowing_angle_halts_both_steps_at_the_same_time(n, node, value):
+    state = _pulse(n)
+    state.phi[node] = value
+    state.phi[[1, -2]] = 1e307
+    ours = phi_time_derivative(state, SIMPLIFIED, homogeneous_bc())
+    ref = reference_phi_time_derivative(state, SIMPLIFIED, homogeneous_bc())
+    # where 2 phi overflows the reference's h is nan and phi_t nan; constant
+    # h leaves phi_t +-inf there.  No step can be taken from such a state.
+    finite = np.isfinite(ref)
+    assert np.array_equal(np.isfinite(ours), finite)
+    assert same_bits(ours[finite], ref[finite])
+    dt = stability_bound(state.grid, SIMPLIFIED)
+    t_ours = _advance(step_general, state, SIMPLIFIED, dt, homogeneous_bc(), None)[1]
+    t_ref = _advance(reference_step_general, state, SIMPLIFIED, dt, homogeneous_bc(), None)[1]
+    assert t_ours == t_ref == dt
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_phi_t_sum_near_overflow_matches_reference():
+    # h (phi_t,0 + phi_t,1) overflows where (h / 2) (phi_t,0 + phi_t,1) does not
+    bc = BoundaryData(phi_left_rate=lambda t: 1.5e308)
+    state = _pulse(16)
+    dt = 0.8 * stability_bound(state.grid, CONSTANT_15)
+    assert march_both(state, CONSTANT_15, dt, bc, 20) is None
+
+
+def test_recorded_phi_t_rows_with_pressure_gradient_match_reference():
+    # h = 1.5: under h = 1 the order of the h product cannot show
+    c = CONSTANT_15
+    state = _pulse(128, L=5.0, amplitude=1.5, a=0.7)
+    dt = 0.8 * stability_bound(state.grid, c)
+    trace = simulate(state, c, dt, 70 * dt, homogeneous_bc(), 7)
+    assert trace.n_snapshots == 11
+    for t, w, phi, phi_t in zip(trace.times, trace.ws, trace.phis, trace.phi_ts):
+        row = PoiseuilleState(state.grid, w, phi, float(t), state.a)
+        assert same_bits(phi_t, reference_phi_time_derivative(row, c, homogeneous_bc()))
 
 
 # ---------------------------------------------------------------------------
