@@ -543,15 +543,19 @@ def energy(grid: RadialGrid, phis: np.ndarray):
     return e_grad + e_sin, e_grad, e_sin
 
 
+def check_local_radius(grid: RadialGrid, R: float) -> None:
+    """ValueError unless 2 dr <= R <= 1, the radii local_energy resolves."""
+    if R < 2.0 * grid.dr:
+        raise ValueError(f"R = {R} unresolvable: need R >= 2*dr = {2 * grid.dr}")
+    if R > 1.0:
+        raise ValueError(f"R = {R} must lie in (0, 1]")
+
+
 def local_energy(grid: RadialGrid, phis: np.ndarray, R: float) -> np.ndarray:
     """Trapezoidal quadrature of phi_r^2 r over [0, R], one entry per
     snapshot (row) of ``phis``."""
-    dr = grid.dr
-    if R < 2.0 * dr:
-        raise ValueError(f"R = {R} unresolvable: need R >= 2*dr = {2 * dr}")
-    if R > 1.0:
-        raise ValueError("R must lie in (0, 1]")
-    r = grid.r
+    check_local_radius(grid, R)
+    dr, r = grid.dr, grid.r
     k = int(np.floor(R / dr + 1e-12))
     totals = []
     for rows in row_blocks(*phis.shape):

@@ -19,10 +19,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 PARODI_TOL = 1e-12
+
+
+class StepWeights(NamedTuple):
+    g_sin2: np.float64  # g = g_sin2 sin^2 2phi + g_const + g_cos cos 2phi + g_mu4
+    g_const: np.float64
+    g_cos: np.float64
+    g_mu4: np.float64
+    h_const: np.float64  # h = h_const + h_cos cos 2phi
+    h_cos: np.float64
+    # g, h and h/2 when they do not depend on phi
+    g: np.float64 | None = None
+    h: np.float64 | None = None
+    h_half: np.float64 | None = None
+
+
+def _is_plus_zero(x: float) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) > 0.0
 
 
 @dataclass(frozen=True)
@@ -46,6 +65,26 @@ class LeslieCoefficients:
     def g_weights(self) -> tuple[float, float]:
         """g's sin^2 and cos^2 weights ((mu5 - mu2)/2, (mu3 + mu6)/2)."""
         return 0.5 * (self.mu5 - self.mu2), 0.5 * (self.mu3 + self.mu6)
+
+    @cached_property
+    def step_weights(self) -> StepWeights:
+        """The weights of g and h for the Poiseuille step, each formed as
+        g_coeff and h_coeff form it; numpy scalars, the same doubles,
+        converted once instead of per ufunc call.
+
+        When the three trig weights are +0.0 and h_const is not zero, each
+        weighted trig term is a signed zero that leaves its sum unchanged,
+        so g, h and h/2 are the constants below, the same doubles the
+        per-node formulas give wherever the trig values are finite
+        (DECISIONS.md section 6).  The cache is per instance, so sets that
+        differ only in the sign of a zero never share it."""
+        a, b = self.g_weights
+        g = (0.25 * self.mu1, 0.5 * (a + b), 0.5 * (b - a), 0.5 * self.mu4)
+        h = (0.5 * (self.mu3 - self.mu2), 0.5 * (self.mu3 + self.mu2))
+        w = StepWeights(*map(np.float64, g + h))
+        if all(map(_is_plus_zero, (w.g_sin2, w.g_cos, w.h_cos))) and w.h_const != 0.0:
+            w = w._replace(g=(0.0 + w.g_const) + w.g_mu4, h=w.h_const, h_half=w.h_const * 0.5)
+        return w
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.mu1, self.mu2, self.mu3, self.mu4, self.mu5, self.mu6)

@@ -29,6 +29,7 @@ from .axisym import (
     PRESET_PARAMS,
     RadialGrid,
     SolverParams,
+    check_local_radius,
     default_dt,
     initial_profile,
     make_state,
@@ -316,12 +317,13 @@ def parse_config(text: str) -> ExperimentConfig:
             supersolution(barrier.c, coeffs)
             if barrier.eta_beta0 is not None:
                 eta_barrier(barrier.eta_beta0, coeffs)
-            if axisym is not None:
-                dr = 1.0 / axisym.n_cells
-                if barrier.local_energy_radius < 2.0 * dr:
-                    raise ValueError("local_energy_radius must be >= 2*dr")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if axisym is not None:
+            try:
+                check_local_radius(RadialGrid(axisym.n_cells), barrier.local_energy_radius)
+            except ValueError as exc:
+                raise ConfigError(f"[barrier] local_energy_radius: {exc}") from exc
 
     barrier_check = None
     if "barrier_check" in used:
@@ -339,21 +341,12 @@ def parse_config(text: str) -> ExperimentConfig:
         p = poiseuille = PoiseuilleSection(**_read(cp, "poiseuille"))
         try:
             grid = IntervalGrid(p.half_length, p.n_cells)
-            if p.t_end <= 0:
-                raise ValueError("t_end must be positive")
-            if p.dt is not None and p.dt <= 0:
-                raise ValueError("dt must be positive")
             if kind == "poiseuille_generic":
                 plan_run(grid, coeffs, p.t_end, p.dt, top["snapshot_stride"])
             else:  # counterexample_run picks its own snapshot stride
                 plan_run(grid, simplified_coefficients(), p.t_end, p.dt)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        except OverflowError as exc:  # dx**2 in the step bound
-            raise ConfigError(
-                f"[poiseuille] half_length = {p.half_length!r} over n_cells = "
-                f"{p.n_cells}: the squared cell width overflows"
-            ) from exc
+            raise ConfigError(f"[poiseuille] {exc}") from exc
 
     hopf = None
     if "hopf" in used:

@@ -9,16 +9,16 @@ equation first, then enters the flux of the first.  Fluxes live on staggered
 midpoints with central differencing; time stepping is explicit Euler with
 the step bound dt <= 0.25 dx^2 min(lambda1, 1/max g) enforced up front.
 
-The step is a lean kernel: the scalars that depend on (grid, coeffs) only
-are cached, temporaries are updated in place, and the new w and phi are the
-two rows of one array, scaled by dt and checked for finiteness in one call
-each.  When g and h depend on phi they share one cos 2phi at the midpoints
-(three trig calls a step); when their trig weights are +0.0, as under the
-simplified coefficients, they are cached constants and the step makes no
-trig call.  Every floating-point operation keeps the operands and the order
-of the plain formulas through coeffs.g_coeff and coeffs.h_coeff, up to
-exact commutations, so the traces are bit-identical to them (DECISIONS.md
-section 6).
+The step is a lean kernel: it reads the weights of g and h cached on the
+coefficient set (LeslieCoefficients.step_weights), temporaries are updated
+in place, and the new w and phi are the two rows of one array, scaled by dt
+and checked for finiteness in one call each.  When g and h depend on phi
+they share one cos 2phi at the midpoints (three trig calls a step); when
+their trig weights are +0.0, as under the simplified coefficients, they are
+cached constants and the step makes no trig call.  Every floating-point
+operation keeps the operands and the order of the plain formulas through
+coeffs.g_coeff and coeffs.h_coeff, up to exact commutations, so the traces
+are bit-identical to them (DECISIONS.md section 6).
 
 The whole-line problem is truncated with Dirichlet data; supplying the data
 of the exact pair w = -2x, phi = t (simplified coefficients) preserves that
@@ -29,10 +29,9 @@ climbs from 0 to t with no source in sight.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import asdict, dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -60,8 +59,13 @@ class IntervalGrid:
             raise ValueError("half_length must be positive")
         if self.n_cells < 16:
             raise ValueError("need at least 16 cells")
+        if not math.isfinite(self.dx * self.dx):  # the step bound squares it
+            raise ValueError(
+                f"half_length = {self.half_length!r} over n_cells = "
+                f"{self.n_cells}: the squared cell width overflows"
+            )
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return 2.0 * self.half_length / self.n_cells
 
@@ -118,7 +122,7 @@ def counterexample_bc(L: float) -> BoundaryData:
         phi_right=lambda t: t,
         phi_left_rate=lambda t: 1.0,
         phi_right_rate=lambda t: 1.0,
-        v_left=lambda t: -(L**2) - 3.0 * t,
+        v_left=lambda t: -(L * L) - 3.0 * t,
     )
 
 
@@ -137,58 +141,6 @@ def stability_bound(grid: IntervalGrid, c: LeslieCoefficients) -> float:
     return 0.25 * grid.dx**2 * min(c.lambda1, 1.0 / g_max)
 
 
-class _StepScalars(NamedTuple):
-    dx: float
-    dx2: float
-    two_dx: float
-    g_sin2: float  # g = g_sin2 sin^2 2phi + g_const + g_cos cos 2phi + g_mu4
-    g_const: float
-    g_cos: float
-    g_mu4: float
-    h_const: float  # h = h_const + h_cos cos 2phi
-    h_cos: float
-    lambda1: float
-    # g, h and h/2 when they do not depend on phi
-    g: float | None = None
-    h: float | None = None
-    h_half: float | None = None
-
-
-def _is_plus_zero(x: float) -> bool:
-    return x == 0.0 and math.copysign(1.0, x) > 0.0
-
-
-def _step_scalars(grid: IntervalGrid, c: LeslieCoefficients) -> _StepScalars:
-    """The scalars of the step that depend on (grid, coeffs) only, each
-    formed as coeffs.g_coeff and coeffs.h_coeff form it.
-
-    When the three trig weights are +0.0 and h_const is not zero, each
-    weighted trig term is a signed zero that leaves its sum unchanged, so
-    g, h and h/2 are the constants below, the same doubles the per-node
-    formulas give wherever the trig values are finite (DECISIONS.md
-    section 6)."""
-    # cached on the bits of the viscosities: sets that differ only in the
-    # sign of a zero are equal, but their weights are not the same doubles
-    return _cached_scalars(grid, struct.pack("6d", *c.as_tuple()))
-
-
-@lru_cache(maxsize=32)
-def _cached_scalars(grid: IntervalGrid, viscosities: bytes) -> _StepScalars:
-    c = LeslieCoefficients(*struct.unpack("6d", viscosities))
-    dx = grid.dx
-    a, b = c.g_weights
-    scalars = (
-        (dx, dx**2, 2.0 * dx)
-        + (0.25 * c.mu1, 0.5 * (a + b), 0.5 * (b - a), 0.5 * c.mu4)
-        + (0.5 * (c.mu3 - c.mu2), 0.5 * (c.mu3 + c.mu2), c.lambda1)
-    )
-    # numpy scalars: the same doubles, converted once instead of per ufunc call
-    s = _StepScalars(*map(np.float64, scalars))
-    if all(map(_is_plus_zero, (s.g_sin2, s.g_cos, s.h_cos))) and s.h_const != 0.0:
-        s = s._replace(g=(0.0 + s.g_const) + s.g_mu4, h=s.h_const, h_half=s.h_const * 0.5)
-    return s
-
-
 def phi_time_derivative(
     state: PoiseuilleState,
     c: LeslieCoefficients,
@@ -198,7 +150,7 @@ def phi_time_derivative(
     """phi_t on all nodes, into ``out`` if given: the angle equation
     (phi_xx - h(phi) w_x) / lambda1 at interior nodes, the rate of the
     Dirichlet data at the ends."""
-    s = _step_scalars(state.grid, c)
+    s, dx = c.step_weights, state.grid.dx
     phi, w = state.phi, state.w
     if out is None:
         out = np.empty_like(phi)
@@ -206,17 +158,17 @@ def phi_time_derivative(
     two_phi = np.multiply(phi[1:-1], 2.0)
     np.subtract(phi[2:], two_phi, out=inner)
     inner += phi[:-2]
-    inner /= s.dx2  # phi_xx
+    inner /= dx**2  # phi_xx
     h = s.h
     if h is None:
         h = np.cos(two_phi, out=two_phi)
         h *= s.h_cos
         h += s.h_const
     w_x = np.subtract(w[2:], w[:-2])
-    w_x /= s.two_dx
+    w_x /= 2.0 * dx
     w_x *= h
     inner -= w_x
-    inner /= s.lambda1
+    inner /= c.lambda1
     out[0] = bc.phi_left_rate(state.t)
     out[-1] = bc.phi_right_rate(state.t)
     return out
@@ -235,7 +187,7 @@ def step_general(
     w_t = -a + (g(phi_mid) w_x + h(phi_mid) phi_t,mid)_x on staggered
     midpoints; g and h share one cos 2phi_mid.  The new w and phi are the
     two rows of one array."""
-    s = _step_scalars(state.grid, c)
+    s, dx = c.step_weights, state.grid.dx
     phi, w = state.phi, state.w
     new = np.empty((2, len(phi)))
     phi_t = phi_time_derivative(state, c, bc, out=new[1])
@@ -259,14 +211,14 @@ def step_general(
         h_half *= 0.5
     flux = np.subtract(w[1:], w[:-1])
     flux *= g
-    flux /= s.dx  # (g w_x,mid) / dx + (h / 2) (phi_t sum)
+    flux /= dx  # (g w_x,mid) / dx + (h / 2) (phi_t sum)
     h_term = np.add(phi_t[:-1], phi_t[1:])
     h_term *= h_half
     flux += h_term
 
     w_t = new[0, 1:-1]
     np.subtract(flux[1:], flux[:-1], out=w_t)
-    w_t /= s.dx
+    w_t /= dx
     w_t -= state.a  # x - a == -a + x in IEEE arithmetic
     new[0, 0] = new[0, -1] = 0.0  # the ends take the Dirichlet data below
     new *= dt
@@ -315,11 +267,15 @@ def plan_run(
 ) -> tuple[float, int]:
     """(dt, snapshot_stride) of a run from phi = 0 at t = 0.  dt defaults to
     0.8 of the step bound, shortened so whole steps reach t_end; the stride
-    defaults to about 200 recorded steps.  ValueError when dt exceeds the
-    step bound, which holds for every phi, when step_count rejects the run,
-    when it would record fewer than the 3 snapshots the energy and heat
-    checks use, or when the buffers simulate records into would exceed
-    MAX_RECORD_BYTES."""
+    defaults to about 200 recorded steps.  ValueError unless t_end and dt
+    are positive, when dt exceeds the step bound, which holds for every phi,
+    when step_count rejects the run, when it would record fewer than the 3
+    snapshots the energy and heat checks use, or when the buffers simulate
+    records into would exceed MAX_RECORD_BYTES."""
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    if dt is not None and dt <= 0.0:
+        raise ValueError("dt must be positive")
     bound = stability_bound(grid, c)
     if dt is None:
         dt = whole_step_dt(t_end, 0.8 * bound)
@@ -393,8 +349,9 @@ def heat_reduction_check(trace: PoiseuilleTrace) -> float:
     s_t = (s[1:, 1:-1] - s[:-1, 1:-1]) / np.diff(trace.times)[:, np.newaxis]
     s_xx = (s[:-1, 2:] - 2.0 * s[:-1, 1:-1] + s[:-1, :-2]) / trace.grid.dx**2
     worst = np.max(np.abs(s_t - s_xx), axis=1)
-    # a pair with a nan residual is passed over, as a running max() would
-    return float(np.max(worst, initial=0.0, where=~np.isnan(worst)))
+    # a nan pair is passed over, as a running max() would; all nan gives nan
+    worst = worst[~np.isnan(worst)]
+    return float(worst.max()) if worst.size else math.nan
 
 
 def energies(trace: PoiseuilleTrace) -> tuple[np.ndarray, np.ndarray]:

@@ -37,17 +37,4 @@ def write_csv(series: TimeSeries, path: Path) -> None:
 
 
 def write_json(report: dict, path: Path) -> None:
-    def default(o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.bool_,)):
-            return bool(o)
-        raise TypeError(f"unserialisable {type(o)}")
-
-    path.write_text(
-        json.dumps(report, indent=2, default=default) + "\n", encoding="utf-8"
-    )
+    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

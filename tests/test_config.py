@@ -148,6 +148,37 @@ def test_poiseuille_step_bound_overflow_names_its_keys(tmp_path, capsys):
     assert "[poiseuille] half_length = 1e+200" in err and "n_cells = 16" in err
 
 
+def test_local_energy_radius_above_one_is_a_config_error(tmp_path, capsys):
+    # validate used to pass it, and the run ended in local_energy's ValueError
+    text = (
+        (ROOT / "configs" / "axisym_global.ini")
+        .read_text()
+        .replace("n_cells = 1024", "n_cells = 64")
+        .replace("t_end = 2.0", "t_end = 0.05")
+        .replace("local_energy_radius = 0.05", "local_energy_radius = 1.5")
+    )
+    cfg = tmp_path / "wide_radius.ini"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 2
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "[barrier] local_energy_radius: R = 1.5 must lie in (0, 1]" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_counterexample_whose_potential_overflows_halts(tmp_path, capsys):
+    # L * L overflows the potential's left value; L**2 raised OverflowError
+    text = (
+        "[experiment]\nkind = poiseuille_counterexample\n\n[poiseuille]\n"
+        "half_length = 1.35e154\nn_cells = 16\ndt = 0.01\nt_end = 0.05\n"
+    )
+    cfg = tmp_path / "long.ini"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite energy or dissipation at snapshot 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -471,7 +502,7 @@ SMALL = {
     "barrier": {
         "c": st.sampled_from(["0.01", "0.05", "1.0"]),
         "eta_beta0": st.sampled_from(["1e-6", "1e-3", "0.1"]),
-        "local_energy_radius": st.sampled_from(["0.05", "0.125", "1.0"]),
+        "local_energy_radius": st.sampled_from(["0.05", "0.125", "1.0", "1.5"]),
     },
     "barrier_check": {
         "n_sets": st.integers(1, 2).map(str),
@@ -481,7 +512,7 @@ SMALL = {
         "seed": st.integers(0, 2**32 - 1).map(str),
     },
     "poiseuille": {
-        "half_length": st.sampled_from(["0.5", "5.0", "20.0"]),
+        "half_length": st.sampled_from(["0.5", "5.0", "20.0", "1.35e154"]),
         "n_cells": st.integers(16, 64).map(str),
         "dt": st.sampled_from(["1e-4", "1e-3"]),
         "t_end": st.sampled_from(["0.01", "0.05"]),

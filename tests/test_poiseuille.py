@@ -165,6 +165,28 @@ def test_plan_run_default_dt_takes_whole_steps_under_the_bound():
         plan_run(grid, SIMPLIFIED, 0.5, snapshot_stride=10**6)
 
 
+@pytest.mark.parametrize(
+    "t_end, dt, message",
+    [
+        (0.05, 0.0, "dt must be positive"),
+        (0.05, -1e-3, "dt must be positive"),
+        (0.0, None, "t_end must be positive"),
+        (-1.0, None, "t_end must be positive"),
+    ],
+)
+def test_plan_run_rejects_a_time_or_step_that_is_not_positive(t_end, dt, message):
+    # dt = 0 and t_end = 0 used to divide by zero; t_end = -1 asked for snapshots
+    with pytest.raises(ValueError, match=message):
+        plan_run(IntervalGrid(10.0, 16), SIMPLIFIED, t_end, dt)
+
+
+def test_grid_whose_squared_cell_width_overflows_is_rejected():
+    # dx = 1.25e199; stability_bound used to raise OverflowError on dx**2
+    with pytest.raises(ValueError, match="half_length = 1e\\+200 over n_cells = 16"):
+        IntervalGrid(1e200, 16)
+    assert IntervalGrid(1.3e154, 16).dx == 1.3e154 / 8
+
+
 # ---------------------------------------------------------------------------
 # heat-equation reduction of v + phi
 
@@ -174,6 +196,15 @@ def test_heat_reduction_zero_data():
     state = PoiseuilleState(grid, w=np.zeros(65), phi=np.zeros(65))
     trace = simulate(state, SIMPLIFIED, 1e-4, 0.01, homogeneous_bc(), 10)
     assert heat_reduction_check(trace) == 0.0
+
+
+def test_heat_check_of_an_all_nan_trace_is_nan():
+    # a residual that is nan at every snapshot pair used to read 0.0, a pass
+    grid = IntervalGrid(5.0, 16)
+    state = PoiseuilleState(grid, w=np.zeros(17), phi=np.zeros(17))
+    trace = simulate(state, SIMPLIFIED, 1e-3, 0.01, homogeneous_bc(), 1)
+    trace.phis[:] = np.nan
+    assert math.isnan(heat_reduction_check(trace))
 
 
 def test_heat_reduction_needs_three_snapshots():

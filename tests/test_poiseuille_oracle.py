@@ -208,8 +208,7 @@ def test_non_finite_step_halts_at_the_same_time():
 )
 def test_constant_g_and_h_only_for_plus_zero_trig_weights(c, g, h):
     state = _pulse(128, L=5.0, amplitude=2.0, a=-0.3)
-    scalars = poiseuille._step_scalars(state.grid, c)
-    assert (scalars.g, scalars.h) == (g, h)
+    assert (c.step_weights.g, c.step_weights.h) == (g, h)
     dt = 0.8 * stability_bound(state.grid, c)
     assert march_both(state, c, dt, counterexample_bc(5.0), 200, explicit_t=True) is None
 
