@@ -234,14 +234,22 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 
 def plan_record(
-    t0: float, t_end: float, dt: float, stride: int, row_values: int
+    t0: float, t_end: float, dt: float, stride: int, row_values: int,
+    min_rows: int = 0,
 ) -> tuple[int, int, int]:
     """(steps, rows, bytes) of a run recording rows of ``row_values``
     floats, without allocating: ValueError for a stride below 1, from
-    ``step_count``, or when the buffer would pass MAX_RECORD_BYTES."""
+    ``step_count``, when the run would record fewer than ``min_rows``
+    snapshots, or when the buffer would pass MAX_RECORD_BYTES."""
     if stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     n_steps = step_count(t0, t_end, dt)
+    recorded = 1 + math.ceil(n_steps / stride)  # the initial state, each record step
+    if recorded < min_rows:
+        raise ValueError(
+            f"need at least {min_rows} snapshots: {n_steps} steps at "
+            f"snapshot_stride {stride} record {recorded}"
+        )
     rows = 2 + n_steps // stride
     nbytes = rows * row_values * 8
     if nbytes > MAX_RECORD_BYTES:

@@ -233,13 +233,7 @@ def radial_run(config: ExperimentConfig) -> tuple:
         guard = BLOWUP_GUARD_FACTOR / grid.dr
     params = SolverParams(dt=a.dt, scheme=a.scheme, t_end=a.t_end, clip_guard=guard)
     params.check_stability(grid, coeffs)
-    n_steps, _, _ = plan_record(0.0, a.t_end, a.dt, stride, a.n_cells + 1)
-    rows = 1 + math.ceil(n_steps / stride)  # the initial state, each record step
-    if rows < MIN_SNAPSHOTS:
-        raise ValueError(
-            f"need at least {MIN_SNAPSHOTS} snapshots: {n_steps} steps at "
-            f"snapshot_stride {stride} record {rows}"
-        )
+    plan_record(0.0, a.t_end, a.dt, stride, a.n_cells + 1, MIN_SNAPSHOTS)
     phi0 = initial_profile(grid, a.preset, **a.preset_params())
     return make_state(grid, phi0), coeffs, params, stride
 

@@ -9,16 +9,16 @@ equation first, then enters the flux of the first.  Fluxes live on staggered
 midpoints with central differencing; time stepping is explicit Euler with
 the step bound dt <= 0.25 dx^2 min(lambda1, 1/max g) enforced up front.
 
-The step is a lean kernel: it reads the weights of g and h cached on the
-coefficient set (LeslieCoefficients.step_weights), temporaries are updated
-in place, and the new w and phi are the two rows of one array, scaled by dt
-and checked for finiteness in one call each.  When g and h depend on phi
-they share one cos 2phi at the midpoints (three trig calls a step); when
+The step is a lean kernel: temporaries are updated in place, and the new
+w and phi are the two rows of one array, scaled by dt and checked for
+finiteness in one call each.  When g or h depends on phi, the step takes
+them from coeffs.g_coeff and coeffs.h_coeff (four trig calls a step); when
 their trig weights are +0.0, as under the simplified coefficients, they are
-cached constants and the step makes no trig call.  Every floating-point
-operation keeps the operands and the order of the plain formulas through
-coeffs.g_coeff and coeffs.h_coeff, up to exact commutations, so the traces
-are bit-identical to them (DECISIONS.md section 6).
+the constants cached on the coefficient set
+(LeslieCoefficients.constant_gh) and the step makes no trig call.  Every
+floating-point operation keeps the operands and the order of the plain
+formulas, up to exact commutations, so the traces are bit-identical to
+them (DECISIONS.md section 6).
 
 The whole-line problem is truncated with Dirichlet data; supplying the data
 of the exact pair w = -2x, phi = t (simplified coefficients) preserves that
@@ -43,7 +43,7 @@ from .axisym import (
     step_count,
     whole_step_dt,
 )
-from .coeffs import LeslieCoefficients, g_coeff, simplified_coefficients
+from .coeffs import LeslieCoefficients, g_coeff, h_coeff, simplified_coefficients
 from .errors import SolverHalt
 
 _trapz = np.trapezoid
@@ -150,20 +150,15 @@ def phi_time_derivative(
     """phi_t on all nodes, into ``out`` if given: the angle equation
     (phi_xx - h(phi) w_x) / lambda1 at interior nodes, the rate of the
     Dirichlet data at the ends."""
-    s, dx = c.step_weights, state.grid.dx
+    gh, dx = c.constant_gh, state.grid.dx
     phi, w = state.phi, state.w
     if out is None:
         out = np.empty_like(phi)
     inner = out[1:-1]
-    two_phi = np.multiply(phi[1:-1], 2.0)
-    np.subtract(phi[2:], two_phi, out=inner)
+    np.subtract(phi[2:], np.multiply(phi[1:-1], 2.0), out=inner)
     inner += phi[:-2]
     inner /= dx**2  # phi_xx
-    h = s.h
-    if h is None:
-        h = np.cos(two_phi, out=two_phi)
-        h *= s.h_cos
-        h += s.h_const
+    h = h_coeff(c, phi[1:-1]) if gh is None else gh[1]
     w_x = np.subtract(w[2:], w[:-2])
     w_x /= 2.0 * dx
     w_x *= h
@@ -185,30 +180,17 @@ def step_general(
     default state.t + dt; the boundary data are taken at t_new.
 
     w_t = -a + (g(phi_mid) w_x + h(phi_mid) phi_t,mid)_x on staggered
-    midpoints; g and h share one cos 2phi_mid.  The new w and phi are the
-    two rows of one array."""
-    s, dx = c.step_weights, state.grid.dx
+    midpoints.  The new w and phi are the two rows of one array."""
+    gh, dx = c.constant_gh, state.grid.dx
     phi, w = state.phi, state.w
     new = np.empty((2, len(phi)))
     phi_t = phi_time_derivative(state, c, bc, out=new[1])
 
-    g, h_half = s.g, s.h_half
-    if g is None:
-        mid = np.add(phi[:-1], phi[1:])
-        mid *= 0.5
-        two_mid = np.multiply(mid, 2.0)
-        cos_mid = np.cos(two_mid)
-        # g and h summed left to right, as g_coeff and h_coeff sum them
-        g = np.sin(two_mid, out=two_mid)
-        g *= g
-        g *= s.g_sin2
-        g += s.g_const
-        g += np.multiply(cos_mid, s.g_cos, out=mid)
-        g += s.g_mu4
-        h_half = cos_mid
-        h_half *= s.h_cos
-        h_half += s.h_const
-        h_half *= 0.5
+    if gh is None:
+        mid = 0.5 * (phi[:-1] + phi[1:])
+        g, h_half = g_coeff(c, mid), h_coeff(c, mid) * 0.5
+    else:
+        g, _, h_half = gh
     flux = np.subtract(w[1:], w[:-1])
     flux *= g
     flux /= dx  # (g w_x,mid) / dx + (h / 2) (phi_t sum)
@@ -284,12 +266,7 @@ def plan_run(
     n_steps = step_count(0.0, t_end, dt)
     if snapshot_stride is None:
         snapshot_stride = max(1, n_steps // 200)
-    if n_steps <= snapshot_stride:
-        raise ValueError(
-            f"need at least 3 snapshots: {n_steps} steps at snapshot_stride "
-            f"{snapshot_stride} record 2"
-        )
-    plan_record(0.0, t_end, dt, snapshot_stride, _row_values(grid))
+    plan_record(0.0, t_end, dt, snapshot_stride, _row_values(grid), 3)
     return dt, snapshot_stride
 
 

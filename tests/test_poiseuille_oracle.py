@@ -17,8 +17,10 @@ Under the simplified coefficients, and under any set whose trig weights are
 +0.0 with h_const != 0, the step takes g and h as constants and calls no
 trig function.  The same references pin that branch, down to the sign of a
 zero, and the cases below show where the selection and the constants
-would go wrong: a -0.0 weight, g without its ``0.0 +``, h/2 taken after
-the phi_t sum, and angles or rates near overflow.
+would go wrong: a -0.0 weight, a zero h_const, g without its ``0.0 +``,
+h/2 taken after the phi_t sum, and angles or rates near overflow.  Any
+other set takes g and h from the same two functions as the references; the
+cases there pin the order of the flux and the angle equation around them.
 
 ``velocity_potential`` computes scipy's trapezoid in numpy; a property
 checks it bit for bit against ``scipy.integrate.cumulative_trapezoid`` on
@@ -208,7 +210,8 @@ def test_non_finite_step_halts_at_the_same_time():
 )
 def test_constant_g_and_h_only_for_plus_zero_trig_weights(c, g, h):
     state = _pulse(128, L=5.0, amplitude=2.0, a=-0.3)
-    assert (c.step_weights.g, c.step_weights.h) == (g, h)
+    gh = c.constant_gh
+    assert (gh[:2] if gh else (None, None)) == (g, h)
     dt = 0.8 * stability_bound(state.grid, c)
     assert march_both(state, c, dt, counterexample_bc(5.0), 200, explicit_t=True) is None
 
@@ -225,6 +228,47 @@ def test_signed_zero_g_matches_reference(mu1):
     bc = BoundaryData(minus_zero, minus_zero, quarter, quarter)
     state = PoiseuilleState(IntervalGrid(10.0, 16), np.full(17, -0.0), np.full(17, np.pi / 2))
     assert march_both(state, c, 1e-3, bc, 5) is None
+
+
+@pytest.mark.parametrize("phi0", [0.0, np.pi / 2])
+def test_zero_h_const_keeps_the_trig_path(phi0):
+    # every trig weight is +0.0 but h_const = 0.5 (mu3 - mu2) is -0.0, so the
+    # per-node h = -0.0 + (+0.0 cos 2phi) takes the sign of cos 2phi: +0.0
+    # at phi = 0, -0.0 at pi/2.  Either constant zero flips the sign of the
+    # h flux at one of them, where w is -0.0, and w differs at step 1.
+    c = LeslieCoefficients(0.0, 5e-324, 0.0, -1.0, 0.0, 0.0)
+    assert c.constant_gh is None
+    w = np.zeros(17)
+    w[3] = -0.0
+    state = PoiseuilleState(IntervalGrid(10.0, 16), w, np.full(17, phi0))
+    bc = BoundaryData(phi_left=lambda t: phi0, phi_right=lambda t: phi0)
+    assert march_both(state, c, 1e-3, bc, 5) is None
+
+
+@pytest.mark.parametrize(
+    "c, calls",
+    [(SIMPLIFIED, 0), (CONSTANT_15, 0), (sample_validated(np.random.default_rng(5)), 8)],
+)
+def test_only_phi_dependent_coefficients_form_g_and_h_arrays(monkeypatch, c, calls):
+    # the constant branch is what every shipped and benchmark run takes
+    counted = []
+
+    def counting(f):
+        def counted_call(*args):
+            counted.append(f)
+            return f(*args)
+
+        return counted_call
+
+    state = _pulse(64, amplitude=1.5)
+    dt = 0.8 * stability_bound(state.grid, c)
+    monkeypatch.setattr(poiseuille, "g_coeff", counting(g_coeff))
+    monkeypatch.setattr(poiseuille, "h_coeff", counting(h_coeff))
+    for _ in range(2):
+        phi_time_derivative(state, c, homogeneous_bc())
+        state = step_general(state, c, dt, homogeneous_bc())
+    # h at the nodes for each phi_t, and g and h at the midpoints per step
+    assert len(counted) == calls
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
