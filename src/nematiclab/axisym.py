@@ -22,9 +22,9 @@ r_i = i/n.  Two time integrators:
                        first-order consistent while removing the near-origin
                        step restriction.  The bands, and every other
                        factor that depends only on the grid, the
-                       coefficients and dt, are built once and cached per
-                       (grid, coeffs, dt); a step then evaluates the
-                       reaction once and calls LAPACK ``dgtsv`` once.
+                       coefficients and dt, are built when a batch forms;
+                       a step then evaluates the reaction once and calls
+                       LAPACK ``dgtsv`` once.
 
 The origin node carries the Dirichlet value phi = 0, so the singular terms
 are never evaluated at r = 0.
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -168,10 +168,10 @@ class SolverParams:
     clip_guard: float | None = None  # default 0.5/dr, resolved per grid
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
+        if self.dt <= 0.0:
+            raise ValueError("dt must be positive")
         if self.scheme not in ("semi_implicit", "explicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
@@ -412,11 +412,11 @@ def _step_rk4(b: _Batch) -> list[_Run]:
 @dataclass(frozen=True)
 class _CNBands:
     """The parts of a step of one run that depend only on (grid,
-    coefficients, dt); every array is read-only and has one entry per node,
-    so a batch concatenates them.  Nodes 1..n-1 carry the Crank-Nicolson
-    rows.  Nodes 0 and n carry what a batch needs where two runs meet: an
-    identity row (unit diagonal, zero stencil and couplings) whose explicit
-    terms vanish, through infinite denominators and zero factors."""
+    coefficients, dt); every array has one entry per node, so a batch
+    concatenates them.  Nodes 1..n-1 carry the Crank-Nicolson rows.  Nodes
+    0 and n carry what a batch needs where two runs meet: an identity row
+    (unit diagonal, zero stencil and couplings) whose explicit terms
+    vanish, through infinite denominators and zero factors."""
 
     r: np.ndarray
     two_dr: np.ndarray  # 2 dr
@@ -435,7 +435,6 @@ class _CNBands:
     upper_last: float  # coefficient of the constant phi(1) in row n - 1
 
 
-@lru_cache(maxsize=32)
 def _cn_bands(grid: RadialGrid, c: LeslieCoefficients, dt: float) -> _CNBands:
     dr = grid.dr
     r = grid.r[1:-1]
@@ -447,7 +446,6 @@ def _cn_bands(grid: RadialGrid, c: LeslieCoefficients, dt: float) -> _CNBands:
     def nodes(interior, end=0.0):
         out = np.full(grid.n_cells + 1, end)
         out[1:-1] = interior
-        out.setflags(write=False)
         return out
 
     return _CNBands(

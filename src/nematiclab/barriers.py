@@ -76,16 +76,18 @@ class BarrierSpec:
         return BetaClock(self.beta0)
 
 
-def supersolution(c: float, coeffs: LeslieCoefficients) -> BarrierSpec:
+def _bubble_barrier(kind: BarrierKind, c: float, coeffs: LeslieCoefficients) -> BarrierSpec:
     if c <= 0.0:
         raise ValueError("c must be positive")
-    return BarrierSpec("super", c=c, b=3.0 * abs(coeffs.lambda2) / coeffs.lambda1)
+    return BarrierSpec(kind, c=c, b=3.0 * abs(coeffs.lambda2) / coeffs.lambda1)
+
+
+def supersolution(c: float, coeffs: LeslieCoefficients) -> BarrierSpec:
+    return _bubble_barrier("super", c, coeffs)
 
 
 def subsolution(c: float, coeffs: LeslieCoefficients) -> BarrierSpec:
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    return BarrierSpec("sub", c=c, b=3.0 * abs(coeffs.lambda2) / coeffs.lambda1)
+    return _bubble_barrier("sub", c, coeffs)
 
 
 def eta_barrier(

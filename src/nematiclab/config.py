@@ -7,8 +7,8 @@ normal-form order.  A key's type and default come from its dataclass field;
 a field without a default is required.  Reading (``_read``), unknown-key
 rejection and ``serialize_config`` all go through the table.
 
-``parse_config`` then validates everything the owning modules would reject
-later (grid sizes, step bounds, presets, barrier clocks), so a config that
+``parse_config`` then validates through the owning modules and the setup
+each run marches (``radial_run``, ``poiseuille_run``), so a config that
 parses will dispatch.  ``serialize_config`` emits a canonical normal form:
 fixed section and key order, shortest round-trip floats, defaults written
 out and unset optional keys left out; serialising a parsed config is
@@ -24,6 +24,8 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .axisym import (
     MAX_RECORD_BYTES,
     PRESET_PARAMS,
@@ -37,17 +39,18 @@ from .axisym import (
 )
 from .barriers import eta_barrier, supersolution
 from .blowup import MIN_SNAPSHOTS
-from .coeffs import LeslieCoefficients, simplified_coefficients
+from .coeffs import LeslieCoefficients
 from .coeffs import validate as validate_coeffs
 from .errors import ConfigError
-from .hopf import LAMBDA_RANGE
-from .poiseuille import IntervalGrid, plan_run
+from .hopf import BALL_SUMS, LAMBDA_RANGE, SPHERE_SUMS, check_mesh
+from .poiseuille import IntervalGrid, PoiseuilleState, homogeneous_bc, plan_run
+from .poiseuille import counterexample_setup
 
 
 @dataclass(frozen=True)
 class AxisymSection:
     n_cells: int = 1024
-    dt: float | None = None  # resolved by parse_config from the scheme
+    dt: float | None = None  # resolved by radial_run from the scheme
     scheme: str = "semi_implicit"
     t_end: float = 1.0
     clip_guard: float | None = None
@@ -222,20 +225,36 @@ def _read(cp, section: str) -> dict:
 
 
 def radial_run(config: ExperimentConfig) -> tuple:
-    """The (state0, coeffs, params, snapshot_stride) run of an axisym config
-    with a resolved ``dt``.  ValueError when it cannot march, records fewer
-    than MIN_SNAPSHOTS snapshots, or would pass the record buffer ceiling,
-    which is checked before the nodes exist."""
+    """The (state0, coeffs, params, snapshot_stride) run of an axisym config;
+    an unset ``dt`` is resolved by ``default_dt``.  ValueError when it
+    cannot march, records fewer than MIN_SNAPSHOTS snapshots, or would pass
+    the record buffer ceiling, which is checked before the nodes exist."""
     a, coeffs, stride = config.axisym, config.coefficients, config.snapshot_stride
     grid = RadialGrid(a.n_cells)
+    dt = default_dt(grid, coeffs, a.scheme, a.t_end) if a.dt is None else a.dt
     guard = a.clip_guard
     if guard is None and config.kind == "axisym_blowup":
         guard = BLOWUP_GUARD_FACTOR / grid.dr
-    params = SolverParams(dt=a.dt, scheme=a.scheme, t_end=a.t_end, clip_guard=guard)
+    params = SolverParams(dt=dt, scheme=a.scheme, t_end=a.t_end, clip_guard=guard)
     params.check_stability(grid, coeffs)
-    plan_record(0.0, a.t_end, a.dt, stride, a.n_cells + 1, MIN_SNAPSHOTS)
+    plan_record(0.0, a.t_end, dt, stride, a.n_cells + 1, MIN_SNAPSHOTS)
     phi0 = initial_profile(grid, a.preset, **a.preset_params())
     return make_state(grid, phi0), coeffs, params, stride
+
+
+def poiseuille_run(config: ExperimentConfig) -> tuple:
+    """The ``poiseuille.simulate`` arguments (state0, coeffs, dt, t_end, bc,
+    snapshot_stride) of either kind: ``counterexample_setup``, or the pulse
+    w0 = A x exp(-x^2), phi0 = 0 under homogeneous data, planned first."""
+    p, c = config.poiseuille, config.coefficients
+    if config.kind == "poiseuille_counterexample":
+        return counterexample_setup(p.half_length, p.n_cells, p.t_end, p.dt)
+    grid = IntervalGrid(p.half_length, p.n_cells)
+    dt, stride = plan_run(grid, c, p.t_end, p.dt, config.snapshot_stride)
+    with np.errstate(over="ignore"):  # x^2 = inf far out gives the pulse's limit, 0
+        w0 = p.velocity_amplitude * (grid.x * np.exp(-(grid.x**2)))
+    state0 = PoiseuilleState(grid, w=w0, phi=np.zeros(p.n_cells + 1), a=p.a)
+    return state0, c, dt, p.t_end, homogeneous_bc(), stride
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -294,15 +313,10 @@ def parse_config(text: str) -> ExperimentConfig:
             if key not in PRESET_PARAMS[a.preset] and getattr(a, key) is not None:
                 raise ConfigError(f"preset {a.preset!r} does not read [initial] {key}")
         try:
-            if a.dt is None:  # 1e-4 stands in where SolverParams rejects the rest
-                known = a.scheme in ("semi_implicit", "explicit") and a.t_end > 0.0
-                grid = RadialGrid(a.n_cells)
-                dt = default_dt(grid, coeffs, a.scheme, a.t_end) if known else 1e-4
-                a = replace(a, dt=dt)
-            radial_run(ExperimentConfig(**top, coefficients=coeffs, axisym=a))
+            _, _, params, _ = radial_run(ExperimentConfig(**top, coefficients=coeffs, axisym=a))
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
-        axisym = a
+        axisym = replace(a, dt=params.dt)
 
     barrier = None
     if "barrier" in used:
@@ -313,11 +327,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 eta_barrier(barrier.eta_beta0, coeffs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if axisym is not None:
-            try:
-                check_local_radius(RadialGrid(axisym.n_cells), barrier.local_energy_radius)
-            except ValueError as exc:
-                raise ConfigError(f"[barrier] local_energy_radius: {exc}") from exc
+        try:
+            check_local_radius(RadialGrid(axisym.n_cells), barrier.local_energy_radius)
+        except ValueError as exc:
+            raise ConfigError(f"[barrier] local_energy_radius: {exc}") from exc
 
     barrier_check = None
     if "barrier_check" in used:
@@ -332,13 +345,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
     poiseuille = None
     if "poiseuille" in used:
-        p = poiseuille = PoiseuilleSection(**_read(cp, "poiseuille"))
+        poiseuille = PoiseuilleSection(**_read(cp, "poiseuille"))
         try:
-            grid = IntervalGrid(p.half_length, p.n_cells)
-            if kind == "poiseuille_generic":
-                plan_run(grid, coeffs, p.t_end, p.dt, top["snapshot_stride"])
-            else:  # counterexample_run picks its own snapshot stride
-                plan_run(grid, simplified_coefficients(), p.t_end, p.dt)
+            poiseuille_run(ExperimentConfig(**top, coefficients=coeffs, poiseuille=poiseuille))
         except ValueError as exc:
             raise ConfigError(f"[poiseuille] {exc}") from exc
 
@@ -350,17 +359,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"lambdas must lie in [{lo!r}, {hi!r}]")
         if any(b <= a for a, b in zip(hopf.lambdas, hopf.lambdas[1:])):
             raise ConfigError("lambdas must be strictly increasing")
-        if hopf.mesh < 16 or hopf.ball_mesh < 16:
-            raise ConfigError("mesh must be at least 16")
-        # each quadrature sums into (m, m, 2m) float totals: one for the
-        # sphere energy, two (velocity, director) for the ball
-        for key, n_sums in (("mesh", 1), ("ball_mesh", 2)):
-            m = getattr(hopf, key)
-            if n_sums * 16 * m**3 > MAX_RECORD_BYTES:
-                raise ConfigError(
-                    f"[hopf] {key} = {m}: its {n_sums * 16 * m**3}-byte totals "
-                    f"buffer exceeds the {MAX_RECORD_BYTES}-byte ceiling"
-                )
+        for key, n_sums in (("mesh", SPHERE_SUMS), ("ball_mesh", BALL_SUMS)):
+            try:
+                check_mesh(getattr(hopf, key), n_sums)
+            except ValueError as exc:
+                raise ConfigError(f"[hopf] {key} = {getattr(hopf, key)}: {exc}") from exc
 
     return ExperimentConfig(
         **top,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import axisym, barriers, blowup, hopf, poiseuille
 from .coeffs import g_coeff, h_coeff, sample_validated, simplified_coefficients
-from .config import ExperimentConfig, radial_run, serialize_config
+from .config import ExperimentConfig, poiseuille_run, radial_run, serialize_config
 from .errors import ConfigError, SolverHalt
 from .reporting import TimeSeries, write_csv, write_json
 from .svgplot import emit_plot
@@ -314,10 +314,8 @@ def _require_finite(trace, e: np.ndarray, d: np.ndarray, **residuals) -> None:
 
 
 def _run_poiseuille_counterexample(config: ExperimentConfig):
-    p = config.poiseuille
-    report_obj, trace = poiseuille.counterexample_run(
-        L=p.half_length, n=p.n_cells, t_end=p.t_end, dt=p.dt
-    )
+    trace = poiseuille.simulate(*poiseuille_run(config))
+    report_obj = poiseuille.counterexample_report(trace)
     e, d = poiseuille.energies(trace)
     _require_finite(trace, e, d, heat_residual=report_obj.heat_residual)
     series = _poiseuille_series(trace, e, d, exact_w=lambda x: -2.0 * x)
@@ -325,17 +323,9 @@ def _run_poiseuille_counterexample(config: ExperimentConfig):
 
 
 def _run_poiseuille_generic(config: ExperimentConfig):
-    p = config.poiseuille
-    c = config.coefficients
-    grid = poiseuille.IntervalGrid(p.half_length, p.n_cells)
-    w0 = p.velocity_amplitude * (grid.x * np.exp(-(grid.x**2)))
-    state0 = poiseuille.PoiseuilleState(
-        grid, w=w0, phi=np.zeros(p.n_cells + 1), a=p.a
-    )
-    dt, _ = poiseuille.plan_run(grid, c, p.t_end, p.dt, config.snapshot_stride)
-    trace = poiseuille.simulate(
-        state0, c, dt, p.t_end, poiseuille.homogeneous_bc(), config.snapshot_stride
-    )
+    run_args = poiseuille_run(config)
+    _, c, dt, *_ = run_args
+    trace = poiseuille.simulate(*run_args)
     energy_res = poiseuille.energy_identity_residual(trace)
     report = {
         "energy_identity_residual": energy_res.residual,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .axisym import first_derivative
+from .axisym import MAX_RECORD_BYTES, first_derivative
 
 POLE = np.array([1.0, 0.0, 0.0, 0.0])
 _POLE_SNAP = 1e-14
@@ -114,13 +114,6 @@ UNDER_RESOLVED_ERROR = 1e-2
 SLAB_VALUES = 2**17
 
 
-def _check(lam: float, mesh: int) -> None:
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if mesh < 16:
-        raise ValueError("mesh must be at least 16")
-
-
 def _centered(n: int, width: float) -> tuple[np.ndarray, float]:
     h = width / n
     return (np.arange(n) + 0.5) * h, h
@@ -151,6 +144,27 @@ def _grad_sq(f: np.ndarray, rows: slice, h: tuple[float, float, float],
     d /= 2.0 * h2
     e2 += _sq_sum(d) * inv_m2
     return e2
+
+
+SPHERE_SUMS, BALL_SUMS = 1, 2  # integrands: the energy; velocity and director
+
+
+def check_mesh(mesh: int, n_sums: int) -> None:
+    """ValueError unless mesh >= 16 and the (n_sums, mesh, mesh, 2 mesh)
+    float totals of ``_quadrature_sums`` fit under MAX_RECORD_BYTES."""
+    if mesh < 16:
+        raise ValueError("mesh must be at least 16")
+    nbytes = n_sums * 16 * mesh**3
+    if nbytes > MAX_RECORD_BYTES:
+        raise ValueError(
+            f"its {nbytes}-byte totals buffer exceeds the {MAX_RECORD_BYTES}-byte ceiling"
+        )
+
+
+def _check(lam: float, mesh: int, n_sums: int) -> None:
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    check_mesh(mesh, n_sums)
 
 
 def _quadrature_sums(r: np.ndarray, h_r: float, field) -> list[float]:
@@ -193,7 +207,7 @@ def dirichlet_energy_s3(lam: float, mesh: int) -> float:
     """Quadrature of |grad (hopf o psi_lam)|^2 over the three-sphere using
     hyperspherical angles (chi, theta, phi) on a cell-centred product grid
     of shape (mesh, mesh, 2 mesh)."""
-    _check(lam, mesh)
+    _check(lam, mesh, SPHERE_SUMS)
     chi, h_chi = _centered(mesh, np.pi)
     the, phi, h_the, h_phi = _angles(mesh)
     sc, cc = np.sin(chi), np.cos(chi)
@@ -248,7 +262,7 @@ def _vortex(x: np.ndarray) -> np.ndarray:
 def ball_energy_parts(lam: float, mesh: int) -> tuple[float, float]:
     """(velocity part, director part) of the half-integral energy over the
     unit ball; the velocity enters as u/lam."""
-    _check(lam, mesh)
+    _check(lam, mesh, BALL_SUMS)
     rho, h_r = _centered(mesh, 1.0)
     the, phi, h_t, h_p = _angles(mesh)
     st, ct = np.sin(the)[:, None], np.cos(the)[:, None]

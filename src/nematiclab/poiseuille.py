@@ -390,32 +390,36 @@ class CounterexampleReport:
         return asdict(self)
 
 
-def counterexample_run(
-    L: float = 5.0,
-    n: int = 500,
-    t_end: float = 1.0,
-    dt: float | None = None,
-) -> tuple[CounterexampleReport, PoiseuilleTrace]:
-    """Evolve w0 = -2x, phi0 = 0 under the simplified coefficients with the
-    exact pair's boundary data and compare against w = -2x, phi = t."""
+def counterexample_setup(L: float, n: int, t_end: float, dt: float | None = None) -> tuple:
+    """The ``simulate`` arguments (state0, c, dt, t_end, bc, snapshot_stride)
+    of w0 = -2x, phi0 = 0 under the simplified coefficients with the exact
+    pair's boundary data at ``plan_run``'s default stride, planned first."""
     c = simplified_coefficients()
     grid = IntervalGrid(L, n)
-    state0 = PoiseuilleState(grid, w=-2.0 * grid.x, phi=np.zeros(n + 1))
     dt, snapshot_stride = plan_run(grid, c, t_end, dt)
-    bc = counterexample_bc(L)
-    trace = simulate(state0, c, dt, t_end, bc, snapshot_stride)
+    state0 = PoiseuilleState(grid, w=-2.0 * grid.x, phi=np.zeros(n + 1))
+    return state0, c, dt, t_end, counterexample_bc(L), snapshot_stride
 
-    w_fin = trace.ws[-1]
+
+def counterexample_report(trace: PoiseuilleTrace) -> CounterexampleReport:
+    """Compare a counterexample trace at its end against w = -2x, phi = t."""
+    t_end = float(trace.times[-1])
     phi_fin = trace.phis[-1]
-    report = CounterexampleReport(
+    return CounterexampleReport(
         max_phi_initial=float(np.max(trace.phis[0])),
         max_phi_final=float(np.max(phi_fin)),
         max_phi_error=float(np.max(np.abs(phi_fin - t_end))),
-        max_w_error=float(np.max(np.abs(w_fin + 2.0 * grid.x))),
+        max_w_error=float(np.max(np.abs(trace.ws[-1] + 2.0 * trace.grid.x))),
         heat_residual=heat_reduction_check(trace),
-        maximum_principle_violated=bool(
-            np.max(phi_fin) > np.max(trace.phis[0])
-        ),
-        t_end=float(trace.times[-1]),
+        maximum_principle_violated=bool(np.max(phi_fin) > np.max(trace.phis[0])),
+        t_end=t_end,
     )
-    return report, trace
+
+
+def counterexample_run(
+    L: float = 5.0, n: int = 500, t_end: float = 1.0, dt: float | None = None
+) -> tuple[CounterexampleReport, PoiseuilleTrace]:
+    """Evolve w0 = -2x, phi0 = 0 under the simplified coefficients with the
+    exact pair's boundary data and compare against w = -2x, phi = t."""
+    trace = simulate(*counterexample_setup(L, n, t_end, dt))
+    return counterexample_report(trace), trace

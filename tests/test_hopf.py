@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nematiclab import hopf
 from nematiclab.cli import main
 from nematiclab.config import parse_config
 from nematiclab.experiments import run
@@ -145,6 +146,24 @@ def test_energy_rejects_bad_dilation_and_mesh():
             dirichlet_energy_s3(lam, 64)
     with pytest.raises(ValueError):
         dirichlet_energy_s3(1.0, 8)
+
+
+# mesh 406 and ball_mesh 322 are the largest whose totals buffers, 16 and 32
+# mesh^3 bytes, fit under the 2**30-byte ceiling
+@pytest.mark.parametrize(
+    "energy, n_sums, mesh",
+    [(dirichlet_energy_s3, hopf.SPHERE_SUMS, 407), (ball_energy_parts, hopf.BALL_SUMS, 323)],
+)
+def test_quadrature_past_the_totals_ceiling_raises_before_allocating(
+    monkeypatch, energy, n_sums, mesh
+):
+    def no_quadrature(*args):
+        raise AssertionError("the quadrature ran")
+
+    monkeypatch.setattr(hopf, "_quadrature_sums", no_quadrature)
+    with pytest.raises(ValueError, match="totals buffer exceeds the 1073741824-byte ceiling"):
+        energy(1.0, mesh)
+    hopf.check_mesh(mesh - 1, n_sums)
 
 
 # ---------------------------------------------------------------------------

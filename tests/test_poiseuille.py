@@ -15,7 +15,7 @@ from nematiclab.coeffs import (
     sample_validated,
     simplified_coefficients,
 )
-from nematiclab.config import parse_config
+from nematiclab.config import parse_config, poiseuille_run
 from nematiclab.errors import ConfigError, SolverHalt
 from nematiclab.experiments import _require_finite
 from nematiclab.poiseuille import (
@@ -134,6 +134,19 @@ def test_counterexample_matches_exact_solution():
     assert report.heat_residual <= 1e-6  # measured 1e-11
     assert report.maximum_principle_violated
     assert report.max_phi_final == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("dt_line", ["", "dt = 1e-3\n"])
+def test_counterexample_config_path_marches_the_counterexample_run(dt_line):
+    config = parse_config(
+        "[experiment]\nkind = poiseuille_counterexample\n\n[poiseuille]\n"
+        f"half_length = 5.0\nn_cells = 64\n{dt_line}t_end = 0.05\n"
+    )
+    p = config.poiseuille
+    via_config = simulate(*poiseuille_run(config))
+    _, direct = counterexample_run(p.half_length, p.n_cells, p.t_end, p.dt)
+    for name in ("times", "ws", "phis", "phi_ts"):
+        assert np.array_equal(getattr(via_config, name), getattr(direct, name))
 
 
 def test_counterexample_boundary_warning_on_energy_identity():
