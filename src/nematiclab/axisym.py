@@ -20,10 +20,10 @@ r_i = i/n.  Two time integrators:
                        its damping part (cos(2 phi) > 0) is folded into the
                        tridiagonal diagonal; this keeps the scheme
                        first-order consistent while removing the near-origin
-                       step restriction.  The bands, and every other
-                       factor that depends only on the grid, the
-                       coefficients and dt, are built when a batch forms;
-                       a step then evaluates the reaction once and calls
+                       step restriction.  Every factor that depends only
+                       on the grid, the coefficients and dt is built in
+                       one place, ``_Batch._build``, when a batch forms; a
+                       step then evaluates the reaction once and calls
                        LAPACK ``dgtsv`` once.
 
 The origin node carries the Dirichlet value phi = 0, so the singular terms
@@ -199,7 +199,9 @@ def default_dt(
 
 def whole_step_dt(t_end: float, dt_max: float) -> float:
     """The largest dt <= dt_max that takes a whole number of steps from 0 to
-    t_end; ValueError when that number of steps is not a finite float."""
+    t_end; ValueError unless t_end > 0 and that number of steps is finite."""
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
     if not (dt_max > 0.0 and math.isfinite(t_end / dt_max)):
         raise ValueError(f"t_end = {t_end!r} takes too many steps of {dt_max!r}")
     steps = max(1, math.ceil(t_end / dt_max))  # the quotient may underflow to 0
@@ -409,64 +411,6 @@ def _step_rk4(b: _Batch) -> list[_Run]:
     return bad
 
 
-@dataclass(frozen=True)
-class _CNBands:
-    """The parts of a step of one run that depend only on (grid,
-    coefficients, dt); every array has one entry per node, so a batch
-    concatenates them.  Nodes 1..n-1 carry the Crank-Nicolson rows.  Nodes
-    0 and n carry what a batch needs where two runs meet: an identity row
-    (unit diagonal, zero stencil and couplings) whose explicit terms
-    vanish, through infinite denominators and zero factors."""
-
-    r: np.ndarray
-    two_dr: np.ndarray  # 2 dr
-    dr2: np.ndarray  # dr^2
-    two_r2: np.ndarray  # 2 r^2
-    three_l2: np.ndarray  # 3 lambda2
-    lambda1: np.ndarray
-    lambda1_r2: np.ndarray  # lambda1 r^2
-    diag: np.ndarray  # diagonal of phi_rr + phi_r/r
-    up: np.ndarray  # its coefficient of phi[i+1]; 0 at node n-1 (see upper_last)
-    lo: np.ndarray  # its coefficient of phi[i-1]; 0 at node 1, where phi(0) = 0
-    theta: np.ndarray  # dt / (2 lambda1)
-    d_const: np.ndarray  # 1 - theta diag, before the damping is added
-    du: np.ndarray  # -theta up: the coupling of row i to row i + 1
-    dl: np.ndarray  # -theta lo[i + 1]: the coupling of row i + 1 to row i
-    upper_last: float  # coefficient of the constant phi(1) in row n - 1
-
-
-def _cn_bands(grid: RadialGrid, c: LeslieCoefficients, dt: float) -> _CNBands:
-    dr = grid.dr
-    r = grid.r[1:-1]
-    theta = dt / (2.0 * c.lambda1)
-    lower = 1.0 / dr**2 - 1.0 / (2.0 * dr * r)
-    diag = -2.0 / dr**2
-    upper = 1.0 / dr**2 + 1.0 / (2.0 * dr * r)
-
-    def nodes(interior, end=0.0):
-        out = np.full(grid.n_cells + 1, end)
-        out[1:-1] = interior
-        return out
-
-    return _CNBands(
-        r=nodes(r, 1.0),
-        two_dr=nodes(2.0 * dr, np.inf),
-        dr2=nodes(dr**2, np.inf),
-        two_r2=nodes(2.0 * r**2, np.inf),
-        three_l2=nodes(3.0 * c.lambda2),
-        lambda1=nodes(c.lambda1, 1.0),
-        lambda1_r2=nodes(c.lambda1 * r**2, np.inf),
-        diag=nodes(diag),
-        up=nodes(np.append(upper[:-1], 0.0)),
-        lo=nodes(np.append(0.0, lower[1:])),
-        theta=nodes(theta),
-        d_const=nodes(1.0 - theta * np.full(grid.n_cells - 1, diag), 1.0),
-        du=nodes(np.append(-theta * upper[:-1], 0.0)),
-        dl=nodes(np.append(-theta * lower[1:], 0.0)),
-        upper_last=float(upper[-1]),
-    )
-
-
 def _step_cn(b: _Batch) -> list[_Run]:
     phi, dt = b.phi, b.dt
     interior = phi[1:-1]
@@ -646,8 +590,8 @@ class _Batch:
     Crank-Nicolson rows, and its end nodes inside the vector are identity
     rows with zero couplings, so one ``dgtsv`` call solves every run and
     each run's numbers are those of its own solve (DECISIONS.md section 7).
-    Every per-row coefficient is a slice of the runs' concatenated
-    ``_cn_bands``."""
+    ``_build`` forms every per-row coefficient, one line each, from each
+    run's grid, coefficients and dt."""
 
     def __init__(self, runs: list[_Run]):
         self.scheme, self.dt = runs[0].p.scheme, runs[0].p.dt
@@ -666,23 +610,44 @@ class _Batch:
         self.phi[self.starts] = 0.0  # phi(0) = 0, as after any step
         self.phi_end = self.phi[self.ends]
         self.guards = np.array([run.guard for run in runs])
-        bands = [_cn_bands(run.grid, run.c, self.dt) for run in runs]
-        self.run_two_dr = np.array([b.two_dr[1] for b in bands])
+        self.run_two_dr = np.array([2.0 * run.grid.dr for run in runs])
+        # Row i is node i + 1.  A run's interior nodes are its Crank-Nicolson
+        # rows; its end nodes are identity rows, whose values are the last
+        # argument of each np.where below (DECISIONS.md section 7).
+        cn = np.ones(len(phi), dtype=bool)
+        cn[self.starts] = cn[self.ends] = False
+        cn = cn[1:-1]
 
-        def rows(name: str) -> np.ndarray:
-            return np.concatenate([getattr(b, name) for b in bands])[1:-1]
+        def per_row(per_run) -> np.ndarray:  # one value per run, on each of its rows
+            return np.repeat(per_run, sizes)[1:-1]
 
-        for name in ("r", "two_dr", "dr2", "two_r2", "three_l2", "lambda1",
-                     "lambda1_r2", "diag", "theta", "d_const"):
-            setattr(self, name, rows(name))
-        self.up, self.lo = rows("up")[:-1], rows("lo")[1:]
-        self.du, self.dl = rows("du")[:-1], rows("dl")[:-1]
+        # per-run scalars as Python floats: dr**2 is pow, not dr * dr
+        two_dr, dr2 = per_row(self.run_two_dr), per_row([run.grid.dr**2 for run in runs])
+        lambda1 = per_row([run.c.lambda1 for run in runs])
+        theta = per_row([self.dt / (2.0 * run.c.lambda1) for run in runs])
+        diag = per_row([-2.0 / run.grid.dr**2 for run in runs])
+        r = self.r = np.where(cn, np.concatenate([run.grid.r for run in runs])[1:-1], 1.0)
+        upper = 1.0 / dr2 + 1.0 / (two_dr * r)  # phi_rr + phi_r/r: coefficient
+        lower = 1.0 / dr2 - 1.0 / (two_dr * r)  # of phi[i+1] and of phi[i-1]
+        self.two_dr = np.where(cn, two_dr, np.inf)
+        self.dr2 = np.where(cn, dr2, np.inf)
+        self.two_r2 = np.where(cn, 2.0 * r**2, np.inf)
+        self.three_l2 = np.where(cn, per_row([3.0 * run.c.lambda2 for run in runs]), 0.0)
+        self.lambda1 = np.where(cn, lambda1, 1.0)
+        self.lambda1_r2 = np.where(cn, lambda1 * r**2, np.inf)
+        self.diag = np.where(cn, diag, 0.0)
+        self.theta = np.where(cn, theta, 0.0)
+        self.d_const = np.where(cn, 1.0 - theta * diag, 1.0)  # before the damping
+        # rows i and i + 1 are coupled only when both are Crank-Nicolson rows;
+        # phi(0) = 0 and the constant phi(1) enter no coupling
+        pair = cn[:-1] & cn[1:]
+        self.up, self.lo = np.where(pair, upper[:-1], 0.0), np.where(pair, lower[1:], 0.0)
+        self.du = np.where(pair, -theta[:-1] * upper[:-1], 0.0)
+        self.dl = np.where(pair, -theta[1:] * lower[1:], 0.0)
         # the constant phi(1) of each run, on its row n - 1, as
-        # 2 (upper_last phi(1)): half from the old and half from the new state
+        # 2 (upper phi(1)): half from the old and half from the new state
         self.last_rows = self.ends - 2
-        self.boundary_column = 2.0 * (
-            np.array([b.upper_last for b in bands]) * self.phi_end
-        )
+        self.boundary_column = 2.0 * (upper[self.last_rows] * self.phi_end)
 
     def reset_boundaries(self, phi: np.ndarray) -> np.ndarray:
         """Reimpose, in a node vector of this batch, phi(0) = 0 and the

@@ -90,15 +90,20 @@ def subsolution(c: float, coeffs: LeslieCoefficients) -> BarrierSpec:
     return _bubble_barrier("sub", c, coeffs)
 
 
+def eta_clock_limit(coeffs: LeslieCoefficients) -> float:
+    """lambda1/(lambda1 + 3|lambda2|), the bound on an eta clock's beta0^(1/3)."""
+    return coeffs.lambda1 / (coeffs.lambda1 + 3.0 * abs(coeffs.lambda2))
+
+
 def eta_barrier(
     beta0: float, coeffs: LeslieCoefficients, strict: bool = True
 ) -> BarrierSpec:
     """The concentrating family; by default the clock constraint
-    beta0^(1/3) < lambda1/(lambda1 + 3|lambda2|) is enforced.  Pass
-    strict=False only to build deliberately invalid negative controls."""
+    beta0^(1/3) < ``eta_clock_limit`` is enforced.  Pass strict=False only
+    to build deliberately invalid negative controls."""
     if beta0 <= 0.0:
         raise ValueError("beta0 must be positive")
-    limit = coeffs.lambda1 / (coeffs.lambda1 + 3.0 * abs(coeffs.lambda2))
+    limit = eta_clock_limit(coeffs)
     if strict and not beta0 ** (1.0 / 3.0) < limit:
         raise ValueError(
             f"beta0^(1/3) = {beta0 ** (1 / 3):.6g} must be < "

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import axisym, barriers, blowup, hopf, poiseuille
-from .coeffs import g_coeff, h_coeff, sample_validated, simplified_coefficients
+from .coeffs import sample_validated, simplified_coefficients
 from .config import ExperimentConfig, poiseuille_run, radial_run, serialize_config
 from .errors import ConfigError, SolverHalt
 from .reporting import TimeSeries, write_csv, write_json
@@ -243,8 +243,7 @@ def _run_barrier_check(config: ExperimentConfig):
         sub_max = float(np.max(barriers.barrier_residual(sub, coeffs, r, t)))
 
         # the beta0 whose cube root is half the eta clock's limit
-        limit = coeffs.lambda1 / (coeffs.lambda1 + 3.0 * abs(coeffs.lambda2))
-        beta0 = (0.5 * limit) ** 3
+        beta0 = (0.5 * barriers.eta_clock_limit(coeffs)) ** 3
         eta = barriers.eta_barrier(beta0, coeffs)
         t_eta = np.linspace(0.0, 0.999 * eta.clock().t0, bc.n_t)[:, np.newaxis]
         eta_max = float(np.max(barriers.barrier_residual(eta, coeffs, r, t_eta)))
@@ -324,7 +323,7 @@ def _run_poiseuille_counterexample(config: ExperimentConfig):
 
 def _run_poiseuille_generic(config: ExperimentConfig):
     run_args = poiseuille_run(config)
-    _, c, dt, *_ = run_args
+    dt = run_args[2]
     trace = poiseuille.simulate(*run_args)
     energy_res = poiseuille.energy_identity_residual(trace)
     report = {
@@ -333,18 +332,12 @@ def _run_poiseuille_generic(config: ExperimentConfig):
         "energy_nonincreasing": bool(
             np.all(np.diff(energy_res.energies) <= energy_res.residual * dt + 1e-14)
         ),
-        "heat_reduction_residual": None,
+        "heat_reduction_residual": (
+            poiseuille.heat_reduction_check(trace)
+            if poiseuille.heat_reduction_applies(trace) else None
+        ),
         "dt": dt,
     }
-    # g is constant exactly when mu1 = 0 and b = a, h when mu2 + mu3 = 0
-    # (coeffs.g_coeff, coeffs.h_coeff); the heat reduction needs g == 2, h == 1
-    a, b = c.g_weights
-    simplified = all(
-        abs(x) < 1e-12
-        for x in (c.mu1, b - a, c.mu2 + c.mu3, g_coeff(c, 0.0) - 2.0, h_coeff(c, 0.0) - 1.0)
-    )
-    if simplified:
-        report["heat_reduction_residual"] = poiseuille.heat_reduction_check(trace)
     _require_finite(
         trace,
         energy_res.energies,

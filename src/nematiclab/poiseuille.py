@@ -229,6 +229,8 @@ def step_general(
 class PoiseuilleTrace:
     grid: IntervalGrid
     bc: BoundaryData
+    coeffs: LeslieCoefficients
+    a: float  # the pressure term of the run
     times: np.ndarray
     # (snapshots, nodes) views of the one buffer a run records into
     ws: np.ndarray
@@ -303,7 +305,7 @@ def simulate(
         if k == record.next_record:
             fill(record.values[record.add(k)], state)
     times, values = record.rows()
-    return PoiseuilleTrace(grid, bc, times, *np.moveaxis(values, 1, 0))
+    return PoiseuilleTrace(grid, bc, c, state0.a, times, *np.moveaxis(values, 1, 0))
 
 
 def velocity_potential(trace: PoiseuilleTrace) -> np.ndarray:
@@ -315,6 +317,18 @@ def velocity_potential(trace: PoiseuilleTrace) -> np.ndarray:
     np.cumsum(np.diff(trace.grid.x) * (ws[:, 1:] + ws[:, :-1]) / 2.0, axis=1, out=v[:, 1:])
     v_left = np.array([trace.bc.v_left(float(t)) for t in trace.times])
     return v + v_left[:, np.newaxis]
+
+
+def heat_reduction_applies(trace: PoiseuilleTrace) -> bool:
+    """Whether (v + phi)_t = (v + phi)_xx holds: a = 0 (a adds -a x), g == 2
+    and h == 1, which are constant exactly when mu1 = 0, g's sin^2 and cos^2
+    weights are equal and mu2 + mu3 = 0."""
+    c = trace.coeffs
+    g_sin, g_cos = c.g_weights
+    return trace.a == 0.0 and all(
+        abs(x) < 1e-12
+        for x in (c.mu1, g_cos - g_sin, c.mu2 + c.mu3, g_coeff(c, 0.0) - 2.0, h_coeff(c, 0.0) - 1.0)
+    )
 
 
 def heat_reduction_check(trace: PoiseuilleTrace) -> float:
@@ -332,17 +346,24 @@ def heat_reduction_check(trace: PoiseuilleTrace) -> float:
 
 
 def energies(trace: PoiseuilleTrace) -> tuple[np.ndarray, np.ndarray]:
-    """(E, D) at every snapshot: E = 0.5 int(w^2 + phi_x^2),
-    D = int(w_x^2 + phi_t^2 + (w_x + phi_t)^2); trapezoidal quadrature, in
-    the row blocks of ``axisym.row_blocks`` (DECISIONS.md section 4)."""
-    x, dx = trace.grid.x, trace.grid.dx
+    """(E, D) at every snapshot, with dE/dt + D = -a int w under homogeneous
+    data: E = 0.5 int(w^2 + phi_x^2), D = int(g w_x^2 + 2 h w_x phi_t +
+    lambda1 phi_t^2); trapezoidal quadrature in ``axisym.row_blocks``.  D is
+    summed so that the simplified set gives the doubles of its own form
+    int(w_x^2 + phi_t^2 + (w_x + phi_t)^2) (DECISIONS.md sections 4, 6)."""
+    x, dx, c = trace.grid.x, trace.grid.dx, trace.coeffs
+    gh = c.constant_gh
     e, d = [], []
     for rows in row_blocks(trace.n_snapshots, len(x)):
-        w, phi_t = trace.ws[rows], trace.phi_ts[rows]
-        phi_x = first_derivative(trace.phis[rows], dx, axis=1)
+        w, phi, phi_t = trace.ws[rows], trace.phis[rows], trace.phi_ts[rows]
+        phi_x = first_derivative(phi, dx, axis=1)
         w_x = first_derivative(w, dx, axis=1)
+        g, h = (g_coeff(c, phi), h_coeff(c, phi)) if gh is None else gh[:2]
         e.append(0.5 * _trapz(w**2 + phi_x**2, x, axis=1))
-        d.append(_trapz(w_x**2 + phi_t**2 + (w_x + phi_t) ** 2, x, axis=1))
+        d.append(_trapz(
+            ((g - 1.0) * w_x**2 + (c.lambda1 - 1.0) * phi_t**2)
+            + (w_x + phi_t) ** 2 + 2.0 * (h - 1.0) * w_x * phi_t, x, axis=1
+        ))
     return np.concatenate(e), np.concatenate(d)
 
 
@@ -355,14 +376,18 @@ class EnergyIdentityResult:
 
 
 def energy_identity_residual(trace: PoiseuilleTrace) -> EnergyIdentityResult:
-    """Max over snapshot pairs of |dE/dt + D| with D averaged between the
-    two snapshots.  Nonzero boundary data makes the identity inexact on the
-    truncated interval; that raises the warning flag, not an error."""
+    """Max over snapshot pairs of |dE/dt + D + a int w|, with D and the
+    pressure work a int w averaged between the two snapshots.  Nonzero
+    boundary data makes the identity inexact on the truncated interval;
+    that raises the warning flag, not an error."""
     if trace.n_snapshots < 3:
         raise ValueError("need at least 3 snapshots")
     e, d = energies(trace)
+    blocks = row_blocks(*trace.ws.shape)
+    w_int = np.concatenate([_trapz(trace.ws[rows], trace.grid.x, axis=1) for rows in blocks])
     de = np.diff(e) / np.diff(trace.times)
-    resid = float(np.max(np.abs(de + 0.5 * (d[:-1] + d[1:]))))
+    work = trace.a * (0.5 * (w_int[:-1] + w_int[1:]))  # +-0 when a = 0
+    resid = float(np.max(np.abs(de + 0.5 * (d[:-1] + d[1:]) + work)))
     edge = max(
         float(np.max(np.abs(trace.ws[:, [0, -1]]))),
         float(np.max(np.abs(trace.phi_ts[:, [0, -1]]))),

@@ -207,6 +207,31 @@ def test_simulate_rejects_t_end_off_the_step_grid(t_end):
         simulate(state0, L2_ZERO, params)
 
 
+def test_batch_identity_rows_hold_the_values_of_decisions_section_7():
+    # where two runs meet, the end nodes are identity rows: unit diagonal,
+    # explicit terms that vanish, and couplings into and out of them that
+    # are +0.0, so the elimination factor across a junction is +0 exactly
+    from nematiclab import axisym
+
+    runs = [
+        axisym._Run(make_state(RadialGrid(n), lambda r: 0.1 * r), c, SolverParams(1e-4, t_end=1e-3))
+        for n, c in [(16, L2_ZERO), (37, L2_HALF), (64, L2_ZERO)]
+    ]
+    b = axisym._Batch(runs)
+    rows = np.concatenate([b.ends[:-1], b.starts[1:]]) - 1  # row i is node i + 1
+    expected = {
+        "d_const": 1.0, "diag": 0.0, "theta": 0.0, "three_l2": 0.0, "lambda1": 1.0, "r": 1.0,
+        "two_dr": np.inf, "dr2": np.inf, "two_r2": np.inf, "lambda1_r2": np.inf,
+    }
+    for name, value in expected.items():
+        assert np.array_equal(getattr(b, name)[rows], np.full(len(rows), value)), name
+    touching = np.unique([rows - 1, rows])  # coupling j joins rows j and j + 1
+    for name in ("up", "lo", "du", "dl"):
+        coupling = getattr(b, name)
+        assert np.all(coupling[touching] == 0.0) and not np.signbit(coupling[touching]).any(), name
+        assert np.count_nonzero(coupling) == len(coupling) - len(touching), name
+
+
 # ---------------------------------------------------------------------------
 # energies
 

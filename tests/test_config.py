@@ -2,7 +2,10 @@
 over random INI texts, and a property that small configs which validate
 also run to exit 0 or 3."""
 
+import contextlib
+import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,14 @@ def test_step_count_beyond_float_range_is_a_config_error(time):
     old = "dt = 1e-3\nscheme = semi_implicit\nt_end = 0.05"
     with pytest.raises(ConfigError, match="too many steps"):
         parse_config(TINY.replace(old, time))
+
+
+def test_negative_t_end_of_an_rk4_run_with_no_dt_is_reported_as_such():
+    # the default RK4 dt used to divide t_end first: "t_end = -1e+305 takes
+    # too many steps of 1e-05"
+    old = "dt = 1e-3\nscheme = semi_implicit\nt_end = 0.05"
+    with pytest.raises(ConfigError, match="t_end must be positive"):
+        parse_config(TINY.replace(old, "scheme = explicit\nt_end = -1e305"))
 
 
 def test_step_quotient_that_underflows_to_zero_is_a_config_error():
@@ -614,3 +625,42 @@ def test_random_config_in_the_documented_ranges_validates_to_exit_0_or_2(text):
         cfg = Path(tmp) / "c.ini"
         cfg.write_text(text)
         assert main(["validate", str(cfg)]) in (0, 2)
+
+
+@st.composite
+def radial_schedules_past_a_ceiling(draw):
+    """(n_cells, snapshot_stride, dt, t_end) of a Crank-Nicolson run on 2**17
+    to 2**40 cells that records at least 10 snapshots, whose record buffer
+    passes MAX_RECORD_BYTES or whose step count passes MAX_STEPS."""
+    n_cells = int(draw(_log_int(2**17, 2**40)))
+    stride = int(draw(_log_int(1, 1e12)))
+    dt = draw(st.sampled_from([1e-3, 1e-4, 2e-5, 1e-5]))
+    rows = 2**27 // (n_cells + 1) + 1  # rows of 8 (n_cells + 1) bytes past 2**30
+    steps = max(9, rows - 2) * stride * draw(st.integers(1, 10))
+    return n_cells, stride, dt, steps * dt
+
+
+@settings(max_examples=100, deadline=None)
+@given(radial_schedules_past_a_ceiling())
+def test_radial_schedule_past_a_ceiling_is_rejected_before_allocating(schedule):
+    n_cells, stride, dt, t_end = schedule
+    text = (
+        TINY.replace("kind = axisym_global", f"kind = axisym_global\nsnapshot_stride = {stride}")
+        .replace("n_cells = 64", f"n_cells = {n_cells}")
+        .replace("dt = 1e-3", f"dt = {dt!r}")
+        .replace("t_end = 0.05", f"t_end = {t_end!r}")
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.ini"
+        cfg.write_text(text)
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main(["validate", str(cfg)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 2
+    assert "record buffer" in err.getvalue() or "too many steps" in err.getvalue(), err.getvalue()
+    assert peak < 2**20

@@ -17,7 +17,7 @@ from nematiclab.coeffs import (
 )
 from nematiclab.config import parse_config, poiseuille_run
 from nematiclab.errors import ConfigError, SolverHalt
-from nematiclab.experiments import _require_finite
+from nematiclab.experiments import _require_finite, run
 from nematiclab.poiseuille import (
     IntervalGrid,
     PoiseuilleState,
@@ -25,6 +25,7 @@ from nematiclab.poiseuille import (
     counterexample_bc,
     counterexample_run,
     energy_identity_residual,
+    heat_reduction_applies,
     heat_reduction_check,
     homogeneous_bc,
     plan_run,
@@ -264,6 +265,34 @@ def test_energy_identity_zero_data():
     assert energy_identity_residual(trace).residual == 0.0
 
 
+@pytest.mark.parametrize(
+    "mus",
+    [
+        (0.0, -0.25, 0.75, 1.0, 0.0, 0.5),
+        sample_validated(np.random.default_rng(1)).as_tuple(),
+        SIMPLIFIED.as_tuple(),
+    ],
+)
+def test_energy_identity_converges_for_every_validated_set(mus):
+    # D = int(g w_x^2 + 2 h w_x phi_t + lambda1 phi_t^2).  With the
+    # simplified set's D the first two read 0.98 -> 0.99 and 0.69 -> 0.71;
+    # measured 7.4e-3 -> 1.9e-3, 2.1e-2 -> 5.4e-3 and 1.7e-2 -> 4.3e-3
+    coarse, fine = _pulse_residuals(mus)
+    assert coarse / fine >= 3.0 and fine <= 6e-3
+
+
+def test_energy_identity_includes_the_pressure_work(tmp_path):
+    # dE/dt + D = -a int w; without the work term the residual read 6.1 at
+    # both sizes, and the heat check, which a breaks, 49.7
+    coarse, fine = _pulse_residuals(SIMPLIFIED.as_tuple(), a=2.5)
+    assert coarse / fine >= 3.0 and fine <= 6e-3  # measured 1.7e-2 -> 4.3e-3
+    config = parse_config(_pulse_text(SIMPLIFIED.as_tuple(), 256, a=2.5))
+    assert not heat_reduction_applies(simulate(*poiseuille_run(config)))
+    assert run(config, out_dir=tmp_path, plots=False).report["heat_reduction_residual"] is None
+    no_pressure = parse_config(_pulse_text(SIMPLIFIED.as_tuple(), 256))
+    assert heat_reduction_applies(simulate(*poiseuille_run(no_pressure)))
+
+
 # ---------------------------------------------------------------------------
 # the velocity potential
 
@@ -329,6 +358,19 @@ def _generic_config(coeffs, dt_line, n_cells=64, t_end=1.9, amplitude=20.0):
         f"[poiseuille]\nhalf_length = 10.0\nn_cells = {n_cells}\n{dt_line}"
         f"t_end = {t_end!r}\nvelocity_amplitude = {amplitude!r}\n"
     )
+
+
+def _pulse_text(mus, n_cells, a=0.0):
+    """The generic pulse on [-10, 10] to t = 0.05 at the default dt."""
+    return _generic_config(mus, "", n_cells=n_cells, t_end=0.05, amplitude=1.0) + f"a = {a!r}\n"
+
+
+def _pulse_residuals(mus, a=0.0):
+    return [
+        energy_identity_residual(simulate(*poiseuille_run(parse_config(_pulse_text(mus, n, a)))))
+        .residual
+        for n in (256, 512)
+    ]
 
 
 def _g_max_sampled(c):
@@ -409,7 +451,9 @@ def test_overflowed_run_halts_at_its_first_non_finite_snapshot(
 
 
 def test_non_finite_residual_halts_at_the_last_snapshot():
-    trace = PoiseuilleTrace(IntervalGrid(10.0, 16), homogeneous_bc(), np.array([0.0, 0.5]), *[None] * 3)
+    trace = PoiseuilleTrace(
+        IntervalGrid(10.0, 16), homogeneous_bc(), SIMPLIFIED, 0.0, np.array([0.0, 0.5]), *[None] * 3
+    )
     _require_finite(trace, np.ones(2), np.ones(2), heat_reduction_residual=None)
     with pytest.raises(SolverHalt, match="non-finite energy_identity_residual") as halt:
         _require_finite(trace, np.ones(2), np.ones(2), energy_identity_residual=math.inf)

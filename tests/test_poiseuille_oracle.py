@@ -11,7 +11,11 @@ The run-loop reference records into three separate buffers with its own
 time rule and stride schedule, and the diagnostic references work one
 snapshot at a time.  ``simulate`` (which records through
 ``axisym.RunRecord`` into one buffer) and the whole-trace diagnostics must
-agree with them bit for bit.
+agree with them bit for bit.  The dissipation reference keeps the
+simplified set's own form, int(w_x^2 + phi_t^2 + (w_x + phi_t)^2), which
+the program's general D must reproduce bit for bit; for any other set it
+takes g and h from ``coeffs`` one snapshot at a time and checks its sum
+against the plain int(g w_x^2 + 2 h w_x phi_t + lambda1 phi_t^2).
 
 Under the simplified coefficients, and under any set whose trig weights are
 +0.0 with h_const != 0, the step takes g and h as constants and calls no
@@ -341,7 +345,7 @@ def reference_simulate(state0, c, dt, t_end, bc, snapshot_stride=1):
         if k % snapshot_stride == 0 or k == n_steps:
             record(j, state)
             j += 1
-    return PoiseuilleTrace(state0.grid, bc, times[:j], ws[:j], phis[:j], phi_ts[:j])
+    return PoiseuilleTrace(state0.grid, bc, c, state0.a, times[:j], ws[:j], phis[:j], phi_ts[:j])
 
 
 def reference_velocity_potential(trace, i):
@@ -371,7 +375,19 @@ def reference_energies(trace, i):
     w_x = axisym.first_derivative(w, dx)
     phi_t = trace.phi_ts[i]
     e = 0.5 * float(np.trapezoid(w**2 + phi_x**2, x))
-    d = float(np.trapezoid(w_x**2 + phi_t**2 + (w_x + phi_t) ** 2, x))
+    c = trace.coeffs
+    if c == SIMPLIFIED:  # g = 2, h = 1, lambda1 = 2
+        d = float(np.trapezoid(w_x**2 + phi_t**2 + (w_x + phi_t) ** 2, x))
+        return e, d
+    # int(g w_x^2 + 2 h w_x phi_t + lambda1 phi_t^2), with g and h at the
+    # nodes, summed in the program's order; the plain sum is within rounding
+    g, h = g_coeff(c, trace.phis[i]), h_coeff(c, trace.phis[i])
+    d = float(np.trapezoid(
+        ((g - 1.0) * w_x**2 + (c.lambda1 - 1.0) * phi_t**2)
+        + (w_x + phi_t) ** 2 + 2.0 * (h - 1.0) * w_x * phi_t, x
+    ))
+    plain = np.trapezoid(g * w_x**2 + 2.0 * h * w_x * phi_t + c.lambda1 * phi_t**2, x)
+    assert d == pytest.approx(plain, rel=1e-12, abs=1e-12)
     return e, d
 
 
@@ -380,7 +396,12 @@ def reference_energy_identity_residual(trace):
     e = np.array([p[0] for p in pairs])
     d = np.array([p[1] for p in pairs])
     de = np.diff(e) / np.diff(trace.times)
-    resid = float(np.max(np.abs(de + 0.5 * (d[:-1] + d[1:]))))
+    if trace.a == 0.0:
+        resid = float(np.max(np.abs(de + 0.5 * (d[:-1] + d[1:]))))
+    else:  # dE/dt + D = -a int w
+        w_int = np.array([np.trapezoid(w, trace.grid.x) for w in trace.ws])
+        work = trace.a * (0.5 * (w_int[:-1] + w_int[1:]))
+        resid = float(np.max(np.abs(de + 0.5 * (d[:-1] + d[1:]) + work)))
     edge = max(
         float(np.max(np.abs(trace.ws[:, [0, -1]]))),
         float(np.max(np.abs(trace.phi_ts[:, [0, -1]]))),
@@ -480,7 +501,7 @@ def potential_traces(draw):
     # velocity_potential reads only grid.x, which IntervalGrid (at least 16
     # cells) cannot give for every node count drawn here
     grid = SimpleNamespace(x=x)
-    return PoiseuilleTrace(grid, counterexample_bc(10.0), times, ws, ws, ws)
+    return PoiseuilleTrace(grid, counterexample_bc(10.0), SIMPLIFIED, 0.0, times, ws, ws, ws)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is drawn on purpose
