@@ -329,8 +329,10 @@ def _run_poiseuille_generic(config: ExperimentConfig):
     report = {
         "energy_identity_residual": energy_res.residual,
         "boundary_warning": energy_res.boundary_warning,
-        "energy_nonincreasing": bool(
-            np.all(np.diff(energy_res.energies) <= energy_res.residual * dt + 1e-14)
+        # dE/dt + D = -a int w: only a = 0 makes E nonincreasing
+        "energy_nonincreasing": (
+            bool(np.all(np.diff(energy_res.energies) <= energy_res.residual * dt + 1e-14))
+            if trace.a == 0.0 else None
         ),
         "heat_reduction_residual": (
             poiseuille.heat_reduction_check(trace)

@@ -19,13 +19,14 @@ the director data on the unit ball; its boundary value is hopf(POLE) for
 every dilation parameter.
 
 Energies are product-grid quadratures with tangential central differences;
-cell-centred grids keep the coordinate poles out of the stencil.  Both
-quadratures walk the radial axis (chi on the sphere, rho on the ball) in
-slabs of about ``SLAB_VALUES`` grid points.  Each slab evaluates the field
-on its rows plus a one-row halo and writes its weighted integrand into one
-full-size scalar buffer, which a single pairwise sum then totals, so the
-energies do not depend on the slab height (DECISIONS.md section 5).  Inside
-the quadratures, vector fields keep their components on the leading axis.
+cell-centred grids keep the coordinate poles out of the stencil.  The sphere
+integrand is the same in every phi column (rotating w fixes the pole,
+commutes with the dilation and only rotates the image), so the sphere energy
+is one column's sum counted 2 mesh times.  The ball walks its radial axis in
+slabs of about ``SLAB_VALUES`` grid points, each evaluated with a one-row
+halo into full-size buffers that single pairwise sums total, so its energies
+do not depend on the slab height (DECISIONS.md section 5).  Inside the
+quadratures, vector fields keep their components on the leading axis.
 
 The built-in divergence-free velocity sample is the solenoidal vortex
 
@@ -105,12 +106,12 @@ UNDER_RESOLVED_ERROR = 1e-2
 
 
 # ---------------------------------------------------------------------------
-# slab quadrature
+# grids, gradient kernel, ball slab walker, sphere energy
 
-# Grid points per slab (slab rows x theta x phi).  Any value gives the same
-# energies.  2**17 (4 chi rows at mesh 128, 16 at mesh 64) and 2**18 were
-# fastest in a sweep of 2**16 to 2**19 at both meshes; 2**17 holds the
-# mesh-64 peak to 18 MB (DECISIONS.md section 5).
+# Grid points per ball slab (slab rows x theta x phi).  Any value gives the
+# same energies.  ball_mesh 32 is one slab at any budget from 2**16; 2**17
+# ties 2**16 at ball_mesh 64 and is within 4% of the fastest at 128
+# (DECISIONS.md section 5).
 SLAB_VALUES = 2**17
 
 
@@ -151,7 +152,8 @@ SPHERE_SUMS, BALL_SUMS = 1, 2  # integrands: the energy; velocity and director
 
 def check_mesh(mesh: int, n_sums: int) -> None:
     """ValueError unless mesh >= 16 and the (n_sums, mesh, mesh, 2 mesh)
-    float totals of ``_quadrature_sums`` fit under MAX_RECORD_BYTES."""
+    float totals of ``_quadrature_sums`` fit under MAX_RECORD_BYTES.  The
+    sphere, which builds no totals, keeps the same accepted range."""
     if mesh < 16:
         raise ValueError("mesh must be at least 16")
     nbytes = n_sums * 16 * mesh**3
@@ -206,28 +208,23 @@ def _quadrature_sums(r: np.ndarray, h_r: float, field) -> list[float]:
 def dirichlet_energy_s3(lam: float, mesh: int) -> float:
     """Quadrature of |grad (hopf o psi_lam)|^2 over the three-sphere using
     hyperspherical angles (chi, theta, phi) on a cell-centred product grid
-    of shape (mesh, mesh, 2 mesh)."""
+    of shape (mesh, mesh, 2 mesh), from phi column 0 alone: the integrand is
+    the same in every column (DECISIONS.md section 5)."""
     _check(lam, mesh, SPHERE_SUMS)
     chi, h_chi = _centered(mesh, np.pi)
     the, phi, h_the, h_phi = _angles(mesh)
-    sc, cc = np.sin(chi), np.cos(chi)
-    ct = np.cos(the)[:, None]
-    st_cp = np.sin(the)[:, None] * np.cos(phi)
-    st_sp = np.sin(the)[:, None] * np.sin(phi)
-
-    def points(a, b):
-        s = sc[a:b, None, None]
-        q = np.empty((4, b - a, mesh, 2 * mesh))
-        q[0] = cc[a:b, None, None]
-        np.multiply(s, ct, out=q[1])
-        np.multiply(s, st_cp, out=q[2])
-        np.multiply(s, st_sp, out=q[3])
-        return q
-
-    def field(a, b):  # the points are freed before the fibration runs
-        return (_hopf_arr(_psi_arr(points(a, b), lam)),)
-
-    (total,) = _quadrature_sums(sc, h_chi, field)
+    cols = [-1, 0, 1]  # only the middle column's periodic phi stencil is kept
+    sc = np.sin(chi)[:, None, None]
+    st = np.sin(the)[:, None]
+    q = np.empty((4, mesh, mesh, 3))
+    q[0] = np.cos(chi)[:, None, None]
+    np.multiply(sc, np.cos(the)[:, None], out=q[1])
+    np.multiply(sc, st * np.cos(phi)[cols], out=q[2])
+    np.multiply(sc, st * np.sin(phi)[cols], out=q[3])
+    f = _hopf_arr(_psi_arr(q, lam))
+    inv_m1 = 1.0 / sc**2
+    e2 = _grad_sq(f, slice(None), (h_chi, h_the, h_phi), inv_m1, inv_m1 / st**2)
+    total = np.sum(e2[..., 1:2] * (sc**2 * st)) * (2 * mesh)
     return float(total * h_chi * h_the * h_phi)
 
 

@@ -148,8 +148,9 @@ def test_energy_rejects_bad_dilation_and_mesh():
         dirichlet_energy_s3(1.0, 8)
 
 
-# mesh 406 and ball_mesh 322 are the largest whose totals buffers, 16 and 32
-# mesh^3 bytes, fit under the 2**30-byte ceiling
+# mesh 406 and ball_mesh 322 are the largest whose totals, 16 and 32 mesh^3
+# bytes, fit under the 2**30-byte ceiling; the sphere, which allocates no
+# totals, keeps that range
 @pytest.mark.parametrize(
     "energy, n_sums, mesh",
     [(dirichlet_energy_s3, hopf.SPHERE_SUMS, 407), (ball_energy_parts, hopf.BALL_SUMS, 323)],
@@ -160,7 +161,8 @@ def test_quadrature_past_the_totals_ceiling_raises_before_allocating(
     def no_quadrature(*args):
         raise AssertionError("the quadrature ran")
 
-    monkeypatch.setattr(hopf, "_quadrature_sums", no_quadrature)
+    # both paths build their angle grids before any field
+    monkeypatch.setattr(hopf, "_angles", no_quadrature)
     with pytest.raises(ValueError, match="totals buffer exceeds the 1073741824-byte ceiling"):
         energy(1.0, mesh)
     hopf.check_mesh(mesh - 1, n_sums)

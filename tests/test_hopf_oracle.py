@@ -1,9 +1,12 @@
-"""Slab Hopf quadratures against a reference copy of the whole-grid path.
+"""Hopf quadratures against a reference copy of the whole-grid path.
 
 The references below build the full (mesh, mesh, 2 mesh, 3) field with its
-components on a trailing axis, as the quadratures did before they walked the
-radial axis in slabs.  The program must agree with them bit for bit, at any
-slab height, and its memory must stay bounded by the slab.
+components on a trailing axis, as the quadratures did before the ball walked
+the radial axis in slabs and the sphere shrank to one phi column.  The ball
+must agree with its reference bit for bit at any slab height.  The sphere
+must equal 2 mesh times the reference's own column-0 sum bit for bit, and
+the whole-grid reference within the reference's own phi spread; its memory
+must stay bounded.
 """
 
 import tracemalloc
@@ -55,7 +58,9 @@ def centered(n, width):
     return (np.arange(n) + 0.5) * h, h
 
 
-def reference_sphere_energy(lam, mesh):
+def reference_sphere_integrand(lam, mesh):
+    """The weighted integrand e2 r^2 sin(theta) on the whole grid, and the
+    spacings (h_chi, h_theta, h_phi)."""
     chi, h_chi = centered(mesh, np.pi)
     the, h_the = centered(mesh, np.pi)
     phi, h_phi = centered(2 * mesh, 2.0 * np.pi)
@@ -72,7 +77,7 @@ def reference_sphere_energy(lam, mesh):
     inv_m2 = inv_m1 / st[None, :, None] ** 2
     e2 = reference_grad_sq(f, h_chi, h_the, h_phi, inv_m1, inv_m2)
     weight = sc[:, None, None] ** 2 * st[None, :, None]
-    return float(np.sum(e2 * weight) * h_chi * h_the * h_phi)
+    return e2 * weight, (h_chi, h_the, h_phi)
 
 
 def reference_ball_parts(lam, mesh):
@@ -115,9 +120,35 @@ LAMBDAS = (1.0, 2.5, 8.0, 40.0)
 
 
 @pytest.mark.parametrize("mesh", MESHES)
-def test_sphere_energy_equals_whole_grid_reference(mesh):
+def test_sphere_energy_is_2mesh_times_the_reference_column(mesh):
     for lam in LAMBDAS:
-        assert dirichlet_energy_s3(lam, mesh) == reference_sphere_energy(lam, mesh)
+        integrand, (h_chi, h_the, h_phi) = reference_sphere_integrand(lam, mesh)
+        column = np.ascontiguousarray(integrand[:, :, 0])
+        expected = float(np.sum(column) * (2 * mesh) * h_chi * h_the * h_phi)
+        assert dirichlet_energy_s3(lam, mesh) == expected
+
+
+@pytest.mark.parametrize("mesh", (16, 17, 64))
+def test_reference_integrand_does_not_depend_on_phi(mesh):
+    # exact arithmetic gives every phi column the same integrand; the
+    # measured worst spread is 9.1e-15 of the column maximum (mesh 64)
+    for lam in LAMBDAS:
+        integrand, _ = reference_sphere_integrand(lam, mesh)
+        spread = np.max(np.ptp(integrand, axis=2))
+        assert spread <= 1e-13 * np.max(integrand[:, :, 0])
+
+
+@pytest.mark.parametrize("mesh", MESHES)
+def test_sphere_energy_equals_whole_grid_reference(mesh):
+    # the whole grid sums 2 mesh columns that differ by rounding only, so the
+    # energies may differ by the reference's own relative phi spread plus the
+    # rounding of the two sums
+    for lam in LAMBDAS:
+        integrand, (h_chi, h_the, h_phi) = reference_sphere_integrand(lam, mesh)
+        ref = float(np.sum(integrand) * h_chi * h_the * h_phi)
+        spread = np.sum(np.ptp(integrand, axis=2)) / np.sum(integrand[:, :, 0])
+        bound = spread * ref + 4 * np.spacing(ref)
+        assert abs(dirichlet_energy_s3(lam, mesh) - ref) <= bound
 
 
 @pytest.mark.parametrize("mesh", MESHES)
@@ -132,11 +163,10 @@ def test_energies_do_not_depend_on_slab_height(monkeypatch, slab_rows):
     # on one of two, and at 100 rows the whole grid is one slab
     mesh = 17
     monkeypatch.setattr(hopf, "SLAB_VALUES", slab_rows * 2 * mesh * mesh)
-    assert dirichlet_energy_s3(2.5, mesh) == reference_sphere_energy(2.5, mesh)
     assert ball_energy_parts(2.5, mesh) == reference_ball_parts(2.5, mesh)
 
 
-def test_sphere_energy_memory_is_bounded_by_the_slab():
+def test_sphere_energy_memory_is_bounded():
     # the whole-grid path peaked at 84.6 MB for this call
     dirichlet_energy_s3(1.0, 16)  # import-time and first-call allocations
     tracemalloc.start()

@@ -293,6 +293,15 @@ def test_energy_identity_includes_the_pressure_work(tmp_path):
     assert heat_reduction_applies(simulate(*poiseuille_run(no_pressure)))
 
 
+@pytest.mark.parametrize("a, flag", [(2.5, None), (-2.5, None), (0.0, True)])
+def test_energy_nonincreasing_is_reported_only_without_pressure(tmp_path, a, flag):
+    # dE/dt + D = -a int w: a pressure-driven run read false before, with an
+    # energy-identity residual of 1.3e-2
+    text = _generic_config(SIMPLIFIED.as_tuple(), "", n_cells=256, t_end=0.5, amplitude=0.0)
+    config = parse_config(text + f"a = {a!r}\n")
+    assert run(config, out_dir=tmp_path, plots=False).report["energy_nonincreasing"] is flag
+
+
 # ---------------------------------------------------------------------------
 # the velocity potential
 
