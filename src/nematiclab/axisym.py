@@ -23,8 +23,8 @@ r_i = i/n.  Two time integrators:
                        step restriction.  Every factor that depends only
                        on the grid, the coefficients and dt is built in
                        one place, ``_Batch._build``, when a batch forms; a
-                       step then evaluates the reaction once and calls
-                       LAPACK ``dgtsv`` once.
+                       step then takes one sine and one cosine of 2 phi per
+                       node and calls LAPACK ``dgtsv`` once.
 
 The origin node carries the Dirichlet value phi = 0, so the singular terms
 are never evaluated at r = 0.
@@ -348,28 +348,26 @@ def _max_gradients(
     return np.maximum.reduceat(np.abs(num, out=num), starts) / two_dr
 
 
-def _reaction(
-    p: np.ndarray, two_p: np.ndarray, two_r2, three_l2
-) -> np.ndarray:
-    """-sin(2 phi)/(2 r^2) - 3 lambda2 sin(phi) cos(phi), given 2 phi, 2 r^2
-    and 3 lambda2."""
-    return -np.sin(two_p) / two_r2 - three_l2 * np.sin(p) * np.cos(p)
+def _reaction(two_p: np.ndarray, two_r2, three_halves_l2) -> np.ndarray:
+    """-sin(2 phi)/(2 r^2) - 3 lambda2 sin(phi) cos(phi) from one sine (DECISIONS.md section 9)."""
+    s = np.sin(two_p)
+    return -s / two_r2 - three_halves_l2 * s
 
 
 def rhs(state: RadialState, c: LeslieCoefficients) -> np.ndarray:
     """phi_t at the interior nodes i = 1..n-1."""
     dr = state.grid.dr
     r = state.grid.r[1:-1]
-    return _rhs(state.phi, r, 2.0 * dr, dr**2, 2.0 * r**2, 3.0 * c.lambda2, c.lambda1)
+    return _rhs(state.phi, r, 2.0 * dr, dr**2, 2.0 * r**2, 1.5 * c.lambda2, c.lambda1)
 
 
-def _rhs(phi, r, two_dr, dr2, two_r2, three_l2, lambda1) -> np.ndarray:
+def _rhs(phi, r, two_dr, dr2, two_r2, three_halves_l2, lambda1) -> np.ndarray:
     """``rhs`` at nodes 1..N-2 of ``phi``, with the coefficients given per
     node (a batch) or as scalars (one run)."""
     p = phi[1:-1]
     d1 = (phi[2:] - phi[:-2]) / two_dr
     d2 = (phi[2:] - 2.0 * p + phi[:-2]) / dr2
-    reaction = _reaction(p, 2.0 * p, two_r2, three_l2)
+    reaction = _reaction(2.0 * p, two_r2, three_halves_l2)
     return (d2 + d1 / r + reaction) / lambda1 - r * d1
 
 
@@ -386,7 +384,7 @@ def _step_rk4(b: _Batch) -> list[_Run]:
     phi, dt = b.phi, b.dt
 
     def f(ph: np.ndarray) -> np.ndarray:
-        return _rhs(ph, b.r, b.two_dr, b.dr2, b.two_r2, b.three_l2, b.lambda1)
+        return _rhs(ph, b.r, b.two_dr, b.dr2, b.two_r2, b.three_halves_l2, b.lambda1)
 
     # Every stage gets its boundary values back, so a run whose stage went
     # non-finite cannot reach its neighbour through the nodes they share
@@ -429,7 +427,7 @@ def _step_cn(b: _Batch) -> list[_Run]:
     dt_damp = dt * (np.maximum(np.cos(two_p), 0.0) / b.lambda1_r2)
 
     d1 = (phi[2:] - phi[:-2]) / b.two_dr
-    reaction = _reaction(interior, two_p, b.two_r2, b.three_l2)
+    reaction = _reaction(two_p, b.two_r2, b.three_halves_l2)
     explicit = reaction / b.lambda1 - b.r * d1
     rhs_vec = interior * (1.0 + dt_damp) + b.theta * l_phi + dt * explicit
     finite = np.isfinite(rhs_vec)
@@ -607,6 +605,9 @@ class _Batch:
         self.ends = np.cumsum(sizes) - 1
         self.starts = self.ends - sizes + 1
         self.stencils = _end_stencils(self.starts, self.ends)
+        # each run with a view of its nodes, which every step updates in place
+        bounds = zip(self.starts.tolist(), self.ends.tolist())
+        self.spans = [(run, phi[s : e + 1]) for run, (s, e) in zip(runs, bounds)]
         self.phi[self.starts] = 0.0  # phi(0) = 0, as after any step
         self.phi_end = self.phi[self.ends]
         self.guards = np.array([run.guard for run in runs])
@@ -632,7 +633,7 @@ class _Batch:
         self.two_dr = np.where(cn, two_dr, np.inf)
         self.dr2 = np.where(cn, dr2, np.inf)
         self.two_r2 = np.where(cn, 2.0 * r**2, np.inf)
-        self.three_l2 = np.where(cn, per_row([3.0 * run.c.lambda2 for run in runs]), 0.0)
+        self.three_halves_l2 = np.where(cn, per_row([1.5 * run.c.lambda2 for run in runs]), 0.0)
         self.lambda1 = np.where(cn, lambda1, 1.0)
         self.lambda1_r2 = np.where(cn, lambda1 * r**2, np.inf)
         self.diag = np.where(cn, diag, 0.0)
@@ -667,10 +668,9 @@ class _Batch:
         return [run for run, good in zip(self.runs, passed) if not good]
 
     def remove(self, leaving: list[_Run]) -> None:
-        keep = [i for i, run in enumerate(self.runs) if run not in leaving]
+        keep = [(run, nodes) for run, nodes in self.spans if run not in leaving]
         if keep:
-            segments = [self.phi[self.starts[i] : self.ends[i] + 1] for i in keep]
-            self._build([self.runs[i] for i in keep], np.concatenate(segments))
+            self._build([run for run, _ in keep], np.concatenate([nodes for _, nodes in keep]))
         else:
             self.runs = []
 
@@ -709,8 +709,8 @@ def _march(batch: _Batch) -> None:
         if k == next_event or tripped.any():
             leaving = [
                 run
-                for run, s, e, trip in zip(batch.runs, batch.starts, batch.ends, tripped)
-                if run.advance(k, batch.phi[s : e + 1], trip)
+                for (run, phi), trip in zip(batch.spans, tripped.tolist())
+                if run.advance(k, phi, trip)
             ]
             if leaving:
                 batch.remove(leaving)

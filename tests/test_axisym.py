@@ -220,7 +220,7 @@ def test_batch_identity_rows_hold_the_values_of_decisions_section_7():
     b = axisym._Batch(runs)
     rows = np.concatenate([b.ends[:-1], b.starts[1:]]) - 1  # row i is node i + 1
     expected = {
-        "d_const": 1.0, "diag": 0.0, "theta": 0.0, "three_l2": 0.0, "lambda1": 1.0, "r": 1.0,
+        "d_const": 1.0, "diag": 0.0, "theta": 0.0, "three_halves_l2": 0.0, "lambda1": 1.0, "r": 1.0,
         "two_dr": np.inf, "dr2": np.inf, "two_r2": np.inf, "lambda1_r2": np.inf,
     }
     for name, value in expected.items():

@@ -5,7 +5,9 @@ batched: one run, one step at a time, the Crank-Nicolson step with its own
 bands and ``dgtsv`` call, RK4 on the interior right-hand side, the gradient
 guard as the maximum of the full derivative, and a finite check after every
 step.  ``simulate_batch`` marches several runs as one system; every field
-of every run's trace must equal the reference's bit for bit.
+of every run's trace must equal the reference's bit for bit.  The reference
+takes the reaction from one sine, as the program does;
+``tests/test_cn_oracle.py`` relates that form to sin(phi) cos(phi).
 """
 
 import math
@@ -44,7 +46,8 @@ def reference_rhs(phi, grid, c):
     p = phi[1:-1]
     d1 = (phi[2:] - phi[:-2]) / (2.0 * dr)
     d2 = (phi[2:] - 2.0 * p + phi[:-2]) / dr**2
-    reaction = -np.sin(2.0 * p) / (2.0 * r**2) - 3.0 * c.lambda2 * np.sin(p) * np.cos(p)
+    s = np.sin(2.0 * p)
+    reaction = -s / (2.0 * r**2) - 1.5 * c.lambda2 * s
     return (d2 + d1 / r + reaction) / c.lambda1 - r * d1
 
 
@@ -86,9 +89,8 @@ def reference_step_cn(phi, grid, c, dt):
 
     dt_damp = dt * (np.maximum(np.cos(two_p), 0.0) / (c.lambda1 * r**2))
     d1 = (phi[2:] - phi[:-2]) / (2.0 * dr)
-    reaction = -np.sin(two_p) / (2.0 * r**2) - 3.0 * c.lambda2 * np.sin(interior) * np.cos(
-        interior
-    )
+    s = np.sin(two_p)
+    reaction = -s / (2.0 * r**2) - 1.5 * c.lambda2 * s
     explicit = reaction / c.lambda1 - r * d1
     rhs_vec = interior * (1.0 + dt_damp) + theta * l_phi + dt * explicit
     if not np.all(np.isfinite(rhs_vec)):
