@@ -20,11 +20,11 @@ r_i = i/n.  Two time integrators:
                        its damping part (cos(2 phi) > 0) is folded into the
                        tridiagonal diagonal; this keeps the scheme
                        first-order consistent while removing the near-origin
-                       step restriction.  Every factor that depends only
-                       on the grid, the coefficients and dt is built in
-                       one place, ``_Batch._build``, when a batch forms; a
-                       step then takes one sine and one cosine of 2 phi per
-                       node and calls LAPACK ``dgtsv`` once.
+                       step restriction.
+
+Apart from sin(2 phi), each right-hand side is three bands fixed for the run
+(DECISIONS.md section 9), formed once in ``_Batch._build``; a step applies
+them and, for Crank-Nicolson, calls LAPACK ``dgtsv`` once.
 
 The origin node carries the Dirichlet value phi = 0, so the singular terms
 are never evaluated at r = 0.
@@ -348,27 +348,39 @@ def _max_gradients(
     return np.maximum.reduceat(np.abs(num, out=num), starts) / two_dr
 
 
-def _reaction(two_p: np.ndarray, two_r2, three_halves_l2) -> np.ndarray:
-    """-sin(2 phi)/(2 r^2) - 3 lambda2 sin(phi) cos(phi) from one sine (DECISIONS.md section 9)."""
-    s = np.sin(two_p)
-    return -s / two_r2 - three_halves_l2 * s
+def _operator(r, two_dr, dr2, lambda1, lambda2):
+    """(diag, upper, lower, adv, q) of phi_t = diag phi_i + upper phi_{i+1}
+    + lower phi_{i-1} + adv (phi_{i-1} - phi_{i+1}) + q sin(2 phi_i): the
+    three-point phi_rr + phi_r/r and the reaction over lambda1, and -r phi_r;
+    the coefficients come per node (a batch) or as scalars (one run)."""
+    upper = (1.0 / dr2 + 1.0 / (two_dr * r)) / lambda1
+    lower = (1.0 / dr2 - 1.0 / (two_dr * r)) / lambda1
+    q = -(0.5 / r**2 + 1.5 * lambda2) / lambda1
+    return -2.0 / dr2 / lambda1, upper, lower, r / two_dr, q
+
+
+def _rk4_bands(*at_nodes):
+    """The bands (c0, c+, c-, q) of phi_t, ``_operator``'s terms summed."""
+    diag, upper, lower, adv, q = _operator(*at_nodes)
+    return diag, upper - adv, lower + adv, q
+
+
+def _banded(bands, phi: np.ndarray, two_p: np.ndarray) -> np.ndarray:
+    """c0 phi_i + c+ phi_{i+1} + c- phi_{i-1} + q sin(2 phi_i) at nodes
+    1..N-2 of ``phi``, for bands (c0, c+, c-, q) and two_p = 2 phi_i."""
+    c0, c_up, c_lo, q = bands
+    out = c0 * phi[1:-1]
+    out += c_up * phi[2:]
+    out += c_lo * phi[:-2]
+    out += q * np.sin(two_p)
+    return out
 
 
 def rhs(state: RadialState, c: LeslieCoefficients) -> np.ndarray:
     """phi_t at the interior nodes i = 1..n-1."""
-    dr = state.grid.dr
-    r = state.grid.r[1:-1]
-    return _rhs(state.phi, r, 2.0 * dr, dr**2, 2.0 * r**2, 1.5 * c.lambda2, c.lambda1)
-
-
-def _rhs(phi, r, two_dr, dr2, two_r2, three_halves_l2, lambda1) -> np.ndarray:
-    """``rhs`` at nodes 1..N-2 of ``phi``, with the coefficients given per
-    node (a batch) or as scalars (one run)."""
-    p = phi[1:-1]
-    d1 = (phi[2:] - phi[:-2]) / two_dr
-    d2 = (phi[2:] - 2.0 * p + phi[:-2]) / dr2
-    reaction = _reaction(2.0 * p, two_r2, three_halves_l2)
-    return (d2 + d1 / r + reaction) / lambda1 - r * d1
+    g, phi = state.grid, state.phi
+    bands = _rk4_bands(g.r[1:-1], 2.0 * g.dr, g.dr**2, c.lambda1, c.lambda2)
+    return _banded(bands, phi, 2.0 * phi[1:-1])
 
 
 def step(batch: _Batch) -> list[_Run]:
@@ -382,23 +394,16 @@ def step(batch: _Batch) -> list[_Run]:
 
 def _step_rk4(b: _Batch) -> list[_Run]:
     phi, dt = b.phi, b.dt
-
-    def f(ph: np.ndarray) -> np.ndarray:
-        return _rhs(ph, b.r, b.two_dr, b.dr2, b.two_r2, b.three_halves_l2, b.lambda1)
-
     # Every stage gets its boundary values back, so a run whose stage went
     # non-finite cannot reach its neighbour through the nodes they share
     # as stencil ends.
-    k1 = f(phi)
-    ph2 = phi.copy()
-    ph2[1:-1] += 0.5 * dt * k1
-    k2 = f(b.reset_boundaries(ph2))
-    ph3 = phi.copy()
-    ph3[1:-1] += 0.5 * dt * k2
-    k3 = f(b.reset_boundaries(ph3))
-    ph4 = phi.copy()
-    ph4[1:-1] += dt * k3
-    k4 = f(b.reset_boundaries(ph4))
+    ks = [_banded(b.bands, phi, 2.0 * phi[1:-1])]
+    for h in (0.5 * dt, 0.5 * dt, dt):
+        stage = phi.copy()
+        stage[1:-1] += h * ks[-1]
+        b.reset_boundaries(stage)
+        ks.append(_banded(b.bands, stage, 2.0 * stage[1:-1]))
+    k1, k2, k3, k4 = ks
     phi[1:-1] += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     b.reset_boundaries(phi)
     finite = np.isfinite(phi)
@@ -410,26 +415,16 @@ def _step_rk4(b: _Batch) -> list[_Run]:
 
 
 def _step_cn(b: _Batch) -> list[_Run]:
-    phi, dt = b.phi, b.dt
+    phi = b.phi
     interior = phi[1:-1]
     two_p = 2.0 * interior
-
-    l_phi = b.diag * interior
-    l_phi[:-1] += b.up * interior[1:]
-    l_phi[1:] += b.lo * interior[:-1]
-    # boundary columns: phi(0) = 0 contributes nothing; phi(1) is constant
-    l_phi[b.last_rows] += b.boundary_column
-
-    # Damping part of the singular reaction Jacobian, cos(2 phi)/r^2 where
-    # positive, goes on the diagonal (and on the right so fixed points stay
-    # zeros of rhs): without it the first node is as stiff as diffusion and
-    # the splitting would need dt = O(dr^2).
-    dt_damp = dt * (np.maximum(np.cos(two_p), 0.0) / b.lambda1_r2)
-
-    d1 = (phi[2:] - phi[:-2]) / b.two_dr
-    reaction = _reaction(two_p, b.two_r2, b.three_halves_l2)
-    explicit = reaction / b.lambda1 - b.r * d1
-    rhs_vec = interior * (1.0 + dt_damp) + b.theta * l_phi + dt * explicit
+    # The damping part of the reaction's Jacobian, cos(2 phi)/r^2 where
+    # positive, goes on both sides, so fixed points stay zeros of rhs: without
+    # it the first node is as stiff as diffusion and dt would be O(dr^2).
+    dt_damp = b.damp * np.maximum(np.cos(two_p), 0.0)
+    rhs_vec = _banded(b.bands, phi, two_p)
+    rhs_vec += b.boundary
+    rhs_vec += dt_damp * interior
     finite = np.isfinite(rhs_vec)
     if not finite.all():
         # a non-finite row would reach every later row of the elimination
@@ -438,12 +433,10 @@ def _step_cn(b: _Batch) -> list[_Run]:
         return bad + (_step_cn(b) if b.runs else [])
 
     d = b.d_const + dt_damp
-    _, _, _, new_interior, info = b.dgtsv(
-        b.dl, d, b.du, rhs_vec, overwrite_d=1, overwrite_b=1
-    )
+    _, _, _, new, info = b.dgtsv(b.dl, d, b.du, rhs_vec, overwrite_d=1, overwrite_b=1)
     if info != 0:  # pragma: no cover - defensive
         raise SolverHalt(f"tridiagonal solve breakdown: dgtsv info {info}")
-    phi[1:-1] = new_interior
+    phi[1:-1] = new
     b.reset_boundaries(phi)
     return []
 
@@ -588,8 +581,8 @@ class _Batch:
     Crank-Nicolson rows, and its end nodes inside the vector are identity
     rows with zero couplings, so one ``dgtsv`` call solves every run and
     each run's numbers are those of its own solve (DECISIONS.md section 7).
-    ``_build`` forms every per-row coefficient, one line each, from each
-    run's grid, coefficients and dt."""
+    ``_build`` forms every band and per-row coefficient, one line each,
+    from each run's grid, coefficients and dt."""
 
     def __init__(self, runs: list[_Run]):
         self.scheme, self.dt = runs[0].p.scheme, runs[0].p.dt
@@ -609,7 +602,10 @@ class _Batch:
         bounds = zip(self.starts.tolist(), self.ends.tolist())
         self.spans = [(run, phi[s : e + 1]) for run, (s, e) in zip(runs, bounds)]
         self.phi[self.starts] = 0.0  # phi(0) = 0, as after any step
-        self.phi_end = self.phi[self.ends]
+        phi_end = phi[self.ends]
+        # the boundary values every step writes back, in one assignment
+        self.edges = np.concatenate([self.starts, self.ends])
+        self.edge_values = np.concatenate([np.zeros(len(runs)), phi_end])
         self.guards = np.array([run.guard for run in runs])
         self.run_two_dr = np.array([2.0 * run.grid.dr for run in runs])
         # Row i is node i + 1.  A run's interior nodes are its Crank-Nicolson
@@ -623,39 +619,41 @@ class _Batch:
             return np.repeat(per_run, sizes)[1:-1]
 
         # per-run scalars as Python floats: dr**2 is pow, not dr * dr
-        two_dr, dr2 = per_row(self.run_two_dr), per_row([run.grid.dr**2 for run in runs])
         lambda1 = per_row([run.c.lambda1 for run in runs])
-        theta = per_row([self.dt / (2.0 * run.c.lambda1) for run in runs])
-        diag = per_row([-2.0 / run.grid.dr**2 for run in runs])
-        r = self.r = np.where(cn, np.concatenate([run.grid.r for run in runs])[1:-1], 1.0)
-        upper = 1.0 / dr2 + 1.0 / (two_dr * r)  # phi_rr + phi_r/r: coefficient
-        lower = 1.0 / dr2 - 1.0 / (two_dr * r)  # of phi[i+1] and of phi[i-1]
-        self.two_dr = np.where(cn, two_dr, np.inf)
-        self.dr2 = np.where(cn, dr2, np.inf)
-        self.two_r2 = np.where(cn, 2.0 * r**2, np.inf)
-        self.three_halves_l2 = np.where(cn, per_row([1.5 * run.c.lambda2 for run in runs]), 0.0)
-        self.lambda1 = np.where(cn, lambda1, 1.0)
-        self.lambda1_r2 = np.where(cn, lambda1 * r**2, np.inf)
-        self.diag = np.where(cn, diag, 0.0)
-        self.theta = np.where(cn, theta, 0.0)
-        self.d_const = np.where(cn, 1.0 - theta * diag, 1.0)  # before the damping
+        r = np.where(cn, np.concatenate([run.grid.r for run in runs])[1:-1], 1.0)
+        at_rows = r, per_row(self.run_two_dr), per_row([run.grid.dr**2 for run in runs])
+        at_rows += lambda1, per_row([run.c.lambda2 for run in runs])
+        if self.scheme == "explicit":
+            self.bands = tuple(np.where(cn, band, 0.0) for band in _rk4_bands(*at_rows))
+            return
+        # Crank-Nicolson: phi + dt/2 (phi_rr + phi_r/r)/lambda1 + dt (the rest
+        # of phi_t) on the right; the damping, on both sides, each step forms
+        diag, upper, lower, adv, q = _operator(*at_rows)
+        dt, half = self.dt, 0.5 * self.dt
+        self.bands = (
+            np.where(cn, 1.0 + half * diag, 1.0),
+            np.where(cn, half * upper - dt * adv, 0.0),
+            np.where(cn, half * lower + dt * adv, 0.0),
+            np.where(cn, dt * q, 0.0),
+        )
+        self.damp = np.where(cn, dt / (lambda1 * r**2), 0.0)
+        self.d_const = np.where(cn, 1.0 - half * diag, 1.0)  # before the damping
         # rows i and i + 1 are coupled only when both are Crank-Nicolson rows;
         # phi(0) = 0 and the constant phi(1) enter no coupling
         pair = cn[:-1] & cn[1:]
-        self.up, self.lo = np.where(pair, upper[:-1], 0.0), np.where(pair, lower[1:], 0.0)
-        self.du = np.where(pair, -theta[:-1] * upper[:-1], 0.0)
-        self.dl = np.where(pair, -theta[1:] * lower[1:], 0.0)
-        # the constant phi(1) of each run, on its row n - 1, as
-        # 2 (upper phi(1)): half from the old and half from the new state
-        self.last_rows = self.ends - 2
-        self.boundary_column = 2.0 * (upper[self.last_rows] * self.phi_end)
+        self.du = np.where(pair, -half * upper[:-1], 0.0)
+        self.dl = np.where(pair, -half * lower[1:], 0.0)
+        # the new state's half of the constant phi(1) on each run's row n - 1
+        # (the band applies the old half); + 0.0 turns -0.0 into +0.0, so
+        # that no right-hand side is -0.0 (DECISIONS.md section 7)
+        last = self.ends - 2
+        self.boundary = np.zeros(len(cn))
+        self.boundary[last] = half * upper[last] * phi_end + 0.0
 
     def reset_boundaries(self, phi: np.ndarray) -> np.ndarray:
-        """Reimpose, in a node vector of this batch, phi(0) = 0 and the
-        frozen phi(1) of every run, which a step leaves unchanged up to the
-        sign of a zero; returns ``phi``."""
-        phi[self.starts] = 0.0
-        phi[self.ends] = self.phi_end
+        """Reimpose, in a node vector of this batch, phi(0) = 0 and every
+        run's frozen phi(1), whose zero a step may flip; returns ``phi``."""
+        phi[self.edges] = self.edge_values
         return phi
 
     def max_gradients(self) -> np.ndarray:

@@ -208,28 +208,38 @@ def test_simulate_rejects_t_end_off_the_step_grid(t_end):
 
 
 def test_batch_identity_rows_hold_the_values_of_decisions_section_7():
-    # where two runs meet, the end nodes are identity rows: unit diagonal,
-    # explicit terms that vanish, and couplings into and out of them that
-    # are +0.0, so the elimination factor across a junction is +0 exactly
+    # where two runs meet, the end nodes are identity rows: a unit band on
+    # phi_i and every other band zero (a zero rate for RK4), unit diagonal
+    # d, and couplings into and out of them that are +0.0, so the
+    # elimination factor across a junction is +0 exactly
     from nematiclab import axisym
 
-    runs = [
-        axisym._Run(make_state(RadialGrid(n), lambda r: 0.1 * r), c, SolverParams(1e-4, t_end=1e-3))
-        for n, c in [(16, L2_ZERO), (37, L2_HALF), (64, L2_ZERO)]
-    ]
-    b = axisym._Batch(runs)
-    rows = np.concatenate([b.ends[:-1], b.starts[1:]]) - 1  # row i is node i + 1
-    expected = {
-        "d_const": 1.0, "diag": 0.0, "theta": 0.0, "three_halves_l2": 0.0, "lambda1": 1.0, "r": 1.0,
-        "two_dr": np.inf, "dr2": np.inf, "two_r2": np.inf, "lambda1_r2": np.inf,
-    }
-    for name, value in expected.items():
-        assert np.array_equal(getattr(b, name)[rows], np.full(len(rows), value)), name
-    touching = np.unique([rows - 1, rows])  # coupling j joins rows j and j + 1
-    for name in ("up", "lo", "du", "dl"):
-        coupling = getattr(b, name)
-        assert np.all(coupling[touching] == 0.0) and not np.signbit(coupling[touching]).any(), name
-        assert np.count_nonzero(coupling) == len(coupling) - len(touching), name
+    data = [(16, L2_ZERO, 0.1), (37, L2_HALF, -0.0), (64, L2_ZERO, 0.1)]  # the middle phi(1) = -0.0
+    for scheme, dt in (("semi_implicit", 1e-4), ("explicit", 1e-5)):
+        params = SolverParams(dt, scheme, 1e-3)
+        runs = [axisym._Run(make_state(RadialGrid(n), lambda r: a * r), c, params)
+                for n, c, a in data]
+        b = axisym._Batch(runs)
+        rows = np.concatenate([b.ends[:-1], b.starts[1:]]) - 1  # row i is node i + 1
+        first = 1.0 if scheme == "semi_implicit" else 0.0
+        for k, band in enumerate(b.bands):
+            value = first if k == 0 else 0.0
+            assert np.array_equal(band[rows], np.full(len(rows), value)), (scheme, k)
+            assert not np.signbit(band[rows]).any(), (scheme, k)
+        if scheme == "explicit":
+            continue
+        for name, value in (("d_const", 1.0), ("damp", 0.0), ("boundary", 0.0)):
+            assert np.array_equal(getattr(b, name)[rows], np.full(len(rows), value)), name
+        # the boundary is nonzero on each run's row n - 1 only where phi(1)
+        # is, and never -0.0
+        assert np.count_nonzero(b.boundary) == 2
+        assert not np.signbit(b.boundary).any()
+        touching = np.unique([rows - 1, rows])  # coupling j joins rows j and j + 1
+        for name in ("du", "dl"):
+            coupling = getattr(b, name)
+            assert np.all(coupling[touching] == 0.0), name
+            assert not np.signbit(coupling[touching]).any(), name
+            assert np.count_nonzero(coupling) == len(coupling) - len(touching), name
 
 
 # ---------------------------------------------------------------------------

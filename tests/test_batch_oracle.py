@@ -6,8 +6,9 @@ bands and ``dgtsv`` call, RK4 on the interior right-hand side, the gradient
 guard as the maximum of the full derivative, and a finite check after every
 step.  ``simulate_batch`` marches several runs as one system; every field
 of every run's trace must equal the reference's bit for bit.  The reference
-takes the reaction from one sine, as the program does;
-``tests/test_cn_oracle.py`` relates that form to sin(phi) cos(phi).
+forms each step from three bands and one sine coefficient per node, as the
+program does; ``tests/test_cn_oracle.py`` bounds how far that order is from
+the per-term order and relates the reaction to sin(phi) cos(phi).
 """
 
 import math
@@ -40,15 +41,21 @@ L2_SETS = (
 # the one-run driver, as a reference
 
 
+def reference_operator(grid, c):
+    """(diag, upper, lower, adv, q) of phi_t = diag phi_i + upper phi_{i+1}
+    + lower phi_{i-1} + adv (phi_{i-1} - phi_{i+1}) + q sin(2 phi_i)."""
+    dr, r = grid.dr, grid.r[1:-1]
+    two_dr, dr2 = 2.0 * dr, dr**2
+    upper = (1.0 / dr2 + 1.0 / (two_dr * r)) / c.lambda1
+    lower = (1.0 / dr2 - 1.0 / (two_dr * r)) / c.lambda1
+    q = -(0.5 / r**2 + 1.5 * c.lambda2) / c.lambda1
+    return -2.0 / dr2 / c.lambda1, upper, lower, r / two_dr, q
+
+
 def reference_rhs(phi, grid, c):
-    dr = grid.dr
-    r = grid.r[1:-1]
+    diag, upper, lower, adv, q = reference_operator(grid, c)
     p = phi[1:-1]
-    d1 = (phi[2:] - phi[:-2]) / (2.0 * dr)
-    d2 = (phi[2:] - 2.0 * p + phi[:-2]) / dr**2
-    s = np.sin(2.0 * p)
-    reaction = -s / (2.0 * r**2) - 1.5 * c.lambda2 * s
-    return (d2 + d1 / r + reaction) / c.lambda1 - r * d1
+    return diag * p + (upper - adv) * phi[2:] + (lower + adv) * phi[:-2] + q * np.sin(2.0 * p)
 
 
 def reference_step_rk4(phi, grid, c, dt):
@@ -73,30 +80,26 @@ def reference_step_rk4(phi, grid, c, dt):
 
 
 def reference_step_cn(phi, grid, c, dt):
-    dr = grid.dr
+    diag, upper, lower, adv, q = reference_operator(grid, c)
     r = grid.r[1:-1]
-    theta = dt / (2.0 * c.lambda1)
-    lower = 1.0 / dr**2 - 1.0 / (2.0 * dr * r)
-    diag = -2.0 / dr**2
-    upper = 1.0 / dr**2 + 1.0 / (2.0 * dr * r)
-
+    half = 0.5 * dt
     interior = phi[1:-1]
     two_p = 2.0 * interior
-    l_phi = diag * interior
-    l_phi[:-1] += upper[:-1] * interior[1:]
-    l_phi[1:] += lower[1:] * interior[:-1]
-    l_phi[-1] += 2.0 * (upper[-1] * phi[-1])
-
-    dt_damp = dt * (np.maximum(np.cos(two_p), 0.0) / (c.lambda1 * r**2))
-    d1 = (phi[2:] - phi[:-2]) / (2.0 * dr)
-    s = np.sin(two_p)
-    reaction = -s / (2.0 * r**2) - 1.5 * c.lambda2 * s
-    explicit = reaction / c.lambda1 - r * d1
-    rhs_vec = interior * (1.0 + dt_damp) + theta * l_phi + dt * explicit
+    dt_damp = dt / (c.lambda1 * r**2) * np.maximum(np.cos(two_p), 0.0)
+    boundary = np.zeros(grid.n_cells - 1)
+    boundary[-1] = half * upper[-1] * phi[-1] + 0.0
+    rhs_vec = (
+        (1.0 + half * diag) * interior
+        + (half * upper - dt * adv) * phi[2:]
+        + (half * lower + dt * adv) * phi[:-2]
+        + dt * q * np.sin(two_p)
+        + boundary
+        + dt_damp * interior
+    )
     if not np.all(np.isfinite(rhs_vec)):
         raise SolverHalt("non-finite field")
-    d = 1.0 - theta * np.full(grid.n_cells - 1, diag) + dt_damp
-    _, _, _, new_interior, info = dgtsv(-theta * lower[1:], d, -theta * upper[:-1], rhs_vec)
+    d = (1.0 - half * diag) + dt_damp
+    _, _, _, new_interior, info = dgtsv(-half * lower[1:], d, -half * upper[:-1], rhs_vec)
     assert info == 0
     out = phi.copy()
     out[1:-1] = new_interior
@@ -223,7 +226,9 @@ def test_batch_with_a_guarded_start_a_mid_run_trip_and_zero_data(scheme):
 @pytest.mark.parametrize(
     "scheme, dt, huge",
     [
-        ("semi_implicit", 1e-4, lambda r: 1e305 * r),
+        # the Crank-Nicolson bands scale phi by about 1 at this dt, so the
+        # overflow comes from 2 phi, which passes the largest double
+        ("semi_implicit", 1e-4, lambda r: 1e308 * r),
         ("explicit", 1e-5, lambda r: 1e306 * np.sin(7.0 * r)),
     ],
 )

@@ -201,6 +201,31 @@ def test_global_report_contents(tmp_path):
     assert header == "t,phi_r_origin,e_total,e_grad,e_sin,local_energy_R"
 
 
+@pytest.mark.parametrize(
+    "time, amplitude",
+    [
+        # the bands scale by dt before they meet phi: about 1e204 here
+        ("dt = 1e200\nscheme = semi_implicit\nt_end = 1e201", "3.0"),
+        # the largest dt RK4 accepts at n = 64: 0.25 dr^2 lambda1
+        ("dt = 6.103515625e-05\nscheme = explicit\nt_end = 6.103515625e-03", "3.0"),
+        ("dt = 1e-3\nscheme = semi_implicit\nt_end = 0.05", "-0.0"),
+        ("dt = 1e-5\nscheme = explicit\nt_end = 1e-3", "-0.0"),
+    ],
+    ids=["cn_dt_1e200", "rk4_largest_dt", "cn_minus_zero", "rk4_minus_zero"],
+)
+def test_radial_runs_at_the_edges_of_the_bands_reach_t_end(tmp_path, time, amplitude):
+    text = TINY_GLOBAL.format(out=tmp_path / "out").replace("stride = 5", "stride = 1")
+    text = text.replace("dt = 1e-3\nscheme = semi_implicit\nt_end = 0.05", time)
+    cfg = tmp_path / "edge.ini"
+    cfg.write_text(text.replace("amplitude = 3.0", f"amplitude = {amplitude}"))
+    assert main(["simulate", str(cfg), "--no-plots"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert (report["halted"], report["halt_reason"]) == (False, None)
+    assert report["t_final"] == float(time.split("t_end = ")[1])
+    if amplitude == "-0.0":  # zero data stay zero
+        assert report["max_phi"] == report["min_phi"] == 0.0
+
+
 def test_global_data_outside_the_barriers_report_the_ordering_error(tmp_path):
     # phi0 = 1000 r lies above the supersolution at t = 0: the ordering
     # check does not apply, and the run still writes its report
