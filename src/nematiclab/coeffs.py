@@ -53,9 +53,9 @@ class LeslieCoefficients:
         return 0.5 * (self.mu5 - self.mu2), 0.5 * (self.mu3 + self.mu6)
 
     @cached_property
-    def constant_gh(self) -> tuple[np.float64, np.float64, np.float64] | None:
-        """(g, h, h/2) for the Poiseuille step when g and h do not depend on
-        phi, else None; numpy scalars, converted once per coefficient set.
+    def constant_gh(self) -> tuple[np.float64, np.float64] | None:
+        """(g, h) for the Poiseuille step when g and h do not depend on phi,
+        else None; numpy scalars, converted once per coefficient set.
 
         When the three trig weights 0.25 mu1, 0.5 (b - a) and
         0.5 (mu3 + mu2) are +0.0 and 0.5 (mu3 - mu2) is not zero, each
@@ -67,8 +67,7 @@ class LeslieCoefficients:
         trig = (0.25 * self.mu1, 0.5 * (b - a), 0.5 * (self.mu3 + self.mu2))
         if not all(map(_is_plus_zero, trig)) or 0.5 * (self.mu3 - self.mu2) == 0.0:
             return None
-        g, h = g_coeff(self, 0.0), h_coeff(self, 0.0)
-        return g, h, h * 0.5
+        return g_coeff(self, 0.0), h_coeff(self, 0.0)
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.mu1, self.mu2, self.mu3, self.mu4, self.mu5, self.mu6)

@@ -9,16 +9,16 @@ equation first, then enters the flux of the first.  Fluxes live on staggered
 midpoints with central differencing; time stepping is explicit Euler with
 the step bound dt <= 0.25 dx^2 min(lambda1, 1/max g) enforced up front.
 
-The step is a lean kernel: temporaries are updated in place, and the new
-w and phi are the two rows of one array, scaled by dt and checked for
-finiteness in one call each.  When g or h depends on phi, the step takes
-them from coeffs.g_coeff and coeffs.h_coeff (four trig calls a step); when
-their trig weights are +0.0, as under the simplified coefficients, they are
-the constants cached on the coefficient set
-(LeslieCoefficients.constant_gh) and the step makes no trig call.  Every
-floating-point operation keeps the operands and the order of the plain
-formulas, up to exact commutations, so the traces are bit-identical to
-them (DECISIONS.md section 6).
+A run marches in place (``_March``): dx, lambda1 and dt are folded into a
+few factors once per run, the state lives in two (2, n+1) buffers used in
+turn, and a step is numpy calls on views made once.  When g or h depends
+on phi, each step takes them from coeffs.g_coeff and coeffs.h_coeff (four
+trig calls) times those factors; when their trig weights are +0.0, as
+under the simplified coefficients, they are the constants cached on the
+coefficient set (LeslieCoefficients.constant_gh), folded into the factors,
+and the step makes no trig call.  Both paths give the same doubles.  The
+folded order rounds differently from the per-term formulas, by at most a
+few units in the last place of the terms (DECISIONS.md section 6).
 
 The whole-line problem is truncated with Dirichlet data; supplying the data
 of the exact pair w = -2x, phi = t (simplified coefficients) preserves that
@@ -147,68 +147,98 @@ def phi_time_derivative(
     bc: BoundaryData,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """phi_t on all nodes, into ``out`` if given: the angle equation
-    (phi_xx - h(phi) w_x) / lambda1 at interior nodes, the rate of the
-    Dirichlet data at the ends."""
-    gh, dx = c.constant_gh, state.grid.dx
-    phi, w = state.phi, state.w
-    if out is None:
-        out = np.empty_like(phi)
-    inner = out[1:-1]
-    np.subtract(phi[2:], np.multiply(phi[1:-1], 2.0), out=inner)
-    inner += phi[:-2]
-    inner /= dx**2  # phi_xx
-    h = h_coeff(c, phi[1:-1]) if gh is None else gh[1]
-    w_x = np.subtract(w[2:], w[:-2])
-    w_x /= 2.0 * dx
-    w_x *= h
-    inner -= w_x
-    inner /= c.lambda1
-    out[0] = bc.phi_left_rate(state.t)
-    out[-1] = bc.phi_right_rate(state.t)
-    return out
+    """phi_t on all nodes of ``state``, into ``out`` if given, by the angle
+    equation of the step (``_March.rate``; dt does not enter it)."""
+    return _March(state, c, 0.0, bc).rate(np.empty_like(state.phi) if out is None else out)
 
 
-def step_general(
-    state: PoiseuilleState,
-    c: LeslieCoefficients,
-    dt: float,
-    bc: BoundaryData,
-    t_new: float | None = None,
-) -> PoiseuilleState:
-    """One explicit Euler step of the coupled system to time t_new, by
-    default state.t + dt; the boundary data are taken at t_new.
+class _March:
+    """One run, marched in place (DECISIONS.md section 6).
 
-    w_t = -a + (g(phi_mid) w_x + h(phi_mid) phi_t,mid)_x on staggered
-    midpoints.  The new w and phi are the two rows of one array."""
-    gh, dx = c.constant_gh, state.grid.dx
-    phi, w = state.phi, state.w
-    new = np.empty((2, len(phi)))
-    phi_t = phi_time_derivative(state, c, bc, out=new[1])
+    The step is explicit Euler on
 
-    if gh is None:
-        mid = 0.5 * (phi[:-1] + phi[1:])
-        g, h_half = g_coeff(c, mid), h_coeff(c, mid) * 0.5
+        phi_t = ((phi_{i+1} - 2 phi_i) + phi_{i-1} - (w_{i+1} - w_{i-1}) h dx/2)
+                / (lambda1 dx^2),
+        w_new = w + (F_{i+1/2} - F_{i-1/2} - dt a),
+        F = (phi_t,i + phi_t,i+1) h dt/(2 dx) + (w_{i+1} - w_i) g dt/dx^2,
+        phi_new = phi + phi_t dt,
+
+    with dx, lambda1 and dt folded into factors formed here, and g and h
+    too when ``constant_gh`` holds; otherwise each step multiplies the
+    ``g_coeff`` and ``h_coeff`` arrays by the same factors.  The state lives
+    in two (2, n+1) buffers, rows w and phi, that the steps use in turn;
+    ``now[0]`` is the current one.  Every view and scratch array a step
+    touches is made here."""
+
+    def __init__(self, state: PoiseuilleState, c: LeslieCoefficients, dt: float, bc: BoundaryData):
+        self.c, self.dt, self.bc, self.t = c, dt, bc, state.t
+        dx, n = state.grid.dx, state.grid.n_cells
+        self.lambda1_dx2, self.dt_a = c.lambda1 * dx**2, dt * state.a
+        self.f_w, self.f_h, self.f_g = 0.5 * dx, dt / (2.0 * dx), dt / dx**2  # of h, h and g
+        self.gh = c.constant_gh
+        if self.gh is not None:
+            g, h = self.gh
+            self.h_w, self.h_f, self.g_f = h * self.f_w, h * self.f_h, g * self.f_g
+        self.now, self.next = (self._views(np.empty((2, n + 1))) for _ in range(2))
+        self.now[0][0], self.now[0][1] = state.w, state.phi
+        # a step's increment: 0 at the ends of its w row; its phi row holds
+        # phi_t until it is scaled by dt
+        incr = np.zeros((2, n + 1))
+        self.incr = incr, incr[0, 1:-1], incr[1], incr[1, 1:], incr[1, :-1]
+        self.dw, self.flux = ((d, d[1:], d[:-1]) for d in np.empty((2, n)))
+        self.g_term, self.w_term = np.empty(n), np.empty(n - 1)
+
+    @staticmethod
+    def _views(buf: np.ndarray) -> tuple:
+        w, phi = buf
+        return buf, w[1:], w[:-1], phi, phi[1:], phi[:-1], phi[2:], phi[:-2], phi[1:-1]
+
+    def rate(self, out: np.ndarray) -> np.ndarray:
+        """phi_t of the current state into ``out``, which it returns, and
+        w_{i+1} - w_i into ``dw``, which the step's flux reads."""
+        _, w_hi, w_lo, _, _, _, phi_r, phi_l, phi_in = self.now
+        dw, dw_hi, dw_lo = self.dw
+        w_term, inner = self.w_term, out[1:-1]
+        np.subtract(w_hi, w_lo, out=dw)
+        # 2 phi_i overflows here where the array path's cos 2phi is nan
+        np.subtract(phi_r, np.multiply(phi_in, 2.0, out=inner), out=inner)
+        inner += phi_l
+        np.add(dw_hi, dw_lo, out=w_term)  # w_{i+1} - w_{i-1}
+        w_term *= self.h_w if self.gh is not None else h_coeff(self.c, phi_in) * self.f_w
+        inner -= w_term
+        inner /= self.lambda1_dx2
+        out[0] = self.bc.phi_left_rate(self.t)
+        out[-1] = self.bc.phi_right_rate(self.t)
+        return out
+
+    def fill(self, row: np.ndarray) -> None:
+        """Record the current state and its phi_t into a (3, n+1) row."""
+        row[:2] = self.now[0]
+        self.rate(row[2])
+
+
+def step_general(march: _March, t_new: float) -> None:
+    """One explicit Euler step of ``march`` to t_new, with the boundary data
+    taken at t_new: phi_t, the flux on the staggered midpoints, and both
+    rows of the new state in one add.  SolverHalt if it is not finite."""
+    old, _, _, phi, phi_hi, phi_lo, _, _, _ = march.now
+    incr, w_incr, rate, rate_hi, rate_lo = march.incr
+    flux, flux_hi, flux_lo = march.flux
+    march.rate(rate)
+    if march.gh is None:
+        mid = 0.5 * (phi_lo + phi_hi)
+        h_f, g_f = h_coeff(march.c, mid) * march.f_h, g_coeff(march.c, mid) * march.f_g
     else:
-        g, _, h_half = gh
-    flux = np.subtract(w[1:], w[:-1])
-    flux *= g
-    flux /= dx  # (g w_x,mid) / dx + (h / 2) (phi_t sum)
-    h_term = np.add(phi_t[:-1], phi_t[1:])
-    h_term *= h_half
-    flux += h_term
-
-    w_t = new[0, 1:-1]
-    np.subtract(flux[1:], flux[:-1], out=w_t)
-    w_t /= dx
-    w_t -= state.a  # x - a == -a + x in IEEE arithmetic
-    new[0, 0] = new[0, -1] = 0.0  # the ends take the Dirichlet data below
-    new *= dt
-    new[0] += w
-    new[1] += phi
-
-    if t_new is None:
-        t_new = state.t + dt
+        h_f, g_f = march.h_f, march.g_f
+    np.add(rate_lo, rate_hi, out=flux)
+    flux *= h_f
+    flux += np.multiply(march.dw[0], g_f, out=march.g_term)
+    np.subtract(flux_hi, flux_lo, out=w_incr)
+    w_incr -= march.dt_a
+    rate *= march.dt
+    new = march.next[0]
+    np.add(old, incr, out=new)
+    bc = march.bc
     new[0, 0] = bc.w_left(t_new)
     new[0, -1] = bc.w_right(t_new)
     new[1, 0] = bc.phi_left(t_new)
@@ -218,7 +248,8 @@ def step_general(
     ends_finite = math.isfinite(phi[0] + phi[1]) and math.isfinite(phi[-2] + phi[-1])
     if not (np.isfinite(new).all() and ends_finite):
         raise SolverHalt("non-finite field", t_new)
-    return PoiseuilleState(state.grid, new[0], new[1], t_new, state.a)
+    march.now, march.next = march.next, march.now
+    march.t = t_new
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +324,12 @@ def simulate(
     record = RunRecord(
         state0.t, t_end, dt, snapshot_stride, (3, grid.n_cells + 1), _row_values(grid)
     )
-
-    def fill(row, state):
-        row[0], row[1] = state.w, state.phi
-        phi_time_derivative(state, c, bc, out=row[2])
-
-    fill(record.values[0], state0)
-    state = state0
+    march = _March(state0, c, dt, bc)
+    march.fill(record.values[0])
     for k in range(1, record.n_steps + 1):
-        state = step_general(state, c, dt, bc, record.time(k))
+        step_general(march, record.time(k))
         if k == record.next_record:
-            fill(record.values[record.add(k)], state)
+            march.fill(record.values[record.add(k)])
     times, values = record.rows()
     return PoiseuilleTrace(grid, bc, c, state0.a, times, *np.moveaxis(values, 1, 0))
 

@@ -31,7 +31,6 @@ from nematiclab.poiseuille import (
     plan_run,
     simulate,
     stability_bound,
-    step_general,
     velocity_potential,
 )
 
@@ -56,7 +55,7 @@ def _first_derivative(f, dx):
 def step_simplified(state, dt, bc):
     """Hard-coded stepper for the simplified system
     w_t = 2 w_xx + phi_tx, 2 phi_t = phi_xx - w_x; dual route used to
-    cross-check step_general under the simplified coefficients."""
+    cross-check the general step under the simplified coefficients."""
     grid = state.grid
     dx = grid.dx
     phi, w = state.phi, state.w
@@ -89,10 +88,9 @@ def step_simplified(state, dt, bc):
 def test_rest_state_is_equilibrium():
     grid = IntervalGrid(5.0, 64)
     state = PoiseuilleState(grid, w=np.zeros(65), phi=np.zeros(65))
-    out = state
-    for _ in range(20):
-        out = step_general(out, SIMPLIFIED, 1e-4, homogeneous_bc())
-    assert np.all(out.w == 0.0) and np.all(out.phi == 0.0)
+    trace = simulate(state, SIMPLIFIED, 1e-4, 20 * 1e-4, homogeneous_bc(), 1)
+    assert trace.n_snapshots == 21
+    assert np.all(trace.ws == 0.0) and np.all(trace.phis == 0.0)
 
 
 def test_dual_route_simplified_agreement():
@@ -105,11 +103,11 @@ def test_dual_route_simplified_agreement():
     state_b = PoiseuilleState(grid, state_a.w.copy(), state_a.phi.copy())
     dt = 0.5 * stability_bound(grid, SIMPLIFIED)
     bc = homogeneous_bc()
+    trace = simulate(state_a, SIMPLIFIED, dt, 5 * dt, bc, 1)
     for _ in range(5):
-        state_a = step_general(state_a, SIMPLIFIED, dt, bc)
         state_b = step_simplified(state_b, dt, bc)
-    assert np.max(np.abs(state_a.w - state_b.w)) <= 1e-12
-    assert np.max(np.abs(state_a.phi - state_b.phi)) <= 1e-12
+    assert np.max(np.abs(trace.ws[-1] - state_b.w)) <= 1e-12
+    assert np.max(np.abs(trace.phis[-1] - state_b.phi)) <= 1e-12
 
 
 def test_exact_pair_is_discrete_fixed_profile():
@@ -118,9 +116,9 @@ def test_exact_pair_is_discrete_fixed_profile():
     grid = IntervalGrid(L, n)
     state = PoiseuilleState(grid, w=-2.0 * grid.x, phi=np.zeros(n + 1))
     dt = 0.5 * stability_bound(grid, SIMPLIFIED)
-    out = step_general(state, SIMPLIFIED, dt, counterexample_bc(L))
-    assert np.max(np.abs(out.w + 2.0 * grid.x)) <= 1e-14
-    assert np.max(np.abs(out.phi - dt)) <= 1e-15
+    trace = simulate(state, SIMPLIFIED, dt, dt, counterexample_bc(L), 1)
+    assert np.max(np.abs(trace.ws[1] + 2.0 * grid.x)) <= 1e-14
+    assert np.max(np.abs(trace.phis[1] - dt)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

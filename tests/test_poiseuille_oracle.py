@@ -1,30 +1,46 @@
 """The Poiseuille step, run loop and trace diagnostics against reference
-copies of their original forms.
+copies, in the folded order of the step and per term.
 
-The step references evaluate g and h through ``coeffs.g_coeff`` and
-``coeffs.h_coeff`` on every call (four cosines and sines per step), with
-fresh temporaries and separate w and phi arrays.  The lean step in
-``nematiclab.poiseuille`` must agree with them bit for bit: w, phi and t
-after every step, and the time at which a non-finite step halts.
+Folded order.  ``reference_phi_time_derivative`` and
+``reference_step_general`` take the step as the program does: phi_t is the
+second difference of phi, less w_{i+1} - w_{i-1} (summed from two
+neighbouring differences of w) times h dx/2, over lambda1 dx^2; the flux
+is (phi_t,i + phi_t,i+1) h dt/(2 dx) + (w_{i+1} - w_i) g dt/dx^2; the new
+state is w + (the difference of the flux - dt a) and phi + phi_t dt.  They
+evaluate g and h through ``coeffs.g_coeff`` and ``coeffs.h_coeff`` on every
+call (four cosines and sines per step), form every factor on every call,
+and return fresh arrays.  The program's step, which marches a run in two
+reused buffers (``poiseuille._March``), must agree with them bit for bit:
+w, phi and phi_t after every step, and the time at which a non-finite step
+halts.
+
+Per term.  ``per_term_phi_time_derivative`` and ``per_term_step_general``
+are the step as it was before its factors were folded: each term with its
+own division by dx, dx^2, 2 dx and lambda1, and the update w + dt w_t.  The
+two orders round differently; ``test_one_step_is_within_rounding_of_the_per_term_step``
+bounds the difference of one step by a bound derived from the magnitudes
+of the terms.
 
 The run-loop reference records into three separate buffers with its own
-time rule and stride schedule, and the diagnostic references work one
-snapshot at a time.  ``simulate`` (which records through
-``axisym.RunRecord`` into one buffer) and the whole-trace diagnostics must
-agree with them bit for bit.  The dissipation reference keeps the
-simplified set's own form, int(w_x^2 + phi_t^2 + (w_x + phi_t)^2), which
-the program's general D must reproduce bit for bit; for any other set it
-takes g and h from ``coeffs`` one snapshot at a time and checks its sum
-against the plain int(g w_x^2 + 2 h w_x phi_t + lambda1 phi_t^2).
+time rule and stride schedule, stepping with the folded-order reference,
+and the diagnostic references work one snapshot at a time.  ``simulate``
+(which records through ``axisym.RunRecord`` into one buffer) and the
+whole-trace diagnostics must agree with them bit for bit.  The dissipation
+reference keeps the simplified set's own form, int(w_x^2 + phi_t^2 +
+(w_x + phi_t)^2), which the program's general D must reproduce bit for bit;
+for any other set it takes g and h from ``coeffs`` one snapshot at a time
+and checks its sum against the plain int(g w_x^2 + 2 h w_x phi_t + lambda1
+phi_t^2).
 
 Under the simplified coefficients, and under any set whose trig weights are
-+0.0 with h_const != 0, the step takes g and h as constants and calls no
-trig function.  The same references pin that branch, down to the sign of a
-zero, and the cases below show where the selection and the constants
-would go wrong: a -0.0 weight, a zero h_const, g without its ``0.0 +``,
-h/2 taken after the phi_t sum, and angles or rates near overflow.  Any
-other set takes g and h from the same two functions as the references; the
-cases there pin the order of the flux and the angle equation around them.
++0.0 with h_const != 0, the step folds g and h as constants into its
+factors and calls no trig function.  The same references pin that branch,
+down to the sign of a zero, and the cases below show where the selection
+and the constants would go wrong: a -0.0 weight, a zero h_const, g without
+its ``0.0 +``, h taken into the product in another order, and angles or
+rates near overflow.  Any other set multiplies the arrays of the same two
+functions by the same factors; forcing a constant set down that path gives
+the same bytes.
 
 ``velocity_potential`` computes scipy's trapezoid in numpy; a property
 checks it bit for bit against ``scipy.integrate.cumulative_trapezoid`` on
@@ -72,7 +88,53 @@ SIMPLIFIED = simplified_coefficients()
 CONSTANT_15 = LeslieCoefficients(0.0, -1.5, 1.5, 3.0, 0.25, 0.25)
 
 
+# ---------------------------------------------------------------------------
+# the folded order
+
+
 def reference_phi_time_derivative(state, c, bc):
+    dx = state.grid.dx
+    phi, w = state.phi, state.w
+    out = np.empty_like(phi)
+    dw = np.diff(w)
+    h_w = h_coeff(c, phi[1:-1]) * (0.5 * dx)
+    d2phi = phi[2:] - 2.0 * phi[1:-1] + phi[:-2]
+    out[1:-1] = (d2phi - (dw[1:] + dw[:-1]) * h_w) / (c.lambda1 * dx**2)
+    out[0] = bc.phi_left_rate(state.t)
+    out[-1] = bc.phi_right_rate(state.t)
+    return out
+
+
+def reference_step_general(state, c, dt, bc, t_new=None):
+    grid = state.grid
+    dx = grid.dx
+    phi, w = state.phi, state.w
+    phi_t = reference_phi_time_derivative(state, c, bc)
+
+    phi_mid = 0.5 * (phi[:-1] + phi[1:])
+    h_f = h_coeff(c, phi_mid) * (dt / (2.0 * dx))
+    g_f = g_coeff(c, phi_mid) * (dt / dx**2)
+    flux = (phi_t[:-1] + phi_t[1:]) * h_f + np.diff(w) * g_f
+
+    if t_new is None:
+        t_new = state.t + dt
+    w_new = w.copy()
+    w_new[1:-1] += np.diff(flux) - dt * state.a
+    phi_new = phi + phi_t * dt
+    w_new[0] = bc.w_left(t_new)
+    w_new[-1] = bc.w_right(t_new)
+    phi_new[0] = bc.phi_left(t_new)
+    phi_new[-1] = bc.phi_right(t_new)
+    if not (np.all(np.isfinite(w_new)) and np.all(np.isfinite(phi_new))):
+        raise SolverHalt("non-finite field", t_new)
+    return PoiseuilleState(grid, w_new, phi_new, t_new, state.a)
+
+
+# ---------------------------------------------------------------------------
+# per term: the step before its factors were folded
+
+
+def per_term_phi_time_derivative(state, c, bc):
     dx = state.grid.dx
     phi, w = state.phi, state.w
     out = np.empty_like(phi)
@@ -84,11 +146,11 @@ def reference_phi_time_derivative(state, c, bc):
     return out
 
 
-def reference_step_general(state, c, dt, bc, t_new=None):
+def per_term_step_general(state, c, dt, bc, t_new=None):
     grid = state.grid
     dx = grid.dx
     phi, w = state.phi, state.w
-    phi_t = reference_phi_time_derivative(state, c, bc)
+    phi_t = per_term_phi_time_derivative(state, c, bc)
 
     phi_mid = 0.5 * (phi[:-1] + phi[1:])
     flux = g_coeff(c, phi_mid) * np.diff(w) / dx + h_coeff(c, phi_mid) * 0.5 * (
@@ -110,6 +172,18 @@ def reference_step_general(state, c, dt, bc, t_new=None):
     return PoiseuilleState(grid, w_new, phi_new, t_new, state.a)
 
 
+# ---------------------------------------------------------------------------
+# the program's step against the folded order
+
+
+def program_step(state, c, dt, bc, t_new=None):
+    """One step of the program from ``state``, as a new state."""
+    march = poiseuille._March(state, c, dt, bc)
+    step_general(march, state.t + dt if t_new is None else t_new)
+    w, phi = march.now[0]
+    return PoiseuilleState(state.grid, w, phi, march.t, state.a)
+
+
 def same_bits(ours, ref):
     """Equal values, nan equal to nan, and every other zero of the same sign."""
     signed = ~np.isnan(ref)
@@ -127,24 +201,30 @@ def _advance(step, state, c, dt, bc, t_new):
 
 
 def march_both(state0, c, dt, bc, n_steps=200, explicit_t=False):
-    """Step the program and the reference side by side from copies of one
-    state; assert they agree bit for bit.  Returns the halt time, or None
-    when all n_steps ran."""
-    ours = PoiseuilleState(state0.grid, state0.w.copy(), state0.phi.copy(), state0.t, state0.a)
+    """Step one program run and the reference side by side from one state;
+    assert they agree bit for bit.  Step k ends at t0 + k dt if
+    ``explicit_t``, else at the previous time plus dt.  Returns the halt
+    time, or None when all n_steps ran."""
+    march = poiseuille._March(state0, c, dt, bc)
     ref = state0
     for k in range(1, n_steps + 1):
-        t_new = state0.t + k * dt if explicit_t else None
+        t_new = state0.t + k * dt if explicit_t else ref.t + dt
         assert same_bits(
-            phi_time_derivative(ours, c, bc), reference_phi_time_derivative(ref, c, bc)
+            march.rate(np.empty(len(ref.phi))), reference_phi_time_derivative(ref, c, bc)
         ), f"phi_t before step {k} differs"
-        ours, t_ours = _advance(step_general, ours, c, dt, bc, t_new)
+        try:
+            step_general(march, t_new)
+            t_ours = None
+        except SolverHalt as exc:
+            t_ours = exc.t
         ref, t_ref = _advance(reference_step_general, ref, c, dt, bc, t_new)
         assert t_ours == t_ref, f"step {k}: halts at {t_ours} and {t_ref}"
         if t_ref is not None:
             return t_ref
-        assert ours.t == ref.t, f"step {k}: t differs"
-        assert same_bits(ours.w, ref.w), f"step {k}: w differs"
-        assert same_bits(ours.phi, ref.phi), f"step {k}: phi differs"
+        w, phi = march.now[0]
+        assert march.t == ref.t, f"step {k}: t differs"
+        assert same_bits(w, ref.w), f"step {k}: w differs"
+        assert same_bits(phi, ref.phi), f"step {k}: phi differs"
     return None
 
 
@@ -184,6 +264,21 @@ def test_sampled_coefficients_match_reference(mu1_sign):
         dt = 0.8 * stability_bound(state.grid, c)
         # nonzero Dirichlet data and rates: the boundary terms enter the flux
         march_both(state, c, dt, counterexample_bc(5.0), 200, explicit_t=True)
+
+
+def test_boundary_rates_are_taken_at_the_start_of_each_step():
+    # phi = 1 + t^2 at both ends: the rate 2t in the flux is that of the
+    # state the step starts from, the data those of the time it ends at
+    bc = BoundaryData(
+        phi_left=lambda t: 1.0 + t * t,
+        phi_right=lambda t: 1.0 + t * t,
+        phi_left_rate=lambda t: 2.0 * t,
+        phi_right_rate=lambda t: 2.0 * t,
+    )
+    state = _pulse(64, L=5.0, amplitude=1.5)
+    state.phi[[0, -1]] = 1.0
+    dt = 0.8 * stability_bound(state.grid, CONSTANT_15)
+    assert march_both(state, CONSTANT_15, dt, bc, 100, explicit_t=True) is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
@@ -270,7 +365,7 @@ def test_only_phi_dependent_coefficients_form_g_and_h_arrays(monkeypatch, c, cal
     monkeypatch.setattr(poiseuille, "h_coeff", counting(h_coeff))
     for _ in range(2):
         phi_time_derivative(state, c, homogeneous_bc())
-        state = step_general(state, c, dt, homogeneous_bc())
+        state = program_step(state, c, dt, homogeneous_bc())
     # h at the nodes for each phi_t, and g and h at the midpoints per step
     assert len(counted) == calls
 
@@ -282,6 +377,8 @@ def test_only_phi_dependent_coefficients_form_g_and_h_arrays(monkeypatch, c, cal
         (64, 30, 1e308),  # 2 phi overflows at an interior node
         (16, 0, 1.79e308),  # phi_0 + phi_1 overflows, phi_xx stays finite
         (16, 16, 1.79e308),  # phi_n-1 + phi_n
+        # 2 phi overflows at two neighbours, whose differences stay finite
+        (64, [30, 31], 1e308),
     ],
 )
 def test_overflowing_angle_halts_both_steps_at_the_same_time(n, node, value):
@@ -296,7 +393,7 @@ def test_overflowing_angle_halts_both_steps_at_the_same_time(n, node, value):
     assert np.array_equal(np.isfinite(ours), finite)
     assert same_bits(ours[finite], ref[finite])
     dt = stability_bound(state.grid, SIMPLIFIED)
-    t_ours = _advance(step_general, state, SIMPLIFIED, dt, homogeneous_bc(), None)[1]
+    t_ours = _advance(program_step, state, SIMPLIFIED, dt, homogeneous_bc(), None)[1]
     t_ref = _advance(reference_step_general, state, SIMPLIFIED, dt, homogeneous_bc(), None)[1]
     assert t_ours == t_ref == dt
 
@@ -322,6 +419,118 @@ def test_recorded_phi_t_rows_with_pressure_gradient_match_reference():
         assert same_bits(phi_t, reference_phi_time_derivative(row, c, homogeneous_bc()))
 
 
+def _forced_arrays(c):
+    """A copy of ``c`` whose steps take g and h as per-step ``g_coeff`` and
+    ``h_coeff`` arrays: ``constant_gh`` is a cached property, read from the
+    instance first."""
+    forced = LeslieCoefficients(*c.as_tuple())
+    vars(forced)["constant_gh"] = None
+    return forced
+
+
+@pytest.mark.parametrize("c", [SIMPLIFIED, CONSTANT_15])
+@pytest.mark.parametrize("data", ["counterexample", "pulse"])
+def test_constant_g_and_h_give_the_same_bytes_as_scalars_and_as_arrays(c, data):
+    # one kernel: the folded scalars and the arrays times the same factors
+    if data == "counterexample":
+        grid = IntervalGrid(5.0, 200)
+        state = PoiseuilleState(grid, w=-2.0 * grid.x, phi=np.zeros(201))
+        bc = counterexample_bc(5.0)
+    else:
+        state, bc = _pulse(128, L=5.0, amplitude=1.5, a=0.7), homogeneous_bc()
+    forced = _forced_arrays(c)
+    assert c.constant_gh is not None and forced.constant_gh is None
+    dt = 0.8 * stability_bound(state.grid, c)
+    scalars = simulate(state, c, dt, 250 * dt, bc, 5)
+    arrays_ = simulate(state, forced, dt, 250 * dt, bc, 5)
+    for name in ("times", "ws", "phis", "phi_ts"):
+        assert getattr(scalars, name).tobytes() == getattr(arrays_, name).tobytes(), name
+
+
+U = 2.0**-53  # unit roundoff
+
+
+def gamma(k):
+    return k * U / (1.0 - k * U)
+
+
+def term_magnitudes(state, c, dt, bc):
+    """(X, M_phi, M_w): phi_t, the new phi and the new interior w with every
+    input replaced by its absolute value and every difference by a sum."""
+    dx, lam = state.grid.dx, abs(c.lambda1)
+    phi, w = np.abs(state.phi), np.abs(state.w)
+    mid = 0.5 * (state.phi[:-1] + state.phi[1:])
+    g_mid, h_mid = np.abs(g_coeff(c, mid)), np.abs(h_coeff(c, mid))
+    x = np.empty_like(phi)
+    x[1:-1] = (phi[2:] + 2.0 * phi[1:-1] + phi[:-2]) / (lam * dx**2) + np.abs(
+        h_coeff(c, state.phi[1:-1])
+    ) * (w[2:] + 2.0 * w[1:-1] + w[:-2]) / (2.0 * dx * lam)
+    x[0], x[-1] = abs(bc.phi_left_rate(state.t)), abs(bc.phi_right_rate(state.t))
+    flux = g_mid * (w[1:] + w[:-1]) / dx + 0.5 * h_mid * (x[:-1] + x[1:])
+    m_w = w[1:-1] + dt * (abs(state.a) + (flux[1:] + flux[:-1]) / dx)
+    return x, phi + dt * x, m_w
+
+
+def _one_step_cases():
+    c = sample_validated(np.random.default_rng(3))
+    pulse = _pulse(128, L=5.0, amplitude=2.0, a=-0.3)
+    grid = IntervalGrid(5.0, 200)
+    counter = PoiseuilleState(grid, w=-2.0 * grid.x, phi=np.full(201, 0.25), t=0.25)
+    return [
+        (counter, SIMPLIFIED, counterexample_bc(5.0)),
+        (_pulse(256, amplitude=1.5, a=0.7), SIMPLIFIED, homogeneous_bc()),
+        (_pulse(256, amplitude=1.5, a=0.7), CONSTANT_15, homogeneous_bc()),
+        (pulse, c, counterexample_bc(5.0)),
+        (pulse, LeslieCoefficients(-c.mu1, *c.as_tuple()[1:]), counterexample_bc(5.0)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_one_step_is_within_rounding_of_the_per_term_step(case):
+    """One step of the program against ``per_term_step_general`` from the
+    same state.
+
+    Both evaluate the same real expression of the same doubles (w, phi, the
+    g and h values, dt, dx, lambda1, a and the boundary rates).  Higham's
+    Lemma 3.1: when every path from an input to the result passes through
+    at most k roundings, divisions and rounded factors (dx^2, dx/2, ...)
+    included, the computed value lies within gamma_k = k u / (1 - k u) of
+    the exact one times the magnitude M, the expression with every input
+    taken by its absolute value and every difference made a sum.  The two
+    orders expand to the same terms, except that the folded one forms
+    w_{i+1} - w_{i-1} as (w_{i+1} - w_i) + (w_i - w_{i-1}), so M counts
+    2 |w_i| there.  With no overflow or underflow, the roundings per path:
+
+    - phi_t.  Per term: phi - 2 phi, + phi, / fl(dx^2) (two), - the w term,
+      / lambda1: 6; the w term w - w, / 2 dx, * h, -, / lambda1: 5.  Folded:
+      phi - 2 phi, + phi, - the w term, / fl(lambda1 fl(dx^2)) (three): 6;
+      the w term dw, the sum, * fl(h fl(dx/2)) (two), -, the divisor
+      (three): 8.  So |difference| <= (gamma_6 + gamma_8) X.
+    - phi.  One product by dt and one sum more: gamma_8 + gamma_10.
+    - w.  Per term, phi_t (6), the phi_t sum, * fl(h 0.5), the flux sum,
+      the flux difference, / dx, - a, * dt, + w: 15.  Folded, phi_t (8),
+      the sum, * fl(h fl(dt / 2 dx)) (three), the flux sum, the difference,
+      - dt a, + w: 16.  The g paths are shorter (9 each).  So
+      gamma_15 + gamma_16.
+
+    M is itself a floating-point sum, within a relative 1e-14 of its exact
+    value; the bounds take it times 1.001.  The ends are the boundary data
+    on both sides and must be equal."""
+    state, c, bc = _one_step_cases()[case]
+    dt = 0.8 * stability_bound(state.grid, c)
+    x, m_phi, m_w = term_magnitudes(state, c, dt, bc)
+    ours_rate = phi_time_derivative(state, c, bc)
+    ref_rate = per_term_phi_time_derivative(state, c, bc)
+    assert np.all(np.abs(ours_rate - ref_rate) <= (gamma(6) + gamma(8)) * 1.001 * x)
+    ours = program_step(state, c, dt, bc)
+    ref = per_term_step_general(state, c, dt, bc)
+    assert ours.t == ref.t
+    assert np.all(np.abs(ours.phi - ref.phi) <= (gamma(8) + gamma(10)) * 1.001 * m_phi)
+    assert np.all(np.abs(ours.w[1:-1] - ref.w[1:-1]) <= (gamma(15) + gamma(16)) * 1.001 * m_w)
+    assert np.array_equal(ours.w[[0, -1]], ref.w[[0, -1]])
+    assert np.array_equal(ours.phi[[0, -1]], ref.phi[[0, -1]])
+
+
 # ---------------------------------------------------------------------------
 # the run loop and the trace diagnostics
 
@@ -334,14 +543,14 @@ def reference_simulate(state0, c, dt, t_end, bc, snapshot_stride=1):
 
     def record(j, state):
         times[j], ws[j], phis[j] = state.t, state.w, state.phi
-        phi_ts[j] = phi_time_derivative(state, c, bc)
+        phi_ts[j] = reference_phi_time_derivative(state, c, bc)
 
     record(0, state0)
     j = 1
     state = state0
     for k in range(1, n_steps + 1):
         t_k = t_end if k == n_steps else t0 + k * dt
-        state = step_general(state, c, dt, bc, t_k)
+        state = reference_step_general(state, c, dt, bc, t_k)
         if k % snapshot_stride == 0 or k == n_steps:
             record(j, state)
             j += 1
