@@ -23,16 +23,22 @@ r_i = i/n.  Two time integrators:
                        step restriction.
 
 Apart from sin(2 phi), each right-hand side is three bands fixed for the run
-(DECISIONS.md section 9), formed once in ``_Batch._build``; a step applies
-them and, for Crank-Nicolson, calls LAPACK ``dgtsv`` once.
+(DECISIONS.md section 9), formed once in ``_Batch._build`` with every buffer
+a step writes into; a step applies them and, for Crank-Nicolson, calls
+LAPACK ``dptsv`` once.  phi_rr + phi_r/r is (1/r)(r phi_r)_r, so each
+Crank-Nicolson row times its node radius r gives a symmetric, positive
+definite tridiagonal matrix, which ``dptsv`` factors as L D L^T without
+pivoting.
 
 The origin node carries the Dirichlet value phi = 0, so the singular terms
 are never evaluated at r = 0.
 
 There is one radial marching loop.  ``simulate_batch`` marches runs that
 share the scheme and dt as one node vector: one ``step`` call, and for
-Crank-Nicolson one ``dgtsv`` call, advances all of them, and each run's
-trace is bit-identical to marching it alone (DECISIONS.md section 7).
+Crank-Nicolson one ``dptsv`` call, advances all of them, and each run's
+trace is bit-identical to marching it alone (DECISIONS.md section 7).  The
+gradient guard compares each run's largest numerator with a threshold
+formed once, which decides exactly as the gradient against the guard.
 ``simulate`` is a batch of one.  ``RunRecord`` holds the run-shape rules it
 shares with the Poiseuille loop and the buffer a run records into,
 allocated up front; ``plan_record`` checks a run against ``MAX_STEPS`` and
@@ -322,8 +328,8 @@ def max_gradient(state: RadialState) -> float:
     because division by a positive constant is monotone under rounding."""
     grid = state.grid
     starts, ends = np.array([0]), np.array([grid.n_cells])
-    maxes = _max_gradients(state.phi, _end_stencils(starts, ends), starts, 2.0 * grid.dr)
-    return float(maxes[0])
+    num = _max_numerators(state.phi, _end_stencils(starts, ends), starts, np.empty_like(state.phi))
+    return float(num[0]) / (2.0 * grid.dr)
 
 
 def _end_stencils(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -332,20 +338,43 @@ def _end_stencils(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.stack([np.concatenate([starts + i, ends - i]) for i in range(3)])
 
 
-def _max_gradients(
-    phi: np.ndarray, stencils: np.ndarray, starts: np.ndarray, two_dr
+def _max_numerators(
+    phi: np.ndarray, stencils: np.ndarray, starts: np.ndarray, num: np.ndarray
 ) -> np.ndarray:
-    """``max_gradient`` of each run of a node vector: one segment max of
-    the absolute numerators, divided per run by its 2 dr.  Both one-sided
+    """The largest absolute numerator of ``first_derivative`` over each run
+    of a node vector, formed in ``num``: one segment max.  Both one-sided
     numerators are formed as 3 f0 - 4 f1 + f2; at the left end that is the
     exact negation of the stencil -3 f0 + 4 f1 - f2, since rounding is
     symmetric, so its absolute value is the same.  A nan numerator
     propagates, as in ``np.max``."""
-    num = np.empty_like(phi)
     np.subtract(phi[2:], phi[:-2], out=num[1:-1])
     f = phi[stencils]
     num[stencils[0]] = 3.0 * f[0] - 4.0 * f[1] + f[2]
-    return np.maximum.reduceat(np.abs(num, out=num), starts) / two_dr
+    return np.maximum.reduceat(np.abs(num, out=num), starts)
+
+
+def _guard_threshold(guard: float, two_dr: float) -> float:
+    """The largest double T with T / two_dr <= guard (guard itself when it
+    is infinite or nan), so that x > T decides x / two_dr > guard for every
+    double x, inf and nan included: division by a positive constant is
+    monotone under rounding (DECISIONS.md section 7)."""
+    if math.isinf(guard) or math.isnan(guard):
+        return guard
+    t = guard * two_dr  # within an ulp or two of T
+    while t / two_dr > guard:
+        t = math.nextafter(t, -math.inf)
+    while math.nextafter(t, math.inf) / two_dr <= guard:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite.  A sum of squares with an inf
+    or nan in it is never finite, so a finite ``np.vdot(x, x)`` settles it
+    in one BLAS call, which sets off no floating-point warning; the entries
+    are tested one by one only when it is not, as when finite squares pass
+    the largest double (DECISIONS.md section 7)."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def _operator(r, two_dr, dr2, lambda1, lambda2):
@@ -359,28 +388,17 @@ def _operator(r, two_dr, dr2, lambda1, lambda2):
     return -2.0 / dr2 / lambda1, upper, lower, r / two_dr, q
 
 
-def _rk4_bands(*at_nodes):
-    """The bands (c0, c+, c-, q) of phi_t, ``_operator``'s terms summed."""
-    diag, upper, lower, adv, q = _operator(*at_nodes)
-    return diag, upper - adv, lower + adv, q
-
-
-def _banded(bands, phi: np.ndarray, two_p: np.ndarray) -> np.ndarray:
-    """c0 phi_i + c+ phi_{i+1} + c- phi_{i-1} + q sin(2 phi_i) at nodes
-    1..N-2 of ``phi``, for bands (c0, c+, c-, q) and two_p = 2 phi_i."""
+def _banded(bands, nodes, two_p: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """c0 phi_i + c+ phi_{i+1} + c- phi_{i-1} + q sin(2 phi_i) into ``out``,
+    for bands (c0, c+, c-, q), nodes (phi_i, phi_{i+1}, phi_{i-1}) as views
+    of a node vector and two_p = 2 phi_i; ``tmp`` is scratch."""
     c0, c_up, c_lo, q = bands
-    out = c0 * phi[1:-1]
-    out += c_up * phi[2:]
-    out += c_lo * phi[:-2]
-    out += q * np.sin(two_p)
+    mid, up, lo = nodes
+    np.multiply(c0, mid, out=out)
+    out += np.multiply(c_up, up, out=tmp)
+    out += np.multiply(c_lo, lo, out=tmp)
+    out += np.multiply(q, np.sin(two_p, out=tmp), out=tmp)
     return out
-
-
-def rhs(state: RadialState, c: LeslieCoefficients) -> np.ndarray:
-    """phi_t at the interior nodes i = 1..n-1."""
-    g, phi = state.grid, state.phi
-    bands = _rk4_bands(g.r[1:-1], 2.0 * g.dr, g.dr**2, c.lambda1, c.lambda2)
-    return _banded(bands, phi, 2.0 * phi[1:-1])
 
 
 def step(batch: _Batch) -> list[_Run]:
@@ -393,51 +411,56 @@ def step(batch: _Batch) -> list[_Run]:
 
 
 def _step_rk4(b: _Batch) -> list[_Run]:
-    phi, dt = b.phi, b.dt
+    mid = b.nodes[0]
+    stage_mid = b.stage_nodes[0]
+    two_p, tmp, dt = b.two_p, b.tmp, b.dt
+    k1, k2, k3, k4 = b.ks
+    _banded(b.bands, b.nodes, np.multiply(mid, 2.0, out=two_p), k1, tmp)
     # Every stage gets its boundary values back, so a run whose stage went
     # non-finite cannot reach its neighbour through the nodes they share
     # as stencil ends.
-    ks = [_banded(b.bands, phi, 2.0 * phi[1:-1])]
-    for h in (0.5 * dt, 0.5 * dt, dt):
-        stage = phi.copy()
-        stage[1:-1] += h * ks[-1]
-        b.reset_boundaries(stage)
-        ks.append(_banded(b.bands, stage, 2.0 * stage[1:-1]))
-    k1, k2, k3, k4 = ks
-    phi[1:-1] += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    b.reset_boundaries(phi)
-    finite = np.isfinite(phi)
-    if finite.all():
+    for h, k, k_next in ((0.5 * dt, k1, k2), (0.5 * dt, k2, k3), (dt, k3, k4)):
+        np.add(mid, np.multiply(k, h, out=tmp), out=stage_mid)
+        b.reset_boundaries(b.stage)
+        _banded(b.bands, b.stage_nodes, np.multiply(stage_mid, 2.0, out=two_p), k_next, tmp)
+    # phi += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+    k1 += np.multiply(k2, 2.0, out=k2)
+    k1 += np.multiply(k3, 2.0, out=k3)
+    k1 += k4
+    mid += np.multiply(k1, dt / 6.0, out=k1)
+    b.reset_boundaries(b.phi)
+    if all_finite(b.phi):
         return []
-    bad = b.runs_failing(finite, b.starts)
+    bad = b.runs_failing(np.isfinite(b.phi), b.starts)
     b.remove(bad)
     return bad
 
 
 def _step_cn(b: _Batch) -> list[_Run]:
-    phi = b.phi
-    interior = phi[1:-1]
-    two_p = 2.0 * interior
+    mid = b.nodes[0]
+    two_p, dt_damp, rhs, tmp = b.two_p, b.dt_damp, b.rhs, b.tmp
+    np.multiply(mid, 2.0, out=two_p)
     # The damping part of the reaction's Jacobian, cos(2 phi)/r^2 where
-    # positive, goes on both sides, so fixed points stay zeros of rhs: without
-    # it the first node is as stiff as diffusion and dt would be O(dr^2).
-    dt_damp = b.damp * np.maximum(np.cos(two_p), 0.0)
-    rhs_vec = _banded(b.bands, phi, two_p)
-    rhs_vec += b.boundary
-    rhs_vec += dt_damp * interior
-    finite = np.isfinite(rhs_vec)
-    if not finite.all():
+    # positive, goes on both sides, so fixed points stay zeros of phi_t:
+    # without it the first node is as stiff as diffusion and dt would be
+    # O(dr^2).
+    np.maximum(np.cos(two_p, out=dt_damp), 0.0, out=dt_damp)
+    dt_damp *= b.damp
+    _banded(b.bands, b.nodes, two_p, rhs, tmp)
+    rhs += b.boundary
+    rhs += np.multiply(dt_damp, mid, out=tmp)
+    if not all_finite(rhs):
         # a non-finite row would reach every later row of the elimination
-        bad = b.runs_failing(finite, np.maximum(b.starts - 1, 0))
+        bad = b.runs_failing(np.isfinite(rhs), np.maximum(b.starts - 1, 0))
         b.remove(bad)
         return bad + (_step_cn(b) if b.runs else [])
 
-    d = b.d_const + dt_damp
-    _, _, _, new, info = b.dgtsv(b.dl, d, b.du, rhs_vec, overwrite_d=1, overwrite_b=1)
+    d = np.add(b.d_const, dt_damp, out=b.d)
+    _, _, new, info = b.dptsv(d, b.e, rhs, overwrite_d=1, overwrite_b=1)
     if info != 0:  # pragma: no cover - defensive
-        raise SolverHalt(f"tridiagonal solve breakdown: dgtsv info {info}")
-    phi[1:-1] = new
-    b.reset_boundaries(phi)
+        raise SolverHalt(f"tridiagonal solve breakdown: dptsv info {info}")
+    mid[:] = new
+    b.reset_boundaries(b.phi)
     return []
 
 
@@ -551,12 +574,13 @@ class _Run:
         state0.validate()
         p.check_stability(state0.grid, c)
         self.grid, self.c, self.p = state0.grid, c, p
-        self.guard = p.guard_for(state0.grid)
+        guard = p.guard_for(state0.grid)
+        self.threshold = _guard_threshold(guard, 2.0 * state0.grid.dr)
         n = len(state0.phi)
         self.record = RunRecord(state0.t, p.t_end, p.dt, snapshot_stride, (n,), n)
         self.record.values[0] = state0.phi
         self.halted, self.halt_reason = False, None
-        if max_gradient(state0) > self.guard:
+        if max_gradient(state0) > guard:
             self.halted, self.halt_reason = True, "gradient guard"
 
     def advance(self, k: int, phi: np.ndarray, tripped: bool) -> bool:
@@ -578,18 +602,20 @@ class _Batch:
     """The runs still marching, laid out as one node vector ``phi``: each
     run's nodes 0..n in turn.  The system a step solves has a row for each
     node 1..N-2 of that vector: a run's interior nodes are its
-    Crank-Nicolson rows, and its end nodes inside the vector are identity
-    rows with zero couplings, so one ``dgtsv`` call solves every run and
-    each run's numbers are those of its own solve (DECISIONS.md section 7).
-    ``_build`` forms every band and per-row coefficient, one line each,
-    from each run's grid, coefficients and dt."""
+    Crank-Nicolson rows, multiplied by their node radius so that the matrix
+    is symmetric, and its end nodes inside the vector are identity rows
+    with zero couplings and a zero right-hand side, so one ``dptsv`` call
+    solves every run and each run's numbers are those of its own solve
+    (DECISIONS.md section 7).  ``_build`` forms every band, per-row
+    coefficient and buffer a step uses, from each run's grid, coefficients
+    and dt."""
 
     def __init__(self, runs: list[_Run]):
         self.scheme, self.dt = runs[0].p.scheme, runs[0].p.dt
         if self.scheme == "semi_implicit":
             # scipy loads with a Crank-Nicolson batch only (DECISIONS.md section 8)
-            from scipy.linalg.lapack import dgtsv
-            self.dgtsv = dgtsv
+            from scipy.linalg.lapack import dptsv
+            self.dptsv = dptsv
         self._build(runs, np.concatenate([run.record.values[0] for run in runs]))
 
     def _build(self, runs: list[_Run], phi: np.ndarray) -> None:
@@ -606,11 +632,14 @@ class _Batch:
         # the boundary values every step writes back, in one assignment
         self.edges = np.concatenate([self.starts, self.ends])
         self.edge_values = np.concatenate([np.zeros(len(runs)), phi_end])
-        self.guards = np.array([run.guard for run in runs])
-        self.run_two_dr = np.array([2.0 * run.grid.dr for run in runs])
-        # Row i is node i + 1.  A run's interior nodes are its Crank-Nicolson
-        # rows; its end nodes are identity rows, whose values are the last
-        # argument of each np.where below (DECISIONS.md section 7).
+        self.thresholds = np.array([run.threshold for run in runs])
+        self.num = np.empty_like(phi)  # the guard's numerators
+        # phi_i, phi_{i+1} and phi_{i-1} on the rows; row i is node i + 1
+        self.nodes = phi[1:-1], phi[2:], phi[:-2]
+        self.two_p, self.tmp = np.empty(len(phi) - 2), np.empty(len(phi) - 2)
+        # A run's interior nodes are its Crank-Nicolson rows; its end nodes
+        # are identity rows, on which every band is zero (DECISIONS.md
+        # section 7).
         cn = np.ones(len(phi), dtype=bool)
         cn[self.starts] = cn[self.ends] = False
         cn = cn[1:-1]
@@ -621,34 +650,41 @@ class _Batch:
         # per-run scalars as Python floats: dr**2 is pow, not dr * dr
         lambda1 = per_row([run.c.lambda1 for run in runs])
         r = np.where(cn, np.concatenate([run.grid.r for run in runs])[1:-1], 1.0)
-        at_rows = r, per_row(self.run_two_dr), per_row([run.grid.dr**2 for run in runs])
-        at_rows += lambda1, per_row([run.c.lambda2 for run in runs])
-        if self.scheme == "explicit":
-            self.bands = tuple(np.where(cn, band, 0.0) for band in _rk4_bands(*at_rows))
-            return
-        # Crank-Nicolson: phi + dt/2 (phi_rr + phi_r/r)/lambda1 + dt (the rest
-        # of phi_t) on the right; the damping, on both sides, each step forms
-        diag, upper, lower, adv, q = _operator(*at_rows)
-        dt, half = self.dt, 0.5 * self.dt
-        self.bands = (
-            np.where(cn, 1.0 + half * diag, 1.0),
-            np.where(cn, half * upper - dt * adv, 0.0),
-            np.where(cn, half * lower + dt * adv, 0.0),
-            np.where(cn, dt * q, 0.0),
+        diag, upper, lower, adv, q = _operator(
+            r,
+            per_row([2.0 * run.grid.dr for run in runs]),
+            per_row([run.grid.dr**2 for run in runs]),
+            lambda1,
+            per_row([run.c.lambda2 for run in runs]),
         )
-        self.damp = np.where(cn, dt / (lambda1 * r**2), 0.0)
-        self.d_const = np.where(cn, 1.0 - half * diag, 1.0)  # before the damping
-        # rows i and i + 1 are coupled only when both are Crank-Nicolson rows;
-        # phi(0) = 0 and the constant phi(1) enter no coupling
+        if self.scheme == "explicit":
+            bands = diag, upper - adv, lower + adv, q
+            self.bands = tuple(np.where(cn, band, 0.0) for band in bands)
+            self.stage = np.empty_like(phi)
+            self.stage_nodes = self.stage[1:-1], self.stage[2:], self.stage[:-2]
+            self.ks = np.empty((4, len(phi) - 2))
+            return
+        # Crank-Nicolson, each row times its node radius r: r phi + dt/2 r
+        # (phi_rr + phi_r/r)/lambda1 + dt r (the rest of phi_t) on the right;
+        # the damping, on both sides, each step forms (DECISIONS.md section 9)
+        dt, half = self.dt, 0.5 * self.dt
+        bands = 1.0 + half * diag, half * upper - dt * adv, half * lower + dt * adv, dt * q
+        self.bands = tuple(np.where(cn, r * band, 0.0) for band in bands)
+        self.damp = np.where(cn, dt / (lambda1 * r), 0.0)
+        self.d_const = np.where(cn, r * (1.0 - half * diag), 1.0)  # before the damping
+        # One coupling for both neighbours: r_i upper_i = r_{i+1} lower_{i+1}
+        # in exact arithmetic.  Rows i and i + 1 are coupled only when both
+        # are Crank-Nicolson rows; phi(0) = 0 and the constant phi(1) enter
+        # no coupling.
+        r_upper = r * (half * upper)
         pair = cn[:-1] & cn[1:]
-        self.du = np.where(pair, -half * upper[:-1], 0.0)
-        self.dl = np.where(pair, -half * lower[1:], 0.0)
+        self.e = np.where(pair, -r_upper[:-1], 0.0)
         # the new state's half of the constant phi(1) on each run's row n - 1
-        # (the band applies the old half); + 0.0 turns -0.0 into +0.0, so
-        # that no right-hand side is -0.0 (DECISIONS.md section 7)
+        # (the band applies the old half); + 0.0 turns -0.0 into +0.0
         last = self.ends - 2
         self.boundary = np.zeros(len(cn))
-        self.boundary[last] = half * upper[last] * phi_end + 0.0
+        self.boundary[last] = r_upper[last] * phi_end + 0.0
+        self.dt_damp, self.rhs, self.d = (np.empty(len(cn)) for _ in range(3))
 
     def reset_boundaries(self, phi: np.ndarray) -> np.ndarray:
         """Reimpose, in a node vector of this batch, phi(0) = 0 and every
@@ -656,8 +692,10 @@ class _Batch:
         phi[self.edges] = self.edge_values
         return phi
 
-    def max_gradients(self) -> np.ndarray:
-        return _max_gradients(self.phi, self.stencils, self.starts, self.run_two_dr)
+    def tripped(self) -> np.ndarray:
+        """Whether each run's largest gradient is above its guard: its
+        largest numerator above its threshold, with no division."""
+        return _max_numerators(self.phi, self.stencils, self.starts, self.num) > self.thresholds
 
     def runs_failing(self, ok: np.ndarray, row_starts: np.ndarray) -> list[_Run]:
         """The runs with a False in their segment of ``ok``, whose run i
@@ -703,8 +741,8 @@ def _march(batch: _Batch) -> None:
             run.halted, run.halt_reason = True, "non-finite field"
         if not batch.runs:
             break
-        tripped = batch.max_gradients() > batch.guards
-        if k == next_event or tripped.any():
+        tripped = batch.tripped()
+        if k == next_event or np.logical_or.reduce(tripped):
             leaving = [
                 run
                 for (run, phi), trip in zip(batch.spans, tripped.tolist())

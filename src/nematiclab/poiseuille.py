@@ -37,6 +37,7 @@ import numpy as np
 
 from .axisym import (
     RunRecord,
+    all_finite,
     first_derivative,
     plan_record,
     row_blocks,
@@ -141,17 +142,6 @@ def stability_bound(grid: IntervalGrid, c: LeslieCoefficients) -> float:
     return 0.25 * grid.dx**2 * min(c.lambda1, 1.0 / g_max)
 
 
-def phi_time_derivative(
-    state: PoiseuilleState,
-    c: LeslieCoefficients,
-    bc: BoundaryData,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """phi_t on all nodes of ``state``, into ``out`` if given, by the angle
-    equation of the step (``_March.rate``; dt does not enter it)."""
-    return _March(state, c, 0.0, bc).rate(np.empty_like(state.phi) if out is None else out)
-
-
 class _March:
     """One run, marched in place (DECISIONS.md section 6).
 
@@ -246,7 +236,7 @@ def step_general(march: _March, t_new: float) -> None:
     # an end midpoint whose phi sum overflows makes the trig flux nan, with
     # no interior phi_xx to show it: constant g and h must halt there too
     ends_finite = math.isfinite(phi[0] + phi[1]) and math.isfinite(phi[-2] + phi[-1])
-    if not (np.isfinite(new).all() and ends_finite):
+    if not (all_finite(new) and ends_finite):
         raise SolverHalt("non-finite field", t_new)
     march.now, march.next = march.next, march.now
     march.t = t_new
@@ -465,12 +455,3 @@ def counterexample_report(trace: PoiseuilleTrace) -> CounterexampleReport:
         maximum_principle_violated=bool(np.max(phi_fin) > np.max(trace.phis[0])),
         t_end=t_end,
     )
-
-
-def counterexample_run(
-    L: float = 5.0, n: int = 500, t_end: float = 1.0, dt: float | None = None
-) -> tuple[CounterexampleReport, PoiseuilleTrace]:
-    """Evolve w0 = -2x, phi0 = 0 under the simplified coefficients with the
-    exact pair's boundary data and compare against w = -2x, phi = t."""
-    trace = simulate(*counterexample_setup(L, n, t_end, dt))
-    return counterexample_report(trace), trace

@@ -232,7 +232,8 @@ def test_c4_blowup_profile_fit(blowup_reports):
 
 def test_c5_poiseuille_counterexample():
     t0 = time.perf_counter()
-    report, _ = poiseuille.counterexample_run(L=5.0, n=500, t_end=1.0)
+    trace = poiseuille.simulate(*poiseuille.counterexample_setup(5.0, 500, 1.0))
+    report = poiseuille.counterexample_report(trace)
     elapsed = time.perf_counter() - t0
     ok = (
         report.max_phi_error <= 1e-6

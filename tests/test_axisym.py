@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nematiclab import axisym
 from nematiclab.axisym import (
     RadialGrid,
     SolverParams,
@@ -9,13 +10,23 @@ from nematiclab.axisym import (
     initial_profile,
     local_energy,
     make_state,
-    rhs,
     simulate,
 )
 from nematiclab.coeffs import LeslieCoefficients
 
 L2_ZERO = LeslieCoefficients(0, -0.5, 0.5, 1, 0, 0.0)  # lambda1=1, lambda2=0
 L2_HALF = LeslieCoefficients(0, -0.25, 0.75, 1, 0, 0.5)  # lambda1=1, lambda2=0.5
+
+
+def rhs(state, c):
+    """phi_t at the interior nodes i = 1..n-1, as the program's RK4 step
+    evaluates it: the bands of an RK4 batch of this one run, applied by the
+    step's ``_banded``."""
+    dt = 0.25 * state.grid.dr**2 * c.lambda1
+    run = axisym._Run(state, c, SolverParams(dt=dt, scheme="explicit", t_end=dt))
+    b = axisym._Batch([run])
+    rows = len(b.phi) - 2
+    return axisym._banded(b.bands, b.nodes, 2.0 * b.nodes[0], np.empty(rows), np.empty(rows))
 
 
 def weighted_l2(err, r):
@@ -208,12 +219,11 @@ def test_simulate_rejects_t_end_off_the_step_grid(t_end):
 
 
 def test_batch_identity_rows_hold_the_values_of_decisions_section_7():
-    # where two runs meet, the end nodes are identity rows: a unit band on
-    # phi_i and every other band zero (a zero rate for RK4), unit diagonal
-    # d, and couplings into and out of them that are +0.0, so the
-    # elimination factor across a junction is +0 exactly
-    from nematiclab import axisym
-
+    # where two runs meet, the end nodes are identity rows: every band zero
+    # (a +0.0 right-hand side for Crank-Nicolson, a zero rate for RK4), the
+    # weight 1, so a unit diagonal d, and a coupling e into and out of them
+    # that is +0.0, so that LDL^T passes d and the right-hand side across a
+    # junction unchanged
     data = [(16, L2_ZERO, 0.1), (37, L2_HALF, -0.0), (64, L2_ZERO, 0.1)]  # the middle phi(1) = -0.0
     for scheme, dt in (("semi_implicit", 1e-4), ("explicit", 1e-5)):
         params = SolverParams(dt, scheme, 1e-3)
@@ -221,10 +231,8 @@ def test_batch_identity_rows_hold_the_values_of_decisions_section_7():
                 for n, c, a in data]
         b = axisym._Batch(runs)
         rows = np.concatenate([b.ends[:-1], b.starts[1:]]) - 1  # row i is node i + 1
-        first = 1.0 if scheme == "semi_implicit" else 0.0
         for k, band in enumerate(b.bands):
-            value = first if k == 0 else 0.0
-            assert np.array_equal(band[rows], np.full(len(rows), value)), (scheme, k)
+            assert np.array_equal(band[rows], np.zeros(len(rows))), (scheme, k)
             assert not np.signbit(band[rows]).any(), (scheme, k)
         if scheme == "explicit":
             continue
@@ -235,11 +243,37 @@ def test_batch_identity_rows_hold_the_values_of_decisions_section_7():
         assert np.count_nonzero(b.boundary) == 2
         assert not np.signbit(b.boundary).any()
         touching = np.unique([rows - 1, rows])  # coupling j joins rows j and j + 1
-        for name in ("du", "dl"):
-            coupling = getattr(b, name)
-            assert np.all(coupling[touching] == 0.0), name
-            assert not np.signbit(coupling[touching]).any(), name
-            assert np.count_nonzero(coupling) == len(coupling) - len(touching), name
+        assert np.all(b.e[touching] == 0.0)
+        assert not np.signbit(b.e[touching]).any()
+        assert np.count_nonzero(b.e) == len(b.e) - len(touching)
+
+
+def test_weighted_couplings_are_symmetric_and_every_row_dominant():
+    # e_i = r_i (-dt/2 upper_i) also stands for r_{i+1} (-dt/2 lower_{i+1}).
+    # The two are equal in exact arithmetic; in doubles each rounds eight
+    # times and linspace's spacing r_{i+1} - r_i errs from dr by up to 4u
+    # relative, so they are within 20 ulps (tests/test_cn_oracle.py,
+    # weighted_bound).  d, before the damping adds to it, passes the sum of
+    # the couplings of its row by r_i.
+    l1_half = LeslieCoefficients(0, -0.25, 0.25, 1, 0, 0.3)  # lambda1 = 0.5
+    l1_three = LeslieCoefficients(0, -1.5, 1.5, 1, 0, -0.5)  # lambda1 = 3
+    worst = 0.0
+    for n in (16, 37, 64, 300, 1024, 4096):
+        for c in (L2_ZERO, l1_half, l1_three):
+            for dt in (1e-4, 2.5e-4, 1e-3):
+                grid = RadialGrid(n)
+                params = SolverParams(dt, "semi_implicit", dt)
+                b = axisym._Batch([axisym._Run(make_state(grid, lambda r: r), c, params)])
+                dr2, r = grid.dr**2, grid.r[1:-1]
+                lower = (1.0 / dr2 - 1.0 / (2.0 * grid.dr * r)) / c.lambda1
+                paired = r[1:] * (-(0.5 * dt) * lower[1:])
+                ulps = np.abs(paired - b.e) / np.spacing(np.abs(b.e))
+                assert np.all(ulps <= 20.0), (n, c.lambda1, dt)
+                worst = max(worst, float(np.max(ulps)))
+                e = np.abs(b.e)
+                couplings = np.concatenate([[0.0], e]) + np.concatenate([e, [0.0]])
+                assert np.all(b.d_const > couplings), (n, c.lambda1, dt)
+    assert worst > 0.0  # the two do round differently
 
 
 # ---------------------------------------------------------------------------

@@ -2,24 +2,29 @@
 
 ``reference_simulate`` is the radial driver as it was before runs were
 batched: one run, one step at a time, the Crank-Nicolson step with its own
-bands and ``dgtsv`` call, RK4 on the interior right-hand side, the gradient
-guard as the maximum of the full derivative, and a finite check after every
-step.  ``simulate_batch`` marches several runs as one system; every field
-of every run's trace must equal the reference's bit for bit.  The reference
-forms each step from three bands and one sine coefficient per node, as the
-program does; ``tests/test_cn_oracle.py`` bounds how far that order is from
-the per-term order and relates the reaction to sin(phi) cos(phi).
+weighted bands and ``dptsv`` call, RK4 on the interior right-hand side, the
+gradient guard as the maximum of the full derivative against the guard, and
+``np.isfinite`` on the right-hand side and after every step.
+``simulate_batch`` marches several runs as one system; every field of every
+run's trace must equal the reference's bit for bit.  The reference
+forms each step from three bands and one sine coefficient per node, each
+Crank-Nicolson row times its node radius, as the program does;
+``tests/test_cn_oracle.py`` bounds how far that order is from the
+unweighted ``dgtsv`` step and from the per-term order, and relates the
+reaction to sin(phi) cos(phi).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from nematiclab.axisym import (
     RadialGrid,
+    RadialState,
     SolverParams,
     first_derivative,
     make_state,
@@ -79,27 +84,34 @@ def reference_step_rk4(phi, grid, c, dt):
     return out
 
 
-def reference_step_cn(phi, grid, c, dt):
+def reference_cn_system(phi, grid, c, dt):
+    """(d, e, right-hand side) of one Crank-Nicolson step, each row times
+    its node radius r."""
     diag, upper, lower, adv, q = reference_operator(grid, c)
     r = grid.r[1:-1]
     half = 0.5 * dt
     interior = phi[1:-1]
     two_p = 2.0 * interior
-    dt_damp = dt / (c.lambda1 * r**2) * np.maximum(np.cos(two_p), 0.0)
+    dt_damp = np.maximum(np.cos(two_p), 0.0) * (dt / (c.lambda1 * r))
+    r_upper = r * (half * upper)
     boundary = np.zeros(grid.n_cells - 1)
-    boundary[-1] = half * upper[-1] * phi[-1] + 0.0
+    boundary[-1] = r_upper[-1] * phi[-1] + 0.0
     rhs_vec = (
-        (1.0 + half * diag) * interior
-        + (half * upper - dt * adv) * phi[2:]
-        + (half * lower + dt * adv) * phi[:-2]
-        + dt * q * np.sin(two_p)
+        r * (1.0 + half * diag) * interior
+        + r * (half * upper - dt * adv) * phi[2:]
+        + r * (half * lower + dt * adv) * phi[:-2]
+        + r * (dt * q) * np.sin(two_p)
         + boundary
         + dt_damp * interior
     )
+    return r * (1.0 - half * diag) + dt_damp, -r_upper[:-1], rhs_vec
+
+
+def reference_step_cn(phi, grid, c, dt):
+    d, e, rhs_vec = reference_cn_system(phi, grid, c, dt)
     if not np.all(np.isfinite(rhs_vec)):
         raise SolverHalt("non-finite field")
-    d = (1.0 - half * diag) + dt_damp
-    _, _, _, new_interior, info = dgtsv(-half * lower[1:], d, -half * upper[:-1], rhs_vec)
+    _, _, new_interior, info = dptsv(d, e, rhs_vec)
     assert info == 0
     out = phi.copy()
     out[1:-1] = new_interior
@@ -293,3 +305,48 @@ member = st.tuples(
 @settings(max_examples=40, deadline=None)
 def test_batch_equals_each_run_marched_alone(scheme, members, cn_dt):
     assert_batch_matches_reference(make_batch(scheme, cn_dt, members))
+
+
+def test_batch_keeps_a_negative_zero_that_underflows_on_a_runs_last_row():
+    # dptts2 divides before it subtracts: the last row of a run gets
+    # b/d - x e, with e = +0.0 toward the identity row after it.  Here b/d
+    # underflows to -0.0 and phi(1) < 0; were the identity row's solution
+    # phi(1), x e would be -0.0 and the difference +0.0.  Its right-hand
+    # side is +0.0, so the run keeps the -0.0 it gets alone.
+    eta = 5e-324
+    phi = np.zeros(1001)
+    phi[-3:] = 3 * eta, -3 * eta, -2 * eta
+    p = SolverParams(dt=1e-4, t_end=2e-4, clip_guard=math.inf)
+    run = (RadialState(RadialGrid(1000), phi), L2_SETS[0], p, 1)
+    (alone,) = assert_batch_matches_reference([run])
+    assert np.signbit(alone.phis[1, -2]) and alone.phis[1, -2] == 0.0
+    after = make_run(32, L2_SETS[1], "linear", 0.5, 1e-4, "semi_implicit", 2, 1)
+    assert_batch_matches_reference([run, after])
+
+
+@pytest.mark.parametrize("scheme, dt", [("semi_implicit", 1e-4), ("explicit", 1e-5)])
+def test_batch_with_an_infinite_guard_reaches_t_end(scheme, dt):
+    p = SolverParams(dt, scheme, 30 * dt, math.inf)
+    runs = [
+        (make_state(RadialGrid(n), lambda r: a * r), c, p, 7)
+        for n, c, a in ((64, L2_SETS[1], 3.4), (100, L2_SETS[2], 1.0))
+    ]
+    for trace in assert_batch_matches_reference(runs):
+        assert not trace.halted
+        assert trace.times[-1] == 30 * dt
+
+
+def test_finite_right_hand_side_whose_sum_overflows_marches_without_a_warning():
+    # the right-hand side sums past the largest double, every entry finite;
+    # the finite check must not halt the run or warn
+    grid = RadialGrid(256)
+    state0 = make_state(grid, lambda r: 1e307 * r)
+    p = SolverParams(dt=1e-4, t_end=5e-4, clip_guard=math.inf)
+    rhs = reference_cn_system(state0.phi, grid, L2_SETS[1], p.dt)[2]
+    assert np.all(np.isfinite(rhs))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(rhs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (trace,) = assert_batch_matches_reference([(state0, L2_SETS[1], p, 1)])
+    assert not trace.halted and trace.n_snapshots == 6

@@ -1,28 +1,40 @@
-"""The radial steps against reference copies, in band order and per term.
+"""The radial steps against reference copies: the program's order, the
+order before the weights, and per term.
 
-Band order.  ``reference_operator`` splits phi_t of one run into the
-three-point diffusion, the advection and the sine coefficient;
-``reference_rhs`` applies the RK4 bands, and ``reference_step_cn`` forms the
-Crank-Nicolson bands, applies them and solves with
-``scipy.linalg.solve_banded``, rebuilding everything on every step.  The
-program's steps, driven through ``simulate`` (a batch of one run), and
-``rhs`` must agree with them bit for bit.
+The program's order.  ``reference_operator`` splits phi_t of one run into
+the three-point diffusion, the advection and the sine coefficient;
+``reference_rhs`` applies the RK4 bands, and ``reference_step_cn`` takes
+the Crank-Nicolson step as the program does, rebuilding everything on
+every step: each row times its node radius r, one coupling e_i = r_i
+(-dt/2 upper_i) for both neighbours, and LAPACK ``dptsv``.  The program's
+steps, driven through ``simulate`` (a batch of one run), and its RK4 bands
+must agree with them bit for bit.
+
+Before the weights.  ``dgtsv_step_cn`` is the Crank-Nicolson step as it
+was before the rows were weighted: the same bands without r, the two
+couplings -dt/2 upper_i and -dt/2 lower_{i+1}, and LAPACK ``dgtsv`` (which
+``scipy.linalg.solve_banded`` calls for one band on each side).  The two
+round differently; ``test_weighted_cn_step_is_within_a_derived_bound_of_the_dgtsv_step``
+bounds the difference of one step.
 
 Per term.  ``per_term_rhs`` and ``per_term_step_cn`` are the steps as they
 were before the bands: the differences of phi first, then each term with
 its own division, and the reaction from one sine, as -s/(2 r^2) - 1.5
-lambda2 s with s = sin(2 phi).  The two orders round differently.  The
-last tests bound the difference of one Crank-Nicolson step and one RK4 step
-by a bound derived from the magnitudes of the terms, and relate the
-per-term reaction to the form the paper writes, sin(phi) cos(phi).
+lambda2 s with s = sin(2 phi).  The two orders round differently.  Tests
+bound the difference of one band-order Crank-Nicolson step (before the
+weights) and one RK4 step from the per-term steps by bounds derived from
+the magnitudes of the terms, and relate the per-term reaction to the form
+the paper writes, sin(phi) cos(phi).
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
-from nematiclab.axisym import RadialGrid, RadialState, SolverParams, make_state, rhs, simulate
+from nematiclab import axisym
+from nematiclab.axisym import RadialGrid, RadialState, SolverParams, make_state, simulate
 from nematiclab.coeffs import LeslieCoefficients
 
 L2_HALF = LeslieCoefficients(0, -0.25, 0.75, 1, 0, 0.5)  # lambda1=1, lambda2=0.5
@@ -54,6 +66,38 @@ def reference_rhs(phi, grid, c):
 
 
 def reference_step_cn(phi, grid, c, dt):
+    """One Crank-Nicolson step as the program takes it: every row times
+    its node radius r, the damping dt/(lambda1 r) max(cos(2 phi), 0) on both
+    sides, and the symmetric system solved by dptsv."""
+    diag, upper, lower, adv, q = reference_operator(grid, c)
+    r = grid.r[1:-1]
+    half = 0.5 * dt
+    p = phi[1:-1]
+    two_p = 2.0 * p
+    dt_damp = np.maximum(np.cos(two_p), 0.0) * (dt / (c.lambda1 * r))
+    r_upper = r * (half * upper)
+    boundary = np.zeros(grid.n_cells - 1)
+    boundary[-1] = r_upper[-1] * phi[-1] + 0.0
+    rhs_vec = (
+        r * (1.0 + half * diag) * p
+        + r * (half * upper - dt * adv) * phi[2:]
+        + r * (half * lower + dt * adv) * phi[:-2]
+        + r * (dt * q) * np.sin(two_p)
+        + boundary
+        + dt_damp * p
+    )
+    d = r * (1.0 - half * diag) + dt_damp
+    _, _, new_interior, info = dptsv(d, -r_upper[:-1], rhs_vec)
+    assert info == 0
+    out = phi.copy()
+    out[1:-1] = new_interior
+    return out
+
+
+def dgtsv_step_cn(phi, grid, c, dt):
+    """One Crank-Nicolson step in band order before the weights: the
+    unweighted rows, couplings -dt/2 upper_i and -dt/2 lower_{i+1}, and
+    dgtsv through ``solve_banded``."""
     diag, upper, lower, adv, q = reference_operator(grid, c)
     r = grid.r[1:-1]
     half = 0.5 * dt
@@ -145,11 +189,22 @@ def test_cn_step_matches_reference_with_alternating_dt():
     march_both(grid, L2_HALF, lambda r: 2.5 * r, [1e-4, 3e-4])
 
 
+def program_rhs(state, c):
+    """phi_t at the interior nodes as the program's RK4 step evaluates it:
+    the bands of an RK4 batch of this one run, applied by ``_banded``."""
+    dt = 0.25 * state.grid.dr**2 * c.lambda1
+    run = axisym._Run(state, c, SolverParams(dt=dt, scheme="explicit", t_end=dt))
+    b = axisym._Batch([run])
+    rows = len(b.phi) - 2
+    return axisym._banded(b.bands, b.nodes, 2.0 * b.nodes[0], np.empty(rows), np.empty(rows))
+
+
 def test_rhs_matches_reference():
     for n, c in ((64, L2_HALF), (200, L2_NEG)):
         grid = RadialGrid(n)
         state = make_state(grid, lambda r: 3.5 * r + 0.2 * np.sin(5.0 * r))
-        assert np.array_equal(rhs(state, c), reference_rhs(state.phi, grid, c))
+        assert np.array_equal(program_rhs(state, c), reference_rhs(state.phi, grid, c))
+
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +369,15 @@ def cn_bound(phi, grid, c, dt):
     the solutions differ by at most 28u max M + (14u + 2 * 16u) ||A||_inf
     max |x|, which the test rounds up to 30u and 50u, plus 2**10 eta for
     the subnormals."""
+    m, norm_a = cn_sizes(phi, grid, c, dt)
+    x = float(np.max(np.abs(per_term_step_cn(phi, grid, c, dt))))
+    return 30.0 * U * m + 50.0 * U * norm_a * x + 2**10 * ETA
+
+
+def cn_sizes(phi, grid, c, dt):
+    """(max_i M_i, ||A||_inf) of the exact Crank-Nicolson system at phi:
+    the largest sum of the absolute summands of a right-hand side
+    (``cn_bound``) and the largest absolute row sum of the matrix."""
     P, S, A, Q = magnitudes(grid, c)
     r = grid.r[1:-1]
     a = np.abs(phi)
@@ -324,9 +388,55 @@ def cn_bound(phi, grid, c, dt):
         + dt * Q * np.abs(np.sin(2.0 * phi[1:-1]))
     )
     sizes[-1] += 0.5 * dt * (P + S[-1]) * a[-1]
-    norm_a = float(np.max(1.0 + 2.0 * dt * P + dt * damp))
-    x = float(np.max(np.abs(per_term_step_cn(phi, grid, c, dt))))
-    return 30.0 * U * float(np.max(sizes)) + 50.0 * U * norm_a * x + 2**10 * ETA
+    return float(np.max(sizes)), float(np.max(1.0 + 2.0 * dt * P + dt * damp))
+
+
+def weighted_bound(phi, grid, c, dt):
+    """A bound on the largest difference between one Crank-Nicolson step
+    of the program (``reference_step_cn``: rows times r, dptsv) and one of
+    ``dgtsv_step_cn``, from the same phi.
+
+    Let A x* = b be the unweighted system in exact arithmetic on the
+    doubles phi, sin(2 phi) and max(cos(2 phi), 0), which both orders take
+    alike, and M_i the sum of the absolute summands of b_i (``cn_bound``).
+    Compare each computed solution with x*.
+
+    Before the weights (the counts of ``cn_bound``): a summand of the
+    right-hand side rounds at most fourteen times, the diagonal six and a
+    coupling seven, and dgtsv's computed solution solves (A + E) x = b with
+    |E| <= 16u |A|.
+
+    Weighted: each band takes one more rounding, its product with r, and
+    the damping factor dt/(lambda1 r) one fewer than dt/(lambda1 r^2), so a
+    summand rounds at most fifteen times against r_i times its exact value,
+    the diagonal seven and e_i eight against r_i times the exact upper
+    coupling.  As the lower coupling of row i + 1, e_i must equal r_{i+1}
+    (dt/2) lower_{i+1}, which it does in exact arithmetic when r_{i+1} -
+    r_i = dr; linspace's r_i = fl(i dr) puts that spacing within u (r_i +
+    r_{i+1}) of dr, at most 4u relative to r_{i+1} lower_{i+1} = (r_{i+1} -
+    dr/2)/(dr^2 lambda1).  So the stored symmetric matrix is W (A + F), W =
+    diag(r), |F| <= gamma_13 |A|.  dptsv factors it as L D L^T without
+    pivoting; for a positive definite tridiagonal matrix |L| D |L^T| is the
+    matrix itself, and each step of the two substitutions rounds at most
+    three times, as in Higham's Theorem 9.13, so the computed solution
+    solves (W (A + F) + E) x = b_w with |E| <= 16u |W (A + F)|.  Row i
+    divided by r_i reads (A + F + W^-1 E) x = W^-1 b_w, with W^-1 b_w
+    within gamma_15 M_i of b and |W^-1 E| <= 16u |A + F|.
+
+    A is strictly diagonally dominant with margin 1, so ||A^-1||_inf <= 1
+    (Varah's bound), and each solution is within its right-hand side error
+    plus its matrix error times max |x| of x*: gamma_14 M + (gamma_7 + 16u)
+    ||A|| |x| before the weights and gamma_15 M + (gamma_13 + 16u) ||A|| |x|
+    after, 29u M + 52u ||A|| |x| together to first order, which the test
+    rounds up to 32u and 60u.  A rounding in the subnormals errs by eta/2
+    instead; W^-1 multiplies it by at most 1/r_1 = n, and (2**5 n + 2**10)
+    eta covers every such rounding."""
+    m, norm_a = cn_sizes(phi, grid, c, dt)
+    x = max(
+        float(np.max(np.abs(step(phi, grid, c, dt))))
+        for step in (reference_step_cn, dgtsv_step_cn)
+    )
+    return 32.0 * U * m + 60.0 * U * norm_a * x + (2**5 * grid.n_cells + 2**10) * ETA
 
 
 def awkward_angles():
@@ -343,15 +453,21 @@ def awkward_angles():
 LAMBDA2S = (0.0, -0.0, 0.5, -0.5, 0.3, -1.7, 7.3e-3, 41.0)
 
 
-def test_band_steps_are_within_a_derived_ulp_bound_of_the_per_term_steps():
-    # interior nodes at +0.0 and -0.0, the smallest subnormals and angles
-    # around the multiples of pi/2, whose jumps pass any gradient guard; the
-    # first and last node stay the Dirichlet values
-    grid = RadialGrid(64)
-    p = awkward_angles()
-    phi = np.concatenate([[0.0], p[: grid.n_cells - 1], [np.pi]])
+def awkward_state(grid):
+    """Interior nodes at +0.0 and -0.0, the smallest subnormals and angles
+    around the multiples of pi/2, whose jumps pass any gradient guard; the
+    first and last node stay the Dirichlet values."""
+    phi = np.concatenate([[0.0], awkward_angles()[: grid.n_cells - 1], [np.pi]])
     assert {math.copysign(1.0, x) for x in phi[1:-1] if x == 0.0} == {1.0, -1.0}
-    state = RadialState(grid, phi)
+    return RadialState(grid, phi)
+
+
+def test_band_steps_are_within_a_derived_ulp_bound_of_the_per_term_steps():
+    # the Crank-Nicolson step in band order is the one before the weights;
+    # the next test bounds the program's weighted step against it
+    grid = RadialGrid(64)
+    state = awkward_state(grid)
+    phi = state.phi
     worst, moved = 0.0, 0
     for lambda2 in LAMBDA2S:
         c = LeslieCoefficients(0, -0.5, 0.5, 1, 0.0, lambda2)
@@ -359,10 +475,30 @@ def test_band_steps_are_within_a_derived_ulp_bound_of_the_per_term_steps():
             ("semi_implicit", 1e-4, per_term_step_cn, cn_bound),
             ("explicit", 5e-5, per_term_step_rk4, rk4_bound),
         ):
-            banded = program_step(state, c, dt, scheme, math.inf).phi
+            if scheme == "semi_implicit":
+                banded = dgtsv_step_cn(phi, grid, c, dt)
+            else:
+                banded = program_step(state, c, dt, scheme, math.inf).phi
             diff = float(np.max(np.abs(banded - per_term(phi, grid, c, dt))))
             limit = bound(phi, grid, c, dt)
             assert diff <= limit, (lambda2, scheme, diff, limit)
+            worst = max(worst, diff / limit)
+            moved += int(diff > 0.0)
+    assert moved > 0  # the orders do round differently
+    assert worst > 1e-3  # and the bound is not vacuous
+
+
+def test_weighted_cn_step_is_within_a_derived_bound_of_the_dgtsv_step():
+    grid = RadialGrid(64)
+    state = awkward_state(grid)
+    worst, moved = 0.0, 0
+    for lambda2 in LAMBDA2S:
+        c = LeslieCoefficients(0, -0.5, 0.5, 1, 0.0, lambda2)
+        for dt in (1e-4, 2.5e-4):
+            ours = program_step(state, c, dt, "semi_implicit", math.inf).phi
+            diff = float(np.max(np.abs(ours - dgtsv_step_cn(state.phi, grid, c, dt))))
+            limit = weighted_bound(state.phi, grid, c, dt)
+            assert diff <= limit, (lambda2, dt, diff, limit)
             worst = max(worst, diff / limit)
             moved += int(diff > 0.0)
     assert moved > 0  # the orders do round differently

@@ -9,7 +9,7 @@ from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# stale in the tracer: the radial step calls LAPACK's dgtsv directly, and
+# stale in the tracer: the radial step calls LAPACK's dptsv directly, and
 # blowup.py no longer computes a local energy.  Each entry goes when the
 # tracer stops naming it.
 EXPECTED_MISSING = {

@@ -23,7 +23,8 @@ from nematiclab.poiseuille import (
     PoiseuilleState,
     PoiseuilleTrace,
     counterexample_bc,
-    counterexample_run,
+    counterexample_report,
+    counterexample_setup,
     energy_identity_residual,
     heat_reduction_applies,
     heat_reduction_check,
@@ -35,6 +36,12 @@ from nematiclab.poiseuille import (
 )
 
 SIMPLIFIED = simplified_coefficients()
+
+
+def counterexample_trace(L, n, t_end, dt=None):
+    """The counterexample marched from w0 = -2x, phi0 = 0, as the
+    poiseuille_counterexample experiment marches it."""
+    return simulate(*counterexample_setup(L, n, t_end, dt))
 
 
 def _compact_state(n, L=10.0, amplitude=1.0):
@@ -126,7 +133,7 @@ def test_exact_pair_is_discrete_fixed_profile():
 
 
 def test_counterexample_matches_exact_solution():
-    report, _ = counterexample_run(L=5.0, n=200, t_end=1.0)
+    report = counterexample_report(counterexample_trace(5.0, 200, 1.0))
     assert report.max_phi_initial == 0.0
     assert report.max_phi_error <= 1e-6  # measured 8e-14
     assert report.max_w_error <= 1e-8  # measured 2e-15
@@ -143,13 +150,13 @@ def test_counterexample_config_path_marches_the_counterexample_run(dt_line):
     )
     p = config.poiseuille
     via_config = simulate(*poiseuille_run(config))
-    _, direct = counterexample_run(p.half_length, p.n_cells, p.t_end, p.dt)
+    direct = counterexample_trace(p.half_length, p.n_cells, p.t_end, p.dt)
     for name in ("times", "ws", "phis", "phi_ts"):
         assert np.array_equal(getattr(via_config, name), getattr(direct, name))
 
 
 def test_counterexample_boundary_warning_on_energy_identity():
-    _, trace = counterexample_run(L=5.0, n=100, t_end=0.05)
+    trace = counterexample_trace(5.0, 100, 0.05)
     assert energy_identity_residual(trace).boundary_warning
 
 
@@ -323,7 +330,7 @@ def test_v_recovery_second_order():
 
 
 def test_counterexample_potential_matches_closed_form():
-    _, trace = counterexample_run(L=5.0, n=100, t_end=0.1)
+    trace = counterexample_trace(5.0, 100, 0.1)
     i = trace.n_snapshots - 1
     v = velocity_potential(trace)[i]
     exact = -trace.grid.x**2 - 3.0 * trace.times[i]

@@ -47,6 +47,8 @@ checks it bit for bit against ``scipy.integrate.cumulative_trapezoid`` on
 whole traces of arbitrary doubles, overflow, nan and signed zeros included.
 """
 
+import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,12 +73,12 @@ from nematiclab.poiseuille import (
     PoiseuilleState,
     PoiseuilleTrace,
     counterexample_bc,
-    counterexample_run,
+    counterexample_report,
+    counterexample_setup,
     energies,
     energy_identity_residual,
     heat_reduction_check,
     homogeneous_bc,
-    phi_time_derivative,
     simulate,
     stability_bound,
     step_general,
@@ -182,6 +184,12 @@ def program_step(state, c, dt, bc, t_new=None):
     step_general(march, state.t + dt if t_new is None else t_new)
     w, phi = march.now[0]
     return PoiseuilleState(state.grid, w, phi, march.t, state.a)
+
+
+def program_rate(state, c, bc):
+    """phi_t of the program on every node of ``state``: the angle equation
+    its step applies (``_March.rate``; dt does not enter it)."""
+    return poiseuille._March(state, c, 0.0, bc).rate(np.empty_like(state.phi))
 
 
 def same_bits(ours, ref):
@@ -364,7 +372,7 @@ def test_only_phi_dependent_coefficients_form_g_and_h_arrays(monkeypatch, c, cal
     monkeypatch.setattr(poiseuille, "g_coeff", counting(g_coeff))
     monkeypatch.setattr(poiseuille, "h_coeff", counting(h_coeff))
     for _ in range(2):
-        phi_time_derivative(state, c, homogeneous_bc())
+        program_rate(state, c, homogeneous_bc())
         state = program_step(state, c, dt, homogeneous_bc())
     # h at the nodes for each phi_t, and g and h at the midpoints per step
     assert len(counted) == calls
@@ -385,7 +393,7 @@ def test_overflowing_angle_halts_both_steps_at_the_same_time(n, node, value):
     state = _pulse(n)
     state.phi[node] = value
     state.phi[[1, -2]] = 1e307
-    ours = phi_time_derivative(state, SIMPLIFIED, homogeneous_bc())
+    ours = program_rate(state, SIMPLIFIED, homogeneous_bc())
     ref = reference_phi_time_derivative(state, SIMPLIFIED, homogeneous_bc())
     # where 2 phi overflows the reference's h is nan and phi_t nan; constant
     # h leaves phi_t +-inf there.  No step can be taken from such a state.
@@ -396,6 +404,61 @@ def test_overflowing_angle_halts_both_steps_at_the_same_time(n, node, value):
     t_ours = _advance(program_step, state, SIMPLIFIED, dt, homogeneous_bc(), None)[1]
     t_ref = _advance(reference_step_general, state, SIMPLIFIED, dt, homogeneous_bc(), None)[1]
     assert t_ours == t_ref == dt
+
+
+def test_all_finite_finds_a_non_finite_value_in_either_row_and_at_the_ends():
+    x = np.ones((2, 9))
+    assert axisym.all_finite(x)
+    for node in [(0, 0), (0, 4), (0, -1), (1, 0), (1, 4), (1, -1)]:
+        for value in (math.inf, -math.inf, math.nan):
+            y = x.copy()
+            y[node] = value
+            assert not axisym.all_finite(y), (node, value)
+    # finite entries whose squares and plain sum overflow, with no warning
+    y = np.full((2, 9), 1.7976931348623157e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert axisym.all_finite(y)
+        assert axisym.all_finite(-y)
+
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("end", ["w_left", "w_right", "phi_left", "phi_right"])
+def test_non_finite_boundary_value_halts_both_steps_at_the_same_time(end, value):
+    state = _pulse(32)
+    dt = 0.8 * stability_bound(state.grid, SIMPLIFIED)
+    # the end's data goes non-finite from the third step on
+    bc = BoundaryData(**{end: lambda t: value if t > 2.5 * dt else 0.0})
+    assert march_both(state, SIMPLIFIED, dt, bc, 10, explicit_t=True) == 3 * dt
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_overflowing_velocity_halts_both_steps_at_the_same_time(sign):
+    # w_{i+1} - w_i overflows in the w row; the flux carries +-inf and nan
+    state = _pulse(32)
+    state.w[15], state.w[16] = sign * 1.7e308, -sign * 1.7e308
+    dt = 0.8 * stability_bound(state.grid, SIMPLIFIED)
+    assert march_both(state, SIMPLIFIED, dt, homogeneous_bc(), 10) == dt
+
+
+def test_finite_state_whose_sum_overflows_marches_without_a_warning():
+    # every value is finite and the step stays finite, but the plain sum
+    # of the state passes the largest double
+    grid = IntervalGrid(10.0, 64)
+    w = 1.5e308 * (1.0 - 0.01 * np.exp(-(grid.x**2)))
+    state = PoiseuilleState(grid, w=w, phi=0.3 * np.exp(-(grid.x**2)))
+    bc = BoundaryData(w_left=lambda t: w[0], w_right=lambda t: w[-1])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(np.stack([state.w, state.phi])))
+    dt = 0.8 * stability_bound(grid, SIMPLIFIED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert march_both(state, SIMPLIFIED, dt, bc, 20) is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -519,7 +582,7 @@ def test_one_step_is_within_rounding_of_the_per_term_step(case):
     state, c, bc = _one_step_cases()[case]
     dt = 0.8 * stability_bound(state.grid, c)
     x, m_phi, m_w = term_magnitudes(state, c, dt, bc)
-    ours_rate = phi_time_derivative(state, c, bc)
+    ours_rate = program_rate(state, c, bc)
     ref_rate = per_term_phi_time_derivative(state, c, bc)
     assert np.all(np.abs(ours_rate - ref_rate) <= (gamma(6) + gamma(8)) * 1.001 * x)
     ours = program_step(state, c, dt, bc)
@@ -641,7 +704,8 @@ def assert_traces_equal(ours, ref):
 
 
 def test_counterexample_trace_and_diagnostics_match_reference():
-    report, trace = counterexample_run(L=5.0, n=200, t_end=0.5)
+    trace = simulate(*counterexample_setup(5.0, 200, 0.5))
+    report = counterexample_report(trace)
     dt, stride = poiseuille.plan_run(trace.grid, SIMPLIFIED, 0.5)
     state0 = PoiseuilleState(trace.grid, w=-2.0 * trace.grid.x, phi=np.zeros(201))
     ref = reference_simulate(state0, SIMPLIFIED, dt, 0.5, trace.bc, stride)

@@ -7,6 +7,8 @@ program evaluates them over a whole recorded trace, in blocks of rows; every
 value must agree with the reference bit for bit, whatever the block size.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,35 @@ def test_max_gradient_keeps_nan_from_overflowing_end_stencils():
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.isnan(reference_max_gradient(state.phi, state.grid))
         assert np.isnan(max_gradient(state))
+
+
+def ulps_around(t):
+    """t and the three doubles on each side of it."""
+    out = [t]
+    for direction in (-math.inf, math.inf):
+        x = t
+        for _ in range(3):
+            x = math.nextafter(x, direction)
+            out.append(x)
+    return out
+
+
+@given(
+    n=st.one_of(st.sampled_from([16, 17, 1000, 1024, 2**20]), st.integers(16, 2**20)),
+    clip_guard=st.sampled_from([None, 1.0, 50.0, 1e300, math.inf]),
+    x=st.floats(allow_nan=True, allow_infinity=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_guard_threshold_decides_as_the_division_by_two_dr(n, clip_guard, x):
+    # the batch compares each run's largest numerator with a threshold; it
+    # must trip exactly where the largest numerator over 2 dr passes the
+    # guard, as a lone run's check does (None is the default guard 0.5/dr)
+    grid = RadialGrid(n)
+    guard = SolverParams(dt=1e-4, clip_guard=clip_guard).guard_for(grid)
+    two_dr = 2.0 * grid.dr
+    t = axisym._guard_threshold(guard, two_dr)
+    for value in ulps_around(t) + [x, 0.0, math.inf, math.nan]:
+        assert (value > t) == (value / two_dr > guard), (n, guard, value, t)
 
 
 # ---------------------------------------------------------------------------
