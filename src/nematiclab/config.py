@@ -42,7 +42,7 @@ from .blowup import MIN_SNAPSHOTS
 from .coeffs import LeslieCoefficients
 from .coeffs import validate as validate_coeffs
 from .errors import ConfigError
-from .hopf import BALL_SUMS, LAMBDA_RANGE, SPHERE_SUMS, check_mesh
+from .hopf import LAMBDA_RANGE, check_mesh
 from .poiseuille import IntervalGrid, PoiseuilleState, homogeneous_bc, plan_run
 from .poiseuille import counterexample_setup
 
@@ -359,9 +359,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"lambdas must lie in [{lo!r}, {hi!r}]")
         if any(b <= a for a, b in zip(hopf.lambdas, hopf.lambdas[1:])):
             raise ConfigError("lambdas must be strictly increasing")
-        for key, n_sums in (("mesh", SPHERE_SUMS), ("ball_mesh", BALL_SUMS)):
+        for key in ("mesh", "ball_mesh"):
             try:
-                check_mesh(getattr(hopf, key), n_sums)
+                check_mesh(getattr(hopf, key))
             except ValueError as exc:
                 raise ConfigError(f"[hopf] {key} = {getattr(hopf, key)}: {exc}") from exc
 

@@ -19,27 +19,27 @@ the director data on the unit ball; its boundary value is hopf(POLE) for
 every dilation parameter.
 
 Energies are product-grid quadratures with tangential central differences;
-cell-centred grids keep the coordinate poles out of the stencil.  The sphere
-integrand is the same in every phi column (rotating w fixes the pole,
-commutes with the dilation and only rotates the image), so the sphere energy
-is one column's sum counted 2 mesh times.  The ball walks its radial axis in
-slabs of about ``SLAB_VALUES`` grid points, each evaluated with a one-row
-halo into full-size buffers that single pairwise sums total, so its energies
-do not depend on the slab height (DECISIONS.md section 5).  Inside the
+cell-centred grids keep the coordinate poles out of the stencil.  Both grids
+put w = (q2, q3) in sin(theta) e^{i phi}: the sphere through hyperspherical
+angles, the ball through a polar axis along x[0].  Rotating w fixes the
+pole, commutes with the dilation and the chart and only rotates the image,
+so each integrand is the same in every phi column, and each energy is one
+column's sum counted 2 mesh times (DECISIONS.md section 5).  Inside the
 quadratures, vector fields keep their components on the leading axis.
 
 The built-in divergence-free velocity sample is the solenoidal vortex
 
     u(x) = 4 (1 - |x|^2) (-y, x, 0),
 
-smooth, tangential, and vanishing on the boundary sphere.
+smooth, tangential, and vanishing on the boundary sphere.  Its energy is
+known in closed form, so the ball's velocity part is that form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .axisym import MAX_RECORD_BYTES, first_derivative
+from .axisym import first_derivative
 
 POLE = np.array([1.0, 0.0, 0.0, 0.0])
 _POLE_SNAP = 1e-14
@@ -106,13 +106,25 @@ UNDER_RESOLVED_ERROR = 1e-2
 
 
 # ---------------------------------------------------------------------------
-# grids, gradient kernel, ball slab walker, sphere energy
+# grids, gradient kernel, one-column quadrature
 
-# Grid points per ball slab (slab rows x theta x phi).  Any value gives the
-# same energies.  ball_mesh 32 is one slab at any budget from 2**16; 2**17
-# ties 2**16 at ball_mesh 64 and is within 4% of the fastest at 128
-# (DECISIONS.md section 5).
-SLAB_VALUES = 2**17
+# Accepted mesh and ball_mesh.  A quadrature holds a (4, mesh, mesh, 3)
+# window and a few fields of its size, so memory grows as mesh^2: at 406 a
+# call takes about 0.1 s and peaks near 55 MB (tracemalloc).
+MESH_RANGE = (16, 406)
+
+
+def check_mesh(mesh: int) -> None:
+    """ValueError unless mesh lies in MESH_RANGE."""
+    lo, hi = MESH_RANGE
+    if not lo <= mesh <= hi:
+        raise ValueError(f"mesh must lie in [{lo}, {hi}]")
+
+
+def _check(lam: float, mesh: int) -> None:
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    check_mesh(mesh)
 
 
 def _centered(n: int, width: float) -> tuple[np.ndarray, float]:
@@ -128,153 +140,99 @@ def _angles(mesh: int):
     return the, phi, h_the, h_phi
 
 
-def _grad_sq(f: np.ndarray, rows: slice, h: tuple[float, float, float],
+def _directions(mesh: int) -> np.ndarray:
+    """Unit vectors (cos theta, sin theta cos phi, sin theta sin phi) as a
+    (3, 1, mesh, 3) array: every theta, and the phi columns 2 mesh - 1, 0
+    and 1.  Only the middle column's periodic phi stencil is kept."""
+    the, phi, _, _ = _angles(mesh)
+    st = np.sin(the)[:, None]
+    cols = [-1, 0, 1]
+    n = np.empty((3, 1, mesh, 3))
+    n[0] = np.cos(the)[:, None]
+    n[1] = st * np.cos(phi)[cols]
+    n[2] = st * np.sin(phi)[cols]
+    return n
+
+
+def _points(c, s, n: np.ndarray) -> np.ndarray:
+    """The points (c, s n) of S^3 as a (4, ...) array, for unit vectors n
+    (3, ...) and c^2 + s^2 = 1."""
+    q = np.empty((4,) + np.broadcast_shapes(np.shape(c), np.shape(s), n.shape[1:]))
+    q[0] = c
+    np.multiply(s, n, out=q[1:])
+    return q
+
+
+def _grad_sq(f: np.ndarray, h: tuple[float, float, float],
              inv_m1: np.ndarray, inv_m2: np.ndarray) -> np.ndarray:
-    """|grad f|^2 on ``rows`` of a window f (3, w, n1, n2) on an orthogonal
-    coordinate grid with spacings h and inverse metric weights along axes 2
-    and 3; axis 3 is periodic.  The window holds the rows plus their
-    neighbours along axis 1, so the axis-1 stencil is the whole grid's."""
+    """|grad f|^2 of f (3, n0, n1, n2) on an orthogonal coordinate grid with
+    spacings h and inverse metric weights along axes 2 and 3; axis 3 is
+    periodic."""
     h0, h1, h2 = h
-    core = f[:, rows]
-    e2 = _sq_sum(first_derivative(f, h0, 1)[:, rows])
-    e2 += _sq_sum(first_derivative(core, h1, 2)) * inv_m1
-    d = np.empty_like(core)
-    np.subtract(core[..., 2:], core[..., :-2], out=d[..., 1:-1])
-    np.subtract(core[..., 1], core[..., -1], out=d[..., 0])
-    np.subtract(core[..., 0], core[..., -2], out=d[..., -1])
+    e2 = _sq_sum(first_derivative(f, h0, 1))
+    e2 += _sq_sum(first_derivative(f, h1, 2)) * inv_m1
+    d = np.empty_like(f)
+    np.subtract(f[..., 2:], f[..., :-2], out=d[..., 1:-1])
+    np.subtract(f[..., 1], f[..., -1], out=d[..., 0])
+    np.subtract(f[..., 0], f[..., -2], out=d[..., -1])
     d /= 2.0 * h2
     e2 += _sq_sum(d) * inv_m2
     return e2
 
 
-SPHERE_SUMS, BALL_SUMS = 1, 2  # integrands: the energy; velocity and director
-
-
-def check_mesh(mesh: int, n_sums: int) -> None:
-    """ValueError unless mesh >= 16 and the (n_sums, mesh, mesh, 2 mesh)
-    float totals of ``_quadrature_sums`` fit under MAX_RECORD_BYTES.  The
-    sphere, which builds no totals, keeps the same accepted range."""
-    if mesh < 16:
-        raise ValueError("mesh must be at least 16")
-    nbytes = n_sums * 16 * mesh**3
-    if nbytes > MAX_RECORD_BYTES:
-        raise ValueError(
-            f"its {nbytes}-byte totals buffer exceeds the {MAX_RECORD_BYTES}-byte ceiling"
-        )
-
-
-def _check(lam: float, mesh: int, n_sums: int) -> None:
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    check_mesh(mesh, n_sums)
-
-
-def _quadrature_sums(r: np.ndarray, h_r: float, field) -> list[float]:
-    """Sums over the (mesh, mesh, 2 mesh) product grid of the integrands
-    |grad f|^2 r^2 sin(theta), then v r^2 sin(theta) for each extra scalar v,
-    where ``field(a, b)`` returns f (3, b - a, mesh, 2 mesh) and the extras
-    (b - a, mesh, 2 mesh) on radial rows a..b-1, and r (mesh,) is the radial
-    metric factor.
-
-    The radial rows go in slabs of about SLAB_VALUES points.  Each slab
-    evaluates ``field`` on its rows plus a one-row halo (widened to three
-    rows at the ends, where the stencil is one-sided) and writes its
-    weighted integrands into full-size buffers; each buffer is then summed
-    once, in the pairwise order of a whole-grid np.sum."""
+def _column_quadrature(q: np.ndarray, r: np.ndarray, h_r: float, lam: float) -> float:
+    """Quadrature of |grad (hopf o psi_lam)|^2 r^2 sin(theta) over the
+    (mesh, mesh, 2 mesh) product grid, from the points q (4, mesh, mesh, 3)
+    on the columns of ``_directions``, the radial metric factor r
+    (mesh, 1, 1) and its spacing h_r.  Rotating w turns the integrand's phi
+    columns into one another, so column 0's sum is counted 2 mesh times
+    (DECISIONS.md section 5)."""
     mesh = len(r)
     the, _, h_the, h_phi = _angles(mesh)
     st = np.sin(the)[:, None]
-    totals = None
-    step = max(1, SLAB_VALUES // (2 * mesh * mesh))
-    for lo in range(0, mesh, step):
-        hi = min(lo + step, mesh)
-        a, b = max(0, min(lo - 1, mesh - 3)), min(mesh, max(hi + 1, 3))
-        f, *extras = field(a, b)
-        r_s = r[lo:hi, None, None]
-        inv_m1 = 1.0 / r_s**2
-        inv_m2 = inv_m1 / st**2
-        weight = r_s**2 * st
-        rows = slice(lo - a, hi - a)
-        integrands = [_grad_sq(f, rows, (h_r, h_the, h_phi), inv_m1, inv_m2)]
-        integrands += [v[rows] for v in extras]
-        if totals is None:
-            totals = np.empty((len(integrands), mesh, mesh, 2 * mesh))
-        for total, v in zip(totals, integrands):
-            np.multiply(v, weight, out=total[lo:hi])
-        del f, extras, integrands  # not held while the next slab is built
-    return [np.sum(total) for total in totals]
+    f = _hopf_arr(_psi_arr(q, lam))
+    inv_m1 = 1.0 / r**2
+    e2 = _grad_sq(f, (h_r, h_the, h_phi), inv_m1, inv_m1 / st**2)
+    total = np.sum(e2[..., 1:2] * (r**2 * st)) * (2 * mesh)
+    return float(total * h_r * h_the * h_phi)
 
 
 def dirichlet_energy_s3(lam: float, mesh: int) -> float:
     """Quadrature of |grad (hopf o psi_lam)|^2 over the three-sphere using
     hyperspherical angles (chi, theta, phi) on a cell-centred product grid
-    of shape (mesh, mesh, 2 mesh), from phi column 0 alone: the integrand is
-    the same in every column (DECISIONS.md section 5)."""
-    _check(lam, mesh, SPHERE_SUMS)
+    of shape (mesh, mesh, 2 mesh), from phi column 0 alone."""
+    _check(lam, mesh)
     chi, h_chi = _centered(mesh, np.pi)
-    the, phi, h_the, h_phi = _angles(mesh)
-    cols = [-1, 0, 1]  # only the middle column's periodic phi stencil is kept
     sc = np.sin(chi)[:, None, None]
-    st = np.sin(the)[:, None]
-    q = np.empty((4, mesh, mesh, 3))
-    q[0] = np.cos(chi)[:, None, None]
-    np.multiply(sc, np.cos(the)[:, None], out=q[1])
-    np.multiply(sc, st * np.cos(phi)[cols], out=q[2])
-    np.multiply(sc, st * np.sin(phi)[cols], out=q[3])
-    f = _hopf_arr(_psi_arr(q, lam))
-    inv_m1 = 1.0 / sc**2
-    e2 = _grad_sq(f, slice(None), (h_chi, h_the, h_phi), inv_m1, inv_m1 / st**2)
-    total = np.sum(e2[..., 1:2] * (sc**2 * st)) * (2 * mesh)
-    return float(total * h_chi * h_the * h_phi)
+    q = _points(np.cos(chi)[:, None, None], sc, _directions(mesh))
+    return _column_quadrature(q, sc, h_chi, lam)
 
 
 # ---------------------------------------------------------------------------
-# ball chart, built-in velocity, ball energy
+# ball chart, ball energy
 
 
-def _chart(x: np.ndarray) -> np.ndarray:
-    """Ball chart (3, ...) -> S^3 (4, ...): |x| = rho goes to polar angle
-    pi*rho from the antipode, so the boundary sphere collapses onto the pole."""
-    rho = np.sqrt(_sq_sum(x))
+def _chart(rho, n: np.ndarray) -> np.ndarray:
+    """Ball chart: the point rho n of the unit ball, for unit vectors n
+    (3, ...), goes to polar angle pi*rho from the antipode on S^3 (4, ...),
+    so the boundary sphere collapses onto the pole."""
     ang = np.pi * rho
-    # sin(pi rho)/rho extends smoothly by pi at the origin
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fac = np.where(rho > 0.0, np.sin(ang) / np.where(rho > 0.0, rho, 1.0), np.pi)
-    q = np.empty((4,) + x.shape[1:])
-    q[0] = -np.cos(ang)
-    np.multiply(x, fac, out=q[1:])
-    return q
+    return _points(-np.cos(ang), np.sin(ang), n)
 
 
-def _vortex(x: np.ndarray) -> np.ndarray:
-    """The built-in sample u = 4 (1-|x|^2) (-y, x, 0) on arrays (3, ...)."""
-    rho2 = _sq_sum(x)
-    u = np.empty_like(x)
-    u[0] = -4.0 * (1.0 - rho2) * x[1]
-    u[1] = 4.0 * (1.0 - rho2) * x[0]
-    u[2] = 0.0
-    return u
+# Integral of |u|^2 = 16 (1 - |x|^2)^2 (x^2 + y^2) over the unit ball for the
+# built-in vortex u: 16 times the radial integral of (1 - rho^2)^2 rho^4,
+# 8/315, times the integral of x^2 + y^2 over the unit sphere, 8 pi/3.
+VORTEX_SQ_INTEGRAL = 1024.0 * np.pi / 945.0
 
 
 def ball_energy_parts(lam: float, mesh: int) -> tuple[float, float]:
     """(velocity part, director part) of the half-integral energy over the
-    unit ball; the velocity enters as u/lam."""
-    _check(lam, mesh, BALL_SUMS)
+    unit ball; the velocity enters as u/lam.  The director part is a
+    quadrature on a (mesh, mesh, 2 mesh) grid of (rho, theta, phi) whose
+    polar axis is x[0], from phi column 0 alone."""
+    _check(lam, mesh)
     rho, h_r = _centered(mesh, 1.0)
-    the, phi, h_t, h_p = _angles(mesh)
-    st, ct = np.sin(the)[:, None], np.cos(the)[:, None]
-
-    def field(a, b):
-        r_st = rho[a:b, None, None] * st
-        x = np.empty((3, b - a, mesh, 2 * mesh))
-        np.multiply(r_st, np.cos(phi), out=x[0])
-        np.multiply(r_st, np.sin(phi), out=x[1])
-        x[2] = rho[a:b, None, None] * ct
-        return _hopf_arr(_psi_arr(_chart(x), lam)), _sq_sum(_vortex(x))
-
-    e2_sum, u2_sum = _quadrature_sums(rho, h_r, field)
-    cell = h_r * h_t * h_p
-    e_vel = 0.5 * lam**-2 * float(u2_sum * cell)
-    e_dir = 0.5 * float(e2_sum * cell)
-    return e_vel, e_dir
-
+    rho = rho[:, None, None]
+    e_dir = 0.5 * _column_quadrature(_chart(rho, _directions(mesh)), rho, h_r, lam)
+    return 0.5 * lam**-2 * VORTEX_SQ_INTEGRAL, e_dir

@@ -280,18 +280,19 @@ def test_poiseuille_record_buffer_ceiling(tmp_path, capsys):
     assert parse_config(shorter.replace("snapshot_stride = 1", "snapshot_stride = 2"))
 
 
-# The sphere quadrature sums into 16 mesh^3 bytes of totals, the ball into
-# 32 ball_mesh^3; mesh 406 and ball_mesh 322 are the largest under 2**30.
+# Both quadratures accept meshes 16 to 406 (hopf.MESH_RANGE).
 @pytest.mark.parametrize(
     "mesh, ball_mesh, bad_key",
     [
-        (406, 322, None),
+        (406, 406, None),
         (407, 32, "mesh"),
-        (64, 323, "ball_mesh"),
-        (100000, 32, "mesh"),  # a 16 PB buffer
+        (64, 407, "ball_mesh"),
+        (15, 32, "mesh"),
+        (64, 15, "ball_mesh"),
+        (100000, 32, "mesh"),
     ],
 )
-def test_hopf_totals_buffer_ceiling(tmp_path, capsys, mesh, ball_mesh, bad_key):
+def test_hopf_mesh_range(tmp_path, capsys, mesh, ball_mesh, bad_key):
     text = (ROOT / "configs" / "hopf_decay.ini").read_text()
     text = text.replace("mesh = 64", f"mesh = {mesh}", 1)
     text = text.replace("ball_mesh = 32", f"ball_mesh = {ball_mesh}")
@@ -299,10 +300,12 @@ def test_hopf_totals_buffer_ceiling(tmp_path, capsys, mesh, ball_mesh, bad_key):
     cfg.write_text(text)
     if bad_key is None:
         assert main(["validate", str(cfg)]) == 0
-        assert parse_config(text).hopf.mesh == mesh
+        hopf = parse_config(text).hopf
+        assert (hopf.mesh, hopf.ball_mesh) == (mesh, ball_mesh)
     else:
         assert main(["validate", str(cfg)]) == 2
-        assert f"[hopf] {bad_key} = " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"[hopf] {bad_key} = " in err and "mesh must lie in [16, 406]" in err
 
 
 # Each barrier residual is an (n_t, n_r) float array: 2**13 x 2**14 and

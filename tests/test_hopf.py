@@ -1,5 +1,5 @@
-"""The Hopf kernels the quadratures run (fibration, dilation, ball chart,
-vortex) on (4, ...) and (3, ...) arrays, the sphere and ball energies, and
+"""The Hopf kernels the quadratures run (fibration, dilation, ball chart) on
+(4, ...) and (3, ...) arrays, the sphere and ball energies, and
 the dilation range a hopf_decay run accepts."""
 
 import json
@@ -19,7 +19,6 @@ from nematiclab.hopf import (
     _chart,
     _hopf_arr,
     _psi_arr,
-    _vortex,
     ball_energy_parts,
     dirichlet_energy_s3,
     sphere_energy_exact,
@@ -148,24 +147,20 @@ def test_energy_rejects_bad_dilation_and_mesh():
         dirichlet_energy_s3(1.0, 8)
 
 
-# mesh 406 and ball_mesh 322 are the largest whose totals, 16 and 32 mesh^3
-# bytes, fit under the 2**30-byte ceiling; the sphere, which allocates no
-# totals, keeps that range
-@pytest.mark.parametrize(
-    "energy, n_sums, mesh",
-    [(dirichlet_energy_s3, hopf.SPHERE_SUMS, 407), (ball_energy_parts, hopf.BALL_SUMS, 323)],
-)
-def test_quadrature_past_the_totals_ceiling_raises_before_allocating(
-    monkeypatch, energy, n_sums, mesh
-):
+# both quadratures accept meshes 16 to 406
+@pytest.mark.parametrize("energy", [dirichlet_energy_s3, ball_energy_parts])
+@pytest.mark.parametrize("mesh", [15, 407])
+def test_quadrature_outside_the_mesh_range_raises_before_allocating(monkeypatch, energy, mesh):
     def no_quadrature(*args):
         raise AssertionError("the quadrature ran")
 
     # both paths build their angle grids before any field
     monkeypatch.setattr(hopf, "_angles", no_quadrature)
-    with pytest.raises(ValueError, match="totals buffer exceeds the 1073741824-byte ceiling"):
+    with pytest.raises(ValueError, match=r"mesh must lie in \[16, 406\]"):
         energy(1.0, mesh)
-    hopf.check_mesh(mesh - 1, n_sums)
+    assert hopf.MESH_RANGE == (16, 406)
+    hopf.check_mesh(16)
+    hopf.check_mesh(406)
 
 
 # ---------------------------------------------------------------------------
@@ -173,51 +168,37 @@ def test_quadrature_past_the_totals_ceiling_raises_before_allocating(
 
 
 def test_ball_chart_hits_antipode_and_pole():
-    origin = _chart(np.zeros(3))
-    assert np.allclose(origin, -POLE)
-    near_boundary = _chart(np.array([0.0, 0.0, 1.0 - 1e-9]))
-    assert abs(near_boundary[0] - 1.0) <= 1e-14
+    n = np.array([0.0, 0.0, 1.0])
+    assert np.allclose(_chart(0.0, n), -POLE)
+    assert abs(_chart(1.0 - 1e-9, n)[0] - 1.0) <= 1e-14
 
 
 def test_boundary_director_is_pole_image_for_all_lambdas():
-    x = np.array([0.0, 0.0, 1.0 - 1e-9])
+    n = np.array([0.0, 0.0, 1.0])
     for lam in (1.0, 4.0, 64.0):
-        assert np.allclose(_hopf_arr(_psi_arr(_chart(x), lam)), _hopf_arr(POLE))
+        assert np.allclose(_hopf_arr(_psi_arr(_chart(1.0 - 1e-9, n), lam)), _hopf_arr(POLE))
 
 
 def test_director_field_unit_norm():
     rng = np.random.default_rng(3)
     x = rng.uniform(-0.57, 0.57, (3, 2000))  # inside the ball
-    f = _hopf_arr(_psi_arr(_chart(x), 5.0))
+    rho = np.linalg.norm(x, axis=0)
+    f = _hopf_arr(_psi_arr(_chart(rho, x / rho), 5.0))
     assert np.max(np.abs(np.linalg.norm(f, axis=0) - 1.0)) <= 1e-12
-
-
-def test_vortex_velocity_divergence_free_and_boundary_zero():
-    rng = np.random.default_rng(11)
-    x = rng.uniform(-0.5, 0.5, (3, 200))
-    h = 1e-6
-    div = np.zeros(x.shape[1])
-    for a in range(3):
-        dx = np.zeros((3, 1))
-        dx[a] = h
-        div += (_vortex(x + dx)[a] - _vortex(x - dx)[a]) / (2 * h)
-    assert np.max(np.abs(div)) <= 1e-8
-    sphere = rng.standard_normal((3, 50))
-    sphere /= np.linalg.norm(sphere, axis=0)
-    assert np.max(np.abs(_vortex(sphere))) <= 1e-12
 
 
 def test_velocity_energy_scales_exactly_as_inverse_square():
     e1, _ = ball_energy_parts(1.0, 24)
-    for lam in (2.0, 8.0):
+    for lam in (0.5, 2.0, 8.0):  # powers of two scale without rounding
         e_lam, _ = ball_energy_parts(lam, 24)
-        assert e_lam == pytest.approx(e1 / lam**2, rel=1e-14)
+        assert e_lam == e1 * lam**-2
 
 
 def test_velocity_energy_matches_analytic_value():
-    # 0.5 * integral of 16 (1-rho^2)^2 (x^2+y^2) over the unit ball
-    e1, _ = ball_energy_parts(1.0, 48)
-    assert e1 == pytest.approx(512.0 * np.pi / 945.0, rel=1e-4)
+    # 0.5 * integral of 16 (1-rho^2)^2 (x^2+y^2) over the unit ball, at any mesh
+    for mesh in (16, 48):
+        assert ball_energy_parts(1.0, mesh)[0] == 512.0 * np.pi / 945.0
+    assert ball_energy_parts(3.0, 16)[0] == pytest.approx(512.0 * np.pi / (945.0 * 9.0), rel=1e-15)
 
 
 def test_initial_data_energy_decreasing_in_lambda():
