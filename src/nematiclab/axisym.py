@@ -42,11 +42,11 @@ formed once, which decides exactly as the gradient against the guard.
 ``simulate`` is a batch of one.  ``RunRecord`` holds the run-shape rules it
 shares with the Poiseuille loop and the buffer a run records into,
 allocated up front; ``plan_record`` checks a run against ``MAX_STEPS`` and
-``MAX_RECORD_BYTES`` without allocating (DECISIONS.md section 3).  The trace
-diagnostics (``energy``, ``local_energy``) take the ``(snapshots, nodes)``
-array a run records and walk it in ``row_blocks``, with the same operations
-on each row in the same order whatever the block size, so the numbers do
-not depend on it (DECISIONS.md section 4).
+``MAX_RECORD_BYTES`` without allocating (DECISIONS.md section 3).  ``energy``
+is the one walk over the ``(snapshots, nodes)`` array a run records: it
+takes it in ``row_blocks``, with the same operations on each row in the
+same order whatever the block size, so the numbers do not depend on it
+(DECISIONS.md section 4).
 """
 
 from __future__ import annotations
@@ -322,16 +322,6 @@ def first_derivative(f: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return out
 
 
-def max_gradient(state: RadialState) -> float:
-    """max |first_derivative(phi)|, without building the derivative: the
-    largest numerator is divided once by 2 dr.  The two agree exactly,
-    because division by a positive constant is monotone under rounding."""
-    grid = state.grid
-    starts, ends = np.array([0]), np.array([grid.n_cells])
-    num = _max_numerators(state.phi, _end_stencils(starts, ends), starts, np.empty_like(state.phi))
-    return float(num[0]) / (2.0 * grid.dr)
-
-
 def _end_stencils(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """(3, 2 runs) node indices of the one-sided stencils at both ends of
     each run of a node vector; run i holds nodes starts[i]..ends[i]."""
@@ -482,58 +472,41 @@ def row_blocks(n_rows: int, row_len: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, n_rows, rows)]
 
 
-def _grad_integrand(block: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """phi_r^2 r on the nodes ``block`` holds: whole snapshots, or their
-    leading nodes, whose last value is then one-sided and not the
-    snapshot's."""
-    m = block.shape[1]
-    return first_derivative(block, grid.dr, axis=1) ** 2 * grid.r[:m]
-
-
-def energy(grid: RadialGrid, phis: np.ndarray):
-    """(e_total, e_grad, e_sin), one entry per snapshot (row) of ``phis``:
-    trapezoidal quadrature over [0, 1] of phi_r^2 * r and sin^2(phi)/r; the
-    second integrand extends to 0 at the origin by continuity."""
-    r = grid.r
-    e_grad, e_sin = [], []
-    for rows in row_blocks(*phis.shape):
-        block = phis[rows]
-        sin_integrand = np.empty_like(block)
-        sin_integrand[:, 0] = 0.0
-        sin_integrand[:, 1:] = np.sin(block[:, 1:]) ** 2 / r[1:]
-        e_grad.append(_trapz(_grad_integrand(block, grid), r, axis=1))
-        e_sin.append(_trapz(sin_integrand, r, axis=1))
-    e_grad, e_sin = np.concatenate(e_grad), np.concatenate(e_sin)
-    return e_grad + e_sin, e_grad, e_sin
-
-
 def check_local_radius(grid: RadialGrid, R: float) -> None:
-    """ValueError unless 2 dr <= R <= 1, the radii local_energy resolves."""
+    """ValueError unless 2 dr <= R <= 1, the local radii ``energy`` resolves."""
     if R < 2.0 * grid.dr:
         raise ValueError(f"R = {R} unresolvable: need R >= 2*dr = {2 * grid.dr}")
     if R > 1.0:
         raise ValueError(f"R = {R} must lie in (0, 1]")
 
 
-def local_energy(grid: RadialGrid, phis: np.ndarray, R: float) -> np.ndarray:
-    """Trapezoidal quadrature of phi_r^2 r over [0, R], one entry per
-    snapshot (row) of ``phis``."""
+def energy(grid: RadialGrid, phis: np.ndarray, R: float):
+    """(e_total, e_grad, e_sin, e_local), one entry per snapshot (row) of
+    ``phis``: trapezoidal quadrature over [0, 1] of phi_r^2 * r and
+    sin^2(phi)/r, whose second integrand extends to 0 at the origin by
+    continuity, and of phi_r^2 * r over [0, R]."""
     check_local_radius(grid, R)
     dr, r = grid.dr, grid.r
     k = int(np.floor(R / dr + 1e-12))
-    totals = []
+    e_grad, e_sin, e_local = [], [], []
     for rows in row_blocks(*phis.shape):
-        # nodes 0..k+1 are used; node k+2 keeps the stencil at k+1 central
-        integrand = _grad_integrand(phis[rows, : k + 3], grid)
-        total = _trapz(integrand[:, : k + 1], r[: k + 1], axis=1)
+        block = phis[rows]
+        grad_integrand = first_derivative(block, dr, axis=1) ** 2 * r
+        sin_integrand = np.empty_like(block)
+        sin_integrand[:, 0] = 0.0
+        sin_integrand[:, 1:] = np.sin(block[:, 1:]) ** 2 / r[1:]
+        e_grad.append(_trapz(grad_integrand, r, axis=1))
+        e_sin.append(_trapz(sin_integrand, r, axis=1))
+        local = _trapz(grad_integrand[:, : k + 1], r[: k + 1], axis=1)
         if k < grid.n_cells and R > r[k]:
             # partial trapezoid on the clipped last interval
             frac = (R - r[k]) / dr
-            f_k = integrand[:, k]
-            f_r = f_k + frac * (integrand[:, k + 1] - f_k)
-            total += 0.5 * (f_k + f_r) * (R - r[k])
-        totals.append(total)
-    return np.concatenate(totals)
+            f_k = grad_integrand[:, k]
+            f_r = f_k + frac * (grad_integrand[:, k + 1] - f_k)
+            local += 0.5 * (f_k + f_r) * (R - r[k])
+        e_local.append(local)
+    e_grad, e_sin = np.concatenate(e_grad), np.concatenate(e_sin)
+    return e_grad + e_sin, e_grad, e_sin, np.concatenate(e_local)
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +547,16 @@ class _Run:
         state0.validate()
         p.check_stability(state0.grid, c)
         self.grid, self.c, self.p = state0.grid, c, p
-        guard = p.guard_for(state0.grid)
-        self.threshold = _guard_threshold(guard, 2.0 * state0.grid.dr)
+        self.threshold = _guard_threshold(p.guard_for(state0.grid), 2.0 * state0.grid.dr)
         n = len(state0.phi)
         self.record = RunRecord(state0.t, p.t_end, p.dt, snapshot_stride, (n,), n)
         self.record.values[0] = state0.phi
         self.halted, self.halt_reason = False, None
-        if max_gradient(state0) > guard:
+        # the guard on the initial state, decided as ``_Batch.tripped`` decides
+        # it after every step; a run that trips here never enters a batch
+        phi0, starts = self.record.values[0], np.array([0])
+        num = _max_numerators(phi0, _end_stencils(starts, starts + n - 1), starts, np.empty(n))
+        if num[0] > self.threshold:
             self.halted, self.halt_reason = True, "gradient guard"
 
     def advance(self, k: int, phi: np.ndarray, tripped: bool) -> bool:

@@ -35,12 +35,12 @@ class RunResult:
 
 @dataclass
 class Artifact:
-    """One named output: a CSV series plus an optional plot (possibly of a
-    reduced column set)."""
+    """One named output: a CSV series and its plot (possibly of a reduced
+    column set), drawn when the run makes plots."""
 
     name: str
     series: TimeSeries
-    plot_kind: str | None = "linear"
+    plot_kind: str = "linear"
     plot_series: TimeSeries | None = None
 
 
@@ -86,7 +86,7 @@ def run(
             path = target / f"{art.name}.csv"
             write_csv(art.series, path)
             result.files.append(path)
-            if do_plots and art.plot_kind is not None:
+            if do_plots:
                 path = target / f"{art.name}.svg"
                 emit_plot(
                     art.plot_series if art.plot_series is not None else art.series,
@@ -131,17 +131,13 @@ def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
     return batches
 
 
-def axisym_series(trace: axisym.RunTrace, local_radius: float) -> TimeSeries:
-    grid, phis = trace.grid, trace.phis
+def axisym_series(trace: axisym.RunTrace, grads: np.ndarray, local_radius: float) -> TimeSeries:
+    """One row per snapshot: its time, origin gradient (``grads``), energies
+    and local energy on [0, local_radius]."""
     return TimeSeries(
         columns=("t", "phi_r_origin", "e_total", "e_grad", "e_sin", "local_energy_R"),
         rows=np.column_stack(
-            [
-                trace.times,
-                blowup.gradient_history(grid, phis),
-                *axisym.energy(grid, phis),  # e_total, e_grad, e_sin
-                axisym.local_energy(grid, phis, local_radius),
-            ]
+            [trace.times, grads, *axisym.energy(trace.grid, trace.phis, local_radius)]
         ),
     )
 
@@ -200,11 +196,11 @@ def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
                 warnings.append(f"beta law not fitted: {exc}")
         report["warnings"] = warnings
 
-    artifacts = [Artifact("series", axisym_series(trace, b.local_energy_radius))]
+    grads = blowup.gradient_history(trace.grid, trace.phis)
+    artifacts = [Artifact("series", axisym_series(trace, grads, b.local_energy_radius))]
     if config.kind == "axisym_blowup":
-        # full-trace gradient history; beta_hat only where the bubble scale
-        # is readable (gradient >= 100), nan elsewhere
-        grads = blowup.gradient_history(trace.grid, trace.phis)
+        # beta_hat only where the bubble scale is readable (gradient >= 100),
+        # nan elsewhere
         beta_hat = np.where(
             grads >= blowup.PROFILE_MIN_GRADIENT, 2.0 / np.maximum(grads, 1e-300), np.nan
         )
@@ -215,9 +211,7 @@ def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
         grad_only = TimeSeries(
             ("t", "phi_r_origin"), np.column_stack([trace.times, grads])
         )
-        artifacts.append(
-            Artifact("blowup_history", full, "linear", plot_series=grad_only)
-        )
+        artifacts.append(Artifact("blowup_history", full, plot_series=grad_only))
     return report, artifacts
 
 
@@ -314,8 +308,9 @@ def _require_finite(trace, e: np.ndarray, d: np.ndarray, **residuals) -> None:
 
 def _run_poiseuille_counterexample(config: ExperimentConfig):
     trace = poiseuille.simulate(*poiseuille_run(config))
-    report_obj = poiseuille.counterexample_report(trace)
-    e, d = poiseuille.energies(trace)
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite halts on these
+        report_obj = poiseuille.counterexample_report(trace)
+        e, d = poiseuille.energies(trace)
     _require_finite(trace, e, d, heat_residual=report_obj.heat_residual)
     series = _poiseuille_series(trace, e, d, exact_w=lambda x: -2.0 * x)
     return report_obj.as_dict(), [Artifact("series", series)]
@@ -325,21 +320,22 @@ def _run_poiseuille_generic(config: ExperimentConfig):
     run_args = poiseuille_run(config)
     dt = run_args[2]
     trace = poiseuille.simulate(*run_args)
-    energy_res = poiseuille.energy_identity_residual(trace)
-    report = {
-        "energy_identity_residual": energy_res.residual,
-        "boundary_warning": energy_res.boundary_warning,
-        # dE/dt + D = -a int w: only a = 0 makes E nonincreasing
-        "energy_nonincreasing": (
-            bool(np.all(np.diff(energy_res.energies) <= energy_res.residual * dt + 1e-14))
-            if trace.a == 0.0 else None
-        ),
-        "heat_reduction_residual": (
-            poiseuille.heat_reduction_check(trace)
-            if poiseuille.heat_reduction_applies(trace) else None
-        ),
-        "dt": dt,
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite halts on these
+        energy_res = poiseuille.energy_identity_residual(trace)
+        report = {
+            "energy_identity_residual": energy_res.residual,
+            "boundary_warning": energy_res.boundary_warning,
+            # dE/dt + D = -a int w: only a = 0 makes E nonincreasing
+            "energy_nonincreasing": (
+                bool(np.all(np.diff(energy_res.energies) <= energy_res.residual * dt + 1e-14))
+                if trace.a == 0.0 else None
+            ),
+            "heat_reduction_residual": (
+                poiseuille.heat_reduction_check(trace)
+                if poiseuille.heat_reduction_applies(trace) else None
+            ),
+            "dt": dt,
+        }
     _require_finite(
         trace,
         energy_res.energies,

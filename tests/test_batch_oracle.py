@@ -16,6 +16,7 @@ reaction to sin(phi) cos(phi).
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,6 +262,30 @@ def test_batch_drops_a_run_whose_field_goes_non_finite(scheme, dt, huge):
         traces = assert_batch_matches_reference(runs)
     assert [t.halt_reason for t in traces] == [None, "non-finite field", None]
     assert traces[1].n_snapshots == 1
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "explicit"])
+def test_a_guard_at_the_initial_gradient_marches_and_one_double_below_halts(scheme):
+    # the initial state's guard decides as every later step's: a run whose
+    # largest initial gradient equals its guard marches, and one whose guard
+    # is the next double down halts before its first step, alone or batched
+    base = make_batch(
+        scheme,
+        1e-4,
+        [(64, L2_SETS[1], "wavy", 2.0, 12, 1), (40, L2_SETS[2], "linear", 1.0, 12, 5)],
+    )
+    (state0, c, p, stride), other = base
+    g0 = reference_max_gradient(state0.phi, state0.grid)
+    at = (state0, c, replace(p, clip_guard=g0), stride)
+    below = (state0, c, replace(p, clip_guard=math.nextafter(g0, -math.inf)), stride)
+    for runs in ([at], [below], [at, below, other], [other, below, at]):
+        traces = assert_batch_matches_reference(runs)
+        for run, trace in zip(runs, traces):
+            if run is at:
+                assert trace.n_snapshots > 1
+            if run is below:
+                assert trace.halt_reason == "gradient guard"
+                assert np.array_equal(trace.times, [0.0])
 
 
 def test_simulate_is_a_batch_of_one():

@@ -5,8 +5,8 @@ from nematiclab.axisym import (
     RadialGrid,
     RunTrace,
     SolverParams,
+    energy,
     initial_profile,
-    local_energy,
     make_state,
     simulate,
 )
@@ -124,7 +124,7 @@ def test_resolvable_formation_detects_with_clean_bubble():
     # local energy concentrates monotonically over the last decade of growth
     decade = report.grad_history >= report.grad_history[-1] / 10.0
     phis = trace.phis[: len(report.times)]
-    le = local_energy(trace.grid, phis, report.local_energy_radius)[decade]
+    le = energy(trace.grid, phis, report.local_energy_radius)[3][decade]
     assert np.all(np.diff(le) > 0)
 
     slope, r2 = fit_beta_law(report)

@@ -64,6 +64,13 @@ def test_shipped_configs_parse_and_round_trip():
         assert again.hash() == config.hash()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini")), ids=lambda p: p.stem)
+def test_shipped_config_runs_without_a_warning(tmp_path, capsys, path):
+    assert main(["simulate", str(path), "--out", str(tmp_path), "--no-plots"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_empty_config_rejected():
     with pytest.raises(ConfigError, match="experiment"):
         parse_config("")
@@ -468,6 +475,30 @@ velocity_amplitude = 1.7e308
 """
     )
     assert main(["simulate", str(cfg)]) == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_poiseuille_halt_prints_only_its_halt_line(tmp_path, capsys):
+    # the energies of this run overflow at t = 0; the diagnostics that
+    # overflow with them warn nothing, and the halt line is all it prints
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(
+        """
+[experiment]
+kind = poiseuille_counterexample
+out_dir = results/huge
+
+[poiseuille]
+half_length = 1.35e154
+n_cells = 16
+dt = 1e-4
+t_end = 0.01
+"""
+    )
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "out"), "--no-plots"]) == 3
+    assert capsys.readouterr().err == (
+        "runtime halt: non-finite energy or dissipation at snapshot 0 at t=0\n"
+    )
 
 
 @pytest.mark.parametrize(

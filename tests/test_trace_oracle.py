@@ -21,9 +21,7 @@ from nematiclab.axisym import (
     SolverParams,
     energy,
     first_derivative,
-    local_energy,
     make_state,
-    max_gradient,
     simulate,
 )
 from nematiclab.blowup import detect, gradient_history
@@ -74,6 +72,16 @@ def reference_max_gradient(phi, grid):
     return float(np.max(np.abs(reference_first_derivative(phi, grid.dr))))
 
 
+def max_gradient(state):
+    """The largest absolute numerator of the derivative, as the gradient
+    guard forms it, over 2 dr: the guard decides on the numerator against a
+    threshold that decides as this quotient does (DECISIONS.md section 7)."""
+    starts, ends = np.array([0]), np.array([state.grid.n_cells])
+    stencils = axisym._end_stencils(starts, ends)
+    num = axisym._max_numerators(state.phi, stencils, starts, np.empty_like(state.phi))
+    return float(num[0]) / (2.0 * state.grid.dr)
+
+
 def reference_columns(trace, R):
     """Per-snapshot reference values as columns: e_total, e_grad, e_sin,
     local energy at R, origin gradient."""
@@ -87,11 +95,11 @@ def reference_columns(trace, R):
 
 def assert_trace_matches(trace, R):
     e_total, e_grad, e_sin, le, grad = reference_columns(trace, R)
-    got = energy(trace.grid, trace.phis)
+    got = energy(trace.grid, trace.phis, R)
     assert np.array_equal(got[0], e_total)
     assert np.array_equal(got[1], e_grad)
     assert np.array_equal(got[2], e_sin)
-    assert np.array_equal(local_energy(trace.grid, trace.phis, R), le)
+    assert np.array_equal(got[3], le)
     assert np.array_equal(gradient_history(trace.grid, trace.phis), grad)
 
 
@@ -141,19 +149,26 @@ def test_single_state_matches_reference(blowup_trace):
     for i in (0, len(blowup_trace.times) // 2, -1):
         phi = blowup_trace.phis[i]
         phis = phi[np.newaxis]
-        assert tuple(e[0] for e in energy(grid, phis)) == reference_energy(phi, grid)
-        assert local_energy(grid, phis, RADIUS)[0] == reference_local_energy(phi, grid, RADIUS)
+        got = tuple(e[0] for e in energy(grid, phis, RADIUS))
+        assert got[:3] == reference_energy(phi, grid)
+        assert got[3] == reference_local_energy(phi, grid, RADIUS)
         assert max_gradient(RadialState(grid, phi)) == reference_max_gradient(phi, grid)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 10**6])
 def test_any_block_size_gives_the_same_values(blowup_trace, monkeypatch, rows):
+    # R inside a cell, on a node, at 2 dr, in the last cell (k = n - 1),
+    # where the local energy's last stencil is the row's one-sided end, and
+    # at 1, where it takes the whole row
+    dr = blowup_trace.grid.dr
+    radii = (RADIUS, 10.0 * dr, 2.0 * dr, 1.0 - 0.5 * dr, 1.0)
     n_nodes = blowup_trace.grid.n_cells + 1
-    monkeypatch.setattr(axisym, "CHUNK_VALUES", rows * n_nodes)
-    assert_trace_matches(blowup_trace, RADIUS)
-    # and a budget below one row still walks row by row
-    monkeypatch.setattr(axisym, "CHUNK_VALUES", 1)
-    assert_trace_matches(blowup_trace.head(9), RADIUS)
+    for R in radii:
+        monkeypatch.setattr(axisym, "CHUNK_VALUES", rows * n_nodes)
+        assert_trace_matches(blowup_trace, R)
+        # and a budget below one row still walks row by row
+        monkeypatch.setattr(axisym, "CHUNK_VALUES", 1)
+        assert_trace_matches(blowup_trace.head(9), R)
 
 
 @settings(max_examples=300, deadline=None)
