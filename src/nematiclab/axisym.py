@@ -701,8 +701,12 @@ def simulate_batch(runs) -> list[RunTrace]:
     if len({(run.p.scheme, run.p.dt) for run in members}) > 1:
         raise ValueError("a batch of runs must share its scheme and dt")
     marching = [run for run in members if not run.halted]
-    if marching:
-        _march(_Batch(marching))
+    # a run whose 2 phi(1) overflows takes sin and cos of inf on its end's
+    # identity row in a batch, so it marches alone (DECISIONS.md section 7)
+    alone = [run for run in marching if not math.isfinite(2.0 * run.record.values[0][-1])]
+    for batch in [[run] for run in alone] + [[run for run in marching if run not in alone]]:
+        if batch:
+            _march(_Batch(batch))
     return [run.trace() for run in members]
 
 

@@ -337,6 +337,8 @@ def parse_config(text: str) -> ExperimentConfig:
         bc = barrier_check = BarrierCheckSection(**_read(cp, "barrier_check"))
         if min(bc.n_sets, bc.n_r, bc.n_t) < 1:
             raise ConfigError("barrier_check sample counts must be positive")
+        if bc.seed < 0:
+            raise ConfigError(f"[barrier_check] seed = {bc.seed}: must be non-negative")
         if 8 * bc.n_t * bc.n_r > MAX_RECORD_BYTES:
             raise ConfigError(
                 f"[barrier_check] n_t x n_r = {bc.n_t} x {bc.n_r}: its (n_t, n_r) "

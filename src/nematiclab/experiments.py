@@ -27,8 +27,6 @@ AXISYM_KINDS = ("axisym_global", "axisym_blowup")
 
 @dataclass
 class RunResult:
-    kind: str
-    out_dir: Path
     report: dict
     files: list[Path] = field(default_factory=list)
 
@@ -76,7 +74,7 @@ def run(
         report, artifacts = runner(config)
     report = {"experiment": config.kind, "config_hash": config.hash(), **report}
 
-    result = RunResult(kind=config.kind, out_dir=target, report=report)
+    result = RunResult(report)
 
     path = target / "report.json"
     try:

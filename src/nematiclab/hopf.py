@@ -106,11 +106,11 @@ UNDER_RESOLVED_ERROR = 1e-2
 
 
 # ---------------------------------------------------------------------------
-# grids, gradient kernel, one-column quadrature
+# grids, one-column quadrature
 
 # Accepted mesh and ball_mesh.  A quadrature holds a (4, mesh, mesh, 3)
 # window and a few fields of its size, so memory grows as mesh^2: at 406 a
-# call takes about 0.1 s and peaks near 55 MB (tracemalloc).
+# call takes about 0.1 s and peaks near 49 MB (tracemalloc).
 MESH_RANGE = (16, 406)
 
 
@@ -143,7 +143,7 @@ def _angles(mesh: int):
 def _directions(mesh: int) -> np.ndarray:
     """Unit vectors (cos theta, sin theta cos phi, sin theta sin phi) as a
     (3, 1, mesh, 3) array: every theta, and the phi columns 2 mesh - 1, 0
-    and 1.  Only the middle column's periodic phi stencil is kept."""
+    and 1, the middle one and the two its phi difference reads."""
     the, phi, _, _ = _angles(mesh)
     st = np.sin(the)[:, None]
     cols = [-1, 0, 1]
@@ -163,37 +163,26 @@ def _points(c, s, n: np.ndarray) -> np.ndarray:
     return q
 
 
-def _grad_sq(f: np.ndarray, h: tuple[float, float, float],
-             inv_m1: np.ndarray, inv_m2: np.ndarray) -> np.ndarray:
-    """|grad f|^2 of f (3, n0, n1, n2) on an orthogonal coordinate grid with
-    spacings h and inverse metric weights along axes 2 and 3; axis 3 is
-    periodic."""
-    h0, h1, h2 = h
-    e2 = _sq_sum(first_derivative(f, h0, 1))
-    e2 += _sq_sum(first_derivative(f, h1, 2)) * inv_m1
-    d = np.empty_like(f)
-    np.subtract(f[..., 2:], f[..., :-2], out=d[..., 1:-1])
-    np.subtract(f[..., 1], f[..., -1], out=d[..., 0])
-    np.subtract(f[..., 0], f[..., -2], out=d[..., -1])
-    d /= 2.0 * h2
-    e2 += _sq_sum(d) * inv_m2
-    return e2
-
-
 def _column_quadrature(q: np.ndarray, r: np.ndarray, h_r: float, lam: float) -> float:
     """Quadrature of |grad (hopf o psi_lam)|^2 r^2 sin(theta) over the
     (mesh, mesh, 2 mesh) product grid, from the points q (4, mesh, mesh, 3)
     on the columns of ``_directions``, the radial metric factor r
-    (mesh, 1, 1) and its spacing h_r.  Rotating w turns the integrand's phi
-    columns into one another, so column 0's sum is counted 2 mesh times
-    (DECISIONS.md section 5)."""
+    (mesh, 1) and its spacing h_r.  Only phi column 0, the middle one, is
+    differentiated; its phi difference reads the outer two.  Rotating w
+    turns the integrand's phi columns into one another, so column 0's sum
+    is counted 2 mesh times (DECISIONS.md section 5)."""
     mesh = len(r)
     the, _, h_the, h_phi = _angles(mesh)
-    st = np.sin(the)[:, None]
+    st = np.sin(the)
     f = _hopf_arr(_psi_arr(q, lam))
+    mid = f[..., 1]
     inv_m1 = 1.0 / r**2
-    e2 = _grad_sq(f, (h_r, h_the, h_phi), inv_m1, inv_m1 / st**2)
-    total = np.sum(e2[..., 1:2] * (r**2 * st)) * (2 * mesh)
+    e2 = _sq_sum(first_derivative(mid, h_r, 1))
+    e2 += _sq_sum(first_derivative(mid, h_the, 2)) * inv_m1
+    d_phi = np.subtract(f[..., 2], f[..., 0])
+    d_phi /= 2.0 * h_phi
+    e2 += _sq_sum(d_phi) * (inv_m1 / st**2)
+    total = np.sum(e2 * (r**2 * st)) * (2 * mesh)
     return float(total * h_r * h_the * h_phi)
 
 
@@ -203,8 +192,8 @@ def dirichlet_energy_s3(lam: float, mesh: int) -> float:
     of shape (mesh, mesh, 2 mesh), from phi column 0 alone."""
     _check(lam, mesh)
     chi, h_chi = _centered(mesh, np.pi)
-    sc = np.sin(chi)[:, None, None]
-    q = _points(np.cos(chi)[:, None, None], sc, _directions(mesh))
+    sc = np.sin(chi)[:, None]
+    q = _points(np.cos(chi)[:, None, None], sc[..., None], _directions(mesh))
     return _column_quadrature(q, sc, h_chi, lam)
 
 
@@ -233,6 +222,6 @@ def ball_energy_parts(lam: float, mesh: int) -> tuple[float, float]:
     polar axis is x[0], from phi column 0 alone."""
     _check(lam, mesh)
     rho, h_r = _centered(mesh, 1.0)
-    rho = rho[:, None, None]
-    e_dir = 0.5 * _column_quadrature(_chart(rho, _directions(mesh)), rho, h_r, lam)
+    rho = rho[:, None]
+    e_dir = 0.5 * _column_quadrature(_chart(rho[..., None], _directions(mesh)), rho, h_r, lam)
     return 0.5 * lam**-2 * VORTEX_SQ_INTEGRAL, e_dir

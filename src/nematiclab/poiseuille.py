@@ -10,8 +10,8 @@ midpoints with central differencing; time stepping is explicit Euler with
 the step bound dt <= 0.25 dx^2 min(lambda1, 1/max g) enforced up front.
 
 A run marches in place (``_March``): dx, lambda1 and dt are folded into a
-few factors once per run, the state lives in two (2, n+1) buffers used in
-turn, and a step is numpy calls on views made once.  When g or h depends
+few factors once per run, the state lives in one (2, n+1) buffer updated
+in place, and a step is numpy calls on views made once.  When g or h depends
 on phi, each step takes them from coeffs.g_coeff and coeffs.h_coeff (four
 trig calls) times those factors; when their trig weights are +0.0, as
 under the simplified coefficients, they are the constants cached on the
@@ -156,9 +156,9 @@ class _March:
     with dx, lambda1 and dt folded into factors formed here, and g and h
     too when ``constant_gh`` holds; otherwise each step multiplies the
     ``g_coeff`` and ``h_coeff`` arrays by the same factors.  The state lives
-    in two (2, n+1) buffers, rows w and phi, that the steps use in turn;
-    ``now[0]`` is the current one.  Every view and scratch array a step
-    touches is made here."""
+    in one (2, n+1) buffer, ``state``, rows w and phi, that each step
+    updates in place.  Every view and scratch array a step touches is made
+    here."""
 
     def __init__(self, state: PoiseuilleState, c: LeslieCoefficients, dt: float, bc: BoundaryData):
         self.c, self.dt, self.bc, self.t = c, dt, bc, state.t
@@ -169,8 +169,11 @@ class _March:
         if self.gh is not None:
             g, h = self.gh
             self.h_w, self.h_f, self.g_f = h * self.f_w, h * self.f_h, g * self.f_g
-        self.now, self.next = (self._views(np.empty((2, n + 1))) for _ in range(2))
-        self.now[0][0], self.now[0][1] = state.w, state.phi
+        self.state = np.array([state.w, state.phi], dtype=float)
+        w, phi = self.state
+        self.w_hi, self.w_lo, self.phi = w[1:], w[:-1], phi
+        self.phi_hi, self.phi_lo = phi[1:], phi[:-1]  # each node's right and left neighbour
+        self.phi_r, self.phi_l, self.phi_in = phi[2:], phi[:-2], phi[1:-1]
         # a step's increment: 0 at the ends of its w row; its phi row holds
         # phi_t until it is scaled by dt
         incr = np.zeros((2, n + 1))
@@ -178,21 +181,16 @@ class _March:
         self.dw, self.flux = ((d, d[1:], d[:-1]) for d in np.empty((2, n)))
         self.g_term, self.w_term = np.empty(n), np.empty(n - 1)
 
-    @staticmethod
-    def _views(buf: np.ndarray) -> tuple:
-        w, phi = buf
-        return buf, w[1:], w[:-1], phi, phi[1:], phi[:-1], phi[2:], phi[:-2], phi[1:-1]
-
     def rate(self, out: np.ndarray) -> np.ndarray:
         """phi_t of the current state into ``out``, which it returns, and
         w_{i+1} - w_i into ``dw``, which the step's flux reads."""
-        _, w_hi, w_lo, _, _, _, phi_r, phi_l, phi_in = self.now
+        phi_in = self.phi_in
         dw, dw_hi, dw_lo = self.dw
         w_term, inner = self.w_term, out[1:-1]
-        np.subtract(w_hi, w_lo, out=dw)
+        np.subtract(self.w_hi, self.w_lo, out=dw)
         # 2 phi_i overflows here where the array path's cos 2phi is nan
-        np.subtract(phi_r, np.multiply(phi_in, 2.0, out=inner), out=inner)
-        inner += phi_l
+        np.subtract(self.phi_r, np.multiply(phi_in, 2.0, out=inner), out=inner)
+        inner += self.phi_l
         np.add(dw_hi, dw_lo, out=w_term)  # w_{i+1} - w_{i-1}
         w_term *= self.h_w if self.gh is not None else h_coeff(self.c, phi_in) * self.f_w
         inner -= w_term
@@ -203,15 +201,16 @@ class _March:
 
     def fill(self, row: np.ndarray) -> None:
         """Record the current state and its phi_t into a (3, n+1) row."""
-        row[:2] = self.now[0]
+        row[:2] = self.state
         self.rate(row[2])
 
 
 def step_general(march: _March, t_new: float) -> None:
     """One explicit Euler step of ``march`` to t_new, with the boundary data
     taken at t_new: phi_t, the flux on the staggered midpoints, and both
-    rows of the new state in one add.  SolverHalt if it is not finite."""
-    old, _, _, phi, phi_hi, phi_lo, _, _, _ = march.now
+    rows of the new state in one add.  SolverHalt if it is not finite; the
+    state is then partly updated, and the run ends there."""
+    phi, phi_hi, phi_lo = march.phi, march.phi_hi, march.phi_lo
     incr, w_incr, rate, rate_hi, rate_lo = march.incr
     flux, flux_hi, flux_lo = march.flux
     march.rate(rate)
@@ -226,19 +225,18 @@ def step_general(march: _March, t_new: float) -> None:
     np.subtract(flux_hi, flux_lo, out=w_incr)
     w_incr -= march.dt_a
     rate *= march.dt
-    new = march.next[0]
-    np.add(old, incr, out=new)
-    bc = march.bc
-    new[0, 0] = bc.w_left(t_new)
-    new[0, -1] = bc.w_right(t_new)
-    new[1, 0] = bc.phi_left(t_new)
-    new[1, -1] = bc.phi_right(t_new)
-    # an end midpoint whose phi sum overflows makes the trig flux nan, with
-    # no interior phi_xx to show it: constant g and h must halt there too
+    # an end midpoint whose old phi sum overflows makes the trig flux nan,
+    # with no interior phi_xx to show it: constant g and h must halt there too
     ends_finite = math.isfinite(phi[0] + phi[1]) and math.isfinite(phi[-2] + phi[-1])
-    if not (all_finite(new) and ends_finite):
+    state = march.state
+    state += incr
+    bc = march.bc
+    state[0, 0] = bc.w_left(t_new)
+    state[0, -1] = bc.w_right(t_new)
+    state[1, 0] = bc.phi_left(t_new)
+    state[1, -1] = bc.phi_right(t_new)
+    if not (all_finite(state) and ends_finite):
         raise SolverHalt("non-finite field", t_new)
-    march.now, march.next = march.next, march.now
     march.t = t_new
 
 

@@ -361,6 +361,26 @@ def test_batch_with_an_infinite_guard_reaches_t_end(scheme, dt):
         assert trace.times[-1] == 30 * dt
 
 
+@pytest.mark.parametrize("scheme, dt", [("semi_implicit", 1e-4), ("explicit", 1e-5)])
+def test_a_run_whose_doubled_end_value_overflows_marches_as_it_would_alone(scheme, dt):
+    # phi = 0 but phi(1) = 1e308, so 2 phi(1) is inf; in a batch the end
+    # node is an identity row whose step would take sin and cos of it
+    phi = np.zeros(65)
+    phi[-1] = 1e308
+    p = SolverParams(dt, scheme, 5 * dt, math.inf)
+    huge = (RadialState(RadialGrid(64), phi), L2_SETS[1], p, 1)
+    other = (make_state(RadialGrid(32), lambda r: 2.0 * r), L2_SETS[2], p, 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the t0 guard's numerators
+        alone = simulate(*huge)
+        traces = assert_batch_matches_reference([huge, other])
+    assert np.array_equal(traces[0].times, alone.times)
+    assert np.array_equal(traces[0].phis, alone.phis)
+    assert traces[0].halt_reason == alone.halt_reason
+    assert traces[1].times[-1] == 5 * dt
+    if scheme == "semi_implicit":  # RK4's interior stencil overflows next to phi(1)
+        assert not alone.halted and alone.n_snapshots == 6
+
+
 def test_finite_right_hand_side_whose_sum_overflows_marches_without_a_warning():
     # the right-hand side sums past the largest double, every entry finite;
     # the finite check must not halt the run or warn

@@ -335,6 +335,21 @@ def test_barrier_check_residual_array_ceiling(tmp_path, capsys, n_t, n_r, ok):
         assert "residual arrays exceed the 1073741824-byte ceiling" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed, ok", [(0, True), (-1, False), (-(2**63), False)])
+def test_barrier_check_seed_must_be_non_negative(tmp_path, capsys, seed, ok):
+    text = (ROOT / "configs" / "barrier_check.ini").read_text()
+    assert "seed = 20240611" in text
+    text = text.replace("seed = 20240611", f"seed = {seed}")
+    cfg = tmp_path / "barriers.ini"
+    cfg.write_text(text)
+    if ok:
+        assert main(["validate", str(cfg)]) == 0
+        assert parse_config(text).barrier_check.seed == seed
+    else:
+        assert main(["validate", str(cfg)]) == 2
+        assert f"[barrier_check] seed = {seed}: must be non-negative" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # random configs
 
@@ -523,7 +538,7 @@ SMALL = {
         "n_r": st.integers(1, 10).map(str),
         "n_t": st.integers(1, 10).map(str),
         "t_max": st.sampled_from(["0.1", "5.0", "1e3"]),
-        "seed": st.integers(0, 2**32 - 1).map(str),
+        "seed": st.integers(-(2**32), 2**32 - 1).map(str),
     },
     "poiseuille": {
         "half_length": st.sampled_from(["0.5", "5.0", "20.0", "1.35e154"]),

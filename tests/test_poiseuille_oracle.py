@@ -182,7 +182,7 @@ def program_step(state, c, dt, bc, t_new=None):
     """One step of the program from ``state``, as a new state."""
     march = poiseuille._March(state, c, dt, bc)
     step_general(march, state.t + dt if t_new is None else t_new)
-    w, phi = march.now[0]
+    w, phi = march.state
     return PoiseuilleState(state.grid, w, phi, march.t, state.a)
 
 
@@ -229,7 +229,7 @@ def march_both(state0, c, dt, bc, n_steps=200, explicit_t=False):
         assert t_ours == t_ref, f"step {k}: halts at {t_ours} and {t_ref}"
         if t_ref is not None:
             return t_ref
-        w, phi = march.now[0]
+        w, phi = march.state
         assert march.t == ref.t, f"step {k}: t differs"
         assert same_bits(w, ref.w), f"step {k}: w differs"
         assert same_bits(phi, ref.phi), f"step {k}: phi differs"
