@@ -33,20 +33,20 @@ pivoting.
 The origin node carries the Dirichlet value phi = 0, so the singular terms
 are never evaluated at r = 0.
 
-There is one radial marching loop.  ``simulate_batch`` marches runs that
-share the scheme and dt as one node vector: one ``step`` call, and for
-Crank-Nicolson one ``dptsv`` call, advances all of them, and each run's
-trace is bit-identical to marching it alone (DECISIONS.md section 7).  The
-gradient guard compares each run's largest numerator with a threshold
+There is one radial marching loop.  ``simulate_batch`` groups its runs by
+scheme and dt and marches each group as one node vector: one ``step`` call,
+and for Crank-Nicolson one ``dptsv`` call, advances all of them, and each
+run's trace is bit-identical to marching it alone (DECISIONS.md section 7).
+The gradient guard compares each run's largest numerator with a threshold
 formed once, which decides exactly as the gradient against the guard.
 ``simulate`` is a batch of one.  ``RunRecord`` holds the run-shape rules it
 shares with the Poiseuille loop and the buffer a run records into,
 allocated up front; ``plan_record`` checks a run against ``MAX_STEPS`` and
 ``MAX_RECORD_BYTES`` without allocating (DECISIONS.md section 3).  ``energy``
-is the one walk over the ``(snapshots, nodes)`` array a run records: it
-takes it in ``row_blocks``, with the same operations on each row in the
-same order whatever the block size, so the numbers do not depend on it
-(DECISIONS.md section 4).
+is the one walk over the ``(snapshots, nodes)`` array a run records, phi_r(0)
+included: it takes it in ``row_blocks``, with the same operations on each
+row in the same order whatever the block size, so the numbers do not
+depend on it (DECISIONS.md section 4).
 """
 
 from __future__ import annotations
@@ -481,17 +481,21 @@ def check_local_radius(grid: RadialGrid, R: float) -> None:
 
 
 def energy(grid: RadialGrid, phis: np.ndarray, R: float):
-    """(e_total, e_grad, e_sin, e_local), one entry per snapshot (row) of
-    ``phis``: trapezoidal quadrature over [0, 1] of phi_r^2 * r and
-    sin^2(phi)/r, whose second integrand extends to 0 at the origin by
-    continuity, and of phi_r^2 * r over [0, R]."""
+    """(e_total, e_grad, e_sin, e_local, grad_origin), one entry per
+    snapshot (row) of ``phis``: trapezoidal quadrature over [0, 1] of
+    phi_r^2 * r and sin^2(phi)/r, whose second integrand extends to 0 at the
+    origin by continuity, and of phi_r^2 * r over [0, R]; and phi_r(0), the
+    one-sided end of ``first_derivative``: (4 phi_1 - phi_2) / (2 dr)."""
     check_local_radius(grid, R)
     dr, r = grid.dr, grid.r
     k = int(np.floor(R / dr + 1e-12))
     e_grad, e_sin, e_local = [], [], []
+    grad_origin = np.empty(len(phis))
     for rows in row_blocks(*phis.shape):
         block = phis[rows]
-        grad_integrand = first_derivative(block, dr, axis=1) ** 2 * r
+        grad_integrand = first_derivative(block, dr, axis=1)  # phi_r until squared
+        grad_origin[rows] = grad_integrand[:, 0]
+        grad_integrand = grad_integrand**2 * r
         sin_integrand = np.empty_like(block)
         sin_integrand[:, 0] = 0.0
         sin_integrand[:, 1:] = np.sin(block[:, 1:]) ** 2 / r[1:]
@@ -506,7 +510,7 @@ def energy(grid: RadialGrid, phis: np.ndarray, R: float):
             local += 0.5 * (f_k + f_r) * (R - r[k])
         e_local.append(local)
     e_grad, e_sin = np.concatenate(e_grad), np.concatenate(e_sin)
-    return e_grad + e_sin, e_grad, e_sin, np.concatenate(e_local)
+    return e_grad + e_sin, e_grad, e_sin, np.concatenate(e_local), grad_origin
 
 
 # ---------------------------------------------------------------------------
@@ -689,24 +693,23 @@ class _Batch:
 
 def simulate_batch(runs) -> list[RunTrace]:
     """``simulate`` for each of ``runs``, (state0, c, p, snapshot_stride)
-    tuples that share the scheme and dt, marched as one system; the traces
-    come back in the order of ``runs``.
+    tuples of any scheme and dt; the runs that share (scheme, dt) march as
+    one system, and the traces come back in the order of ``runs``.
 
     Every run keeps its own guard, stride, step count and halt record, and
-    leaves the batch when it reaches t_end or halts.  Its trace is
+    leaves its batch when it reaches t_end or halts.  Its trace is
     bit-identical to the trace of marching it alone (DECISIONS.md
     section 7).
     """
     members = [_Run(*run) for run in runs]
-    if len({(run.p.scheme, run.p.dt) for run in members}) > 1:
-        raise ValueError("a batch of runs must share its scheme and dt")
-    marching = [run for run in members if not run.halted]
-    # a run whose 2 phi(1) overflows takes sin and cos of inf on its end's
-    # identity row in a batch, so it marches alone (DECISIONS.md section 7)
-    alone = [run for run in marching if not math.isfinite(2.0 * run.record.values[0][-1])]
-    for batch in [[run] for run in alone] + [[run for run in marching if run not in alone]]:
-        if batch:
-            _march(_Batch(batch))
+    batches: dict = {}
+    for run in [run for run in members if not run.halted]:
+        # a run whose 2 phi(1) overflows takes sin and cos of inf on its end's
+        # identity row in a batch, so it marches alone (DECISIONS.md section 7)
+        alone = not math.isfinite(2.0 * run.record.values[0][-1])
+        batches.setdefault(run if alone else (run.p.scheme, run.p.dt), []).append(run)
+    for batch in batches.values():
+        _march(_Batch(batch))
     return [run.trace() for run in members]
 
 

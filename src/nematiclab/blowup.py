@@ -6,7 +6,8 @@ gradient exceeds what the grid can resolve, so detection is declared at half
 the resolvable slope, 0.5/dr.  Near blow-up the solution locally approaches
 the stationary bubble 2 arctan(r/beta); the concentration scale is read off
 the origin gradient as beta_hat = 2/phi_r(0) and the rescaled profile is
-compared against the bubble on the inner region rho in [0, 1].
+compared against the bubble on the inner region rho in [0, 1].  The origin
+gradient is the one ``axisym.energy`` forms in its walk of a trace.
 """
 
 from __future__ import annotations
@@ -22,17 +23,11 @@ BETA_FIT_MIN_SAMPLES = 20
 MIN_SNAPSHOTS = 10  # a radial schedule that records fewer fails to parse
 
 
-def gradient_history(grid: RadialGrid, phis: np.ndarray) -> np.ndarray:
-    """One-sided second-order estimate of phi_r at r = 0 (phi(0) = 0) in
-    each snapshot (row) of ``phis``, or in a single snapshot ``phis``."""
-    return (4.0 * phis[..., 1] - phis[..., 2]) / (2.0 * grid.dr)
-
-
-def extract_profile(grid: RadialGrid, phi: np.ndarray) -> tuple[float, float]:
-    """(beta_hat, profile_error): rescale by beta_hat = 2/phi_r(0) and
-    measure the max-norm distance of phi(beta_hat * rho), rho in [0, 1] at
-    201 points, from the bubble 2 arctan(rho); linear between nodes."""
-    grad = float(gradient_history(grid, phi))
+def extract_profile(grid: RadialGrid, phi: np.ndarray, grad: float) -> tuple[float, float]:
+    """(beta_hat, profile_error): rescale by beta_hat = 2/grad, with grad
+    the origin gradient of ``phi``, and measure the max-norm distance of
+    phi(beta_hat * rho), rho in [0, 1] at 201 points, from the bubble
+    2 arctan(rho); linear between nodes."""
     if grad < PROFILE_MIN_GRADIENT:
         raise ValueError(
             f"no bubble yet: origin gradient {grad:.3g} < {PROFILE_MIN_GRADIENT}"
@@ -70,10 +65,10 @@ class BlowupReport:
 
 
 def detect(
-    trace: RunTrace, local_energy_radius: float | None = 0.05
+    trace: RunTrace, grads: np.ndarray, local_energy_radius: float | None = 0.05
 ) -> BlowupReport:
-    """Scan a trace for the first time the origin gradient exceeds the
-    resolution cap 0.5/dr.
+    """Scan a trace, whose origin gradient in each snapshot is ``grads``,
+    for the first time that gradient exceeds the resolution cap 0.5/dr.
 
     A run that died on a non-finite field counts as detected with the
     hard-overflow flag.  Histories stop at the detection snapshot.
@@ -82,7 +77,6 @@ def detect(
         raise ValueError(f"need {MIN_SNAPSHOTS} snapshots, trace has {trace.n_snapshots}")
     cap = 0.5 / trace.grid.dr
 
-    grads = gradient_history(trace.grid, trace.phis)
     over = np.nonzero(grads > cap)[0]
     hard = trace.halted and trace.halt_reason == "non-finite field"
 
@@ -100,7 +94,7 @@ def detect(
 
     profile_beta = profile_err = None
     if detected and grads[last] >= PROFILE_MIN_GRADIENT:
-        profile_beta, profile_err = extract_profile(trace.grid, trace.phis[last])
+        profile_beta, profile_err = extract_profile(trace.grid, trace.phis[last], grads[last])
 
     return BlowupReport(
         detected=detected,

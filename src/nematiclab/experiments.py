@@ -106,12 +106,12 @@ def run(
 
 
 def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
-    """The positions of the axisym configs among ``configs``, in batches
-    that share (scheme, dt), in order.  A batch is closed before its record
-    buffers would pass ``axisym.MAX_RECORD_BYTES``."""
+    """The positions of the axisym configs among ``configs``, in batches in
+    order, each closed before its record buffers would pass
+    ``axisym.MAX_RECORD_BYTES``; ``axisym.simulate_batch`` groups a batch's
+    runs by (scheme, dt)."""
     batches: list[list[int]] = []
-    used: list[int] = []
-    open_batch: dict[tuple, int] = {}  # (scheme, dt) -> position in batches
+    used = 0
     for i, config in enumerate(configs):
         if config.kind not in AXISYM_KINDS:
             continue
@@ -119,24 +119,21 @@ def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
         _, _, size = axisym.plan_record(
             0.0, a.t_end, a.dt, config.snapshot_stride, a.n_cells + 1
         )
-        j = open_batch.get((a.scheme, a.dt))
-        if j is None or used[j] + size > axisym.MAX_RECORD_BYTES:
-            j = open_batch[(a.scheme, a.dt)] = len(batches)
+        if not batches or used + size > axisym.MAX_RECORD_BYTES:
             batches.append([])
-            used.append(0)
-        batches[j].append(i)
-        used[j] += size
+            used = 0
+        batches[-1].append(i)
+        used += size
     return batches
 
 
-def axisym_series(trace: axisym.RunTrace, grads: np.ndarray, local_radius: float) -> TimeSeries:
-    """One row per snapshot: its time, origin gradient (``grads``), energies
-    and local energy on [0, local_radius]."""
+def axisym_series(trace: axisym.RunTrace, energies: tuple) -> TimeSeries:
+    """One row per snapshot: its time, origin gradient, energies and local
+    energy, from ``energies``, the columns of ``axisym.energy``."""
+    *parts, grads = energies
     return TimeSeries(
         columns=("t", "phi_r_origin", "e_total", "e_grad", "e_sin", "local_energy_R"),
-        rows=np.column_stack(
-            [trace.times, grads, *axisym.energy(trace.grid, trace.phis, local_radius)]
-        ),
+        rows=np.column_stack([trace.times, grads, *parts]),
     )
 
 
@@ -168,7 +165,9 @@ def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
         "min_phi": float(np.min(trace.phis)),
     }
 
-    blow = blowup.detect(trace, local_energy_radius=b.local_energy_radius)
+    energies = axisym.energy(trace.grid, trace.phis, b.local_energy_radius)
+    grads = energies[4]
+    blow = blowup.detect(trace, grads, local_energy_radius=b.local_energy_radius)
     report["blowup"] = blow.as_dict()
 
     if config.kind == "axisym_global":
@@ -194,8 +193,7 @@ def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
                 warnings.append(f"beta law not fitted: {exc}")
         report["warnings"] = warnings
 
-    grads = blowup.gradient_history(trace.grid, trace.phis)
-    artifacts = [Artifact("series", axisym_series(trace, grads, b.local_energy_radius))]
+    artifacts = [Artifact("series", axisym_series(trace, energies))]
     if config.kind == "axisym_blowup":
         # beta_hat only where the bubble scale is readable (gradient >= 100),
         # nan elsewhere
@@ -226,9 +224,9 @@ def _run_barrier_check(config: ExperimentConfig):
     worst_super = np.inf
     worst_sub = -np.inf
     worst_eta = -np.inf
+    t = np.linspace(0.0, bc.t_max, bc.n_t)[:, np.newaxis]
     for k in range(bc.n_sets):
         coeffs = sample_validated(rng)
-        t = np.linspace(0.0, bc.t_max, bc.n_t)[:, np.newaxis]
         sup = barriers.supersolution(c=1.0, coeffs=coeffs)
         sub = barriers.subsolution(c=1.0, coeffs=coeffs)
         super_min = float(np.min(barriers.barrier_residual(sup, coeffs, r, t)))

@@ -372,7 +372,7 @@ def energies(trace: PoiseuilleTrace) -> tuple[np.ndarray, np.ndarray]:
         w, phi, phi_t = trace.ws[rows], trace.phis[rows], trace.phi_ts[rows]
         phi_x = first_derivative(phi, dx, axis=1)
         w_x = first_derivative(w, dx, axis=1)
-        g, h = (g_coeff(c, phi), h_coeff(c, phi)) if gh is None else gh[:2]
+        g, h = (g_coeff(c, phi), h_coeff(c, phi)) if gh is None else gh
         e.append(0.5 * _trapz(w**2 + phi_x**2, x, axis=1))
         d.append(_trapz(
             ((g - 1.0) * w_x**2 + (c.lambda1 - 1.0) * phi_t**2)

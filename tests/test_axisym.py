@@ -281,7 +281,7 @@ def test_weighted_couplings_are_symmetric_and_every_row_dominant():
 
 def test_energy_zero_field():
     state = make_state(RadialGrid(64), lambda r: 0 * r)
-    assert [e[0] for e in energy(state.grid, state.phi[np.newaxis], 1.0)] == [0.0] * 4
+    assert [e[0] for e in energy(state.grid, state.phi[np.newaxis], 1.0)] == [0.0] * 5
 
 
 def test_energy_bubble_against_quadrature_oracle():
@@ -293,7 +293,7 @@ def test_energy_bubble_against_quadrature_oracle():
     assert oracle == pytest.approx(1.0, abs=1e-10)
 
     state = make_state(RadialGrid(1024), lambda r: 2 * np.arctan(r))
-    e_total, e_grad, e_sin, _ = (e[0] for e in energy(state.grid, state.phi[np.newaxis], 1.0))
+    e_total, e_grad, e_sin, _, _ = (e[0] for e in energy(state.grid, state.phi[np.newaxis], 1.0))
     assert e_grad == pytest.approx(oracle, abs=5e-6)
     assert e_sin == pytest.approx(oracle, abs=5e-6)
     assert e_total == pytest.approx(2.0, abs=1e-5)

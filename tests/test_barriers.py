@@ -202,7 +202,8 @@ def test_eta_ordering_up_to_detection_on_steep_data():
     # the first snapshot, so the checked window is that snapshot alone
     from nematiclab.blowup import detect
 
-    report = detect(trace)
+    grads = (4.0 * trace.phis[:, 1] - trace.phis[:, 2]) / (2.0 * grid.dr)
+    report = detect(trace, grads)
     assert report.detected and report.t_detect == 0.0
     sliced = simulate(state0, L2_ZERO, params, snapshot_stride=10)
     sliced.times = sliced.times[:1]

@@ -294,17 +294,6 @@ def test_simulate_is_a_batch_of_one():
     alone = simulate(*run)
     assert np.array_equal(batched.times, alone.times)
     assert np.array_equal(batched.phis, alone.phis)
-
-
-def test_batch_rejects_runs_that_do_not_share_scheme_and_dt():
-    grid = RadialGrid(32)
-    state0 = make_state(grid, lambda r: r)
-    runs = [
-        (state0, L2_SETS[0], SolverParams(dt=1e-4, t_end=1e-3), 1),
-        (state0, L2_SETS[0], SolverParams(dt=2e-4, t_end=1e-3), 1),
-    ]
-    with pytest.raises(ValueError, match="share"):
-        simulate_batch(runs)
     assert simulate_batch([]) == []
 
 
@@ -323,13 +312,24 @@ member = st.tuples(
 
 
 @given(
-    scheme=st.sampled_from(["semi_implicit", "explicit"]),
-    members=st.lists(member, min_size=1, max_size=4),
-    cn_dt=st.sampled_from([1e-4, 2.5e-4]),
+    members=st.lists(
+        st.tuples(st.sampled_from(["semi_implicit", "explicit"]), st.integers(0, 1), member),
+        min_size=1,
+        max_size=6,
+    ),
 )
 @settings(max_examples=40, deadline=None)
-def test_batch_equals_each_run_marched_alone(scheme, members, cn_dt):
-    assert_batch_matches_reference(make_batch(scheme, cn_dt, members))
+def test_batch_equals_each_run_marched_alone(members):
+    # scheme and dt are drawn per member, so one call holds several
+    # (scheme, dt) groups: a Crank-Nicolson member takes dt 1e-4 or 2.5e-4,
+    # an RK4 member half of or the largest step every RK4 member allows
+    rk4 = [spec for scheme, _, spec in members if scheme == "explicit"]
+    rk4_dt = min((0.25 * RadialGrid(n).dr ** 2 * c.lambda1 for n, c, *_ in rk4), default=0.0)
+    dts = {"semi_implicit": (1e-4, 2.5e-4), "explicit": (0.5 * rk4_dt, rk4_dt)}
+    assert_batch_matches_reference([
+        make_run(n, c, kind, amplitude, dts[scheme][pick], scheme, steps, stride)
+        for scheme, pick, (n, c, kind, amplitude, steps, stride) in members
+    ])
 
 
 def test_batch_keeps_a_negative_zero_that_underflows_on_a_runs_last_row():

@@ -15,7 +15,6 @@ from nematiclab.blowup import (
     detect,
     extract_profile,
     fit_beta_law,
-    gradient_history,
 )
 from nematiclab.coeffs import LeslieCoefficients
 
@@ -35,12 +34,23 @@ def _constant_trace(n_snapshots=12, n=64):
     )
 
 
+def reference_gradient(grid, phis):
+    """(4 phi_1 - phi_2) / (2 dr), the origin gradient of each snapshot
+    (row) of ``phis``, or of one snapshot: what ``detect`` and
+    ``extract_profile`` take, independent of ``axisym.energy``."""
+    return (4.0 * phis[..., 1] - phis[..., 2]) / (2.0 * grid.dr)
+
+
+def detect_on(trace):
+    return detect(trace, reference_gradient(trace.grid, trace.phis))
+
+
 # ---------------------------------------------------------------------------
-# origin gradient
+# origin gradient, as the energy walk reports it
 
 
 def origin_gradient(state):
-    return gradient_history(state.grid, state.phi[np.newaxis])[0]
+    return energy(state.grid, state.phi[np.newaxis], 1.0)[4][0]
 
 
 def test_origin_gradient_zero_field():
@@ -64,11 +74,11 @@ def test_origin_gradient_sign_for_monotone_data():
 
 def test_detect_requires_ten_snapshots():
     with pytest.raises(ValueError, match="10 snapshots"):
-        detect(_constant_trace(n_snapshots=5))
+        detect_on(_constant_trace(n_snapshots=5))
 
 
 def test_constant_field_not_detected():
-    report = detect(_constant_trace())
+    report = detect_on(_constant_trace())
     assert not report.detected
     assert report.t_detect is None
     assert len(report.grad_history) == 12
@@ -83,7 +93,7 @@ def test_global_run_not_detected():
         SolverParams(dt=1e-4, scheme="semi_implicit", t_end=0.5),
         snapshot_stride=50,
     )
-    assert not detect(trace).detected
+    assert not detect_on(trace).detected
 
 
 def test_steep_data_detected_immediately():
@@ -96,7 +106,7 @@ def test_steep_data_detected_immediately():
         SolverParams(dt=1e-4, scheme="semi_implicit", t_end=0.05, clip_guard=np.inf),
         snapshot_stride=10,
     )
-    report = detect(trace)
+    report = detect_on(trace)
     assert report.detected
     assert report.t_detect == 0.0
     assert report.grad_history[-1] >= 0.5 / grid.dr
@@ -114,7 +124,7 @@ def test_resolvable_formation_detects_with_clean_bubble():
         snapshot_stride=10,
     )
     assert trace.halted and trace.halt_reason == "gradient guard"
-    report = detect(trace)
+    report = detect_on(trace)
     assert report.detected
     assert 2.0 < report.t_detect < 3.0  # measured 2.2403
     assert report.profile_fit_error <= 0.05  # measured 0.0331
@@ -144,7 +154,7 @@ def test_detection_mesh_consistency_on_resolvable_run():
             snapshot_stride=10,
         )
         # the first snapshot whose origin gradient passes the threshold 128
-        t_det[n] = float(trace.times[np.nonzero(gradient_history(trace.grid, trace.phis) > 128.0)[0][0]])
+        t_det[n] = float(trace.times[np.nonzero(reference_gradient(grid, trace.phis) > 128.0)[0][0]])
     # the crossing time of a fixed gradient threshold converges with the
     # mesh: measured 2.0052, 2.1090, 2.1440
     d_coarse = abs(t_det[256] - t_det[512])
@@ -159,12 +169,12 @@ def test_detection_mesh_consistency_on_resolvable_run():
 
 def test_extract_profile_needs_a_bubble():
     with pytest.raises(ValueError, match="no bubble yet"):
-        extract_profile(RadialGrid(256), np.zeros(257))
+        extract_profile(RadialGrid(256), np.zeros(257), 0.0)
 
 
 def test_extract_profile_exact_bubble_self_test():
     state = make_state(RadialGrid(1024), lambda r: 2 * np.arctan(r / 0.005))
-    beta_hat, err = extract_profile(state.grid, state.phi)
+    beta_hat, err = extract_profile(state.grid, state.phi, reference_gradient(state.grid, state.phi))
     assert beta_hat == pytest.approx(0.005, rel=0.025)  # measured -2.13%
     assert err <= 0.03  # measured 0.0267 (one-sided gradient bias dominates)
 
@@ -176,8 +186,8 @@ def test_extract_profile_scale_consistency():
     grid = RadialGrid(n)
     s1 = make_state(grid, lambda r: 2 * np.arctan(r / beta))
     s2 = make_state(grid, lambda r: 2 * np.arctan(s * r / beta))
-    b1, e1 = extract_profile(grid, s1.phi)
-    b2, e2 = extract_profile(grid, s2.phi)
+    b1, e1 = extract_profile(grid, s1.phi, reference_gradient(grid, s1.phi))
+    b2, e2 = extract_profile(grid, s2.phi, reference_gradient(grid, s2.phi))
     assert abs(b1 / (s * b2) - 1.0) <= 1e-6
     assert abs(e1 - e2) <= 1e-6
 
@@ -221,23 +231,16 @@ def test_fit_beta_law_insufficient_samples():
 
 
 def test_fit_beta_law_requires_detection():
-    report = detect(_constant_trace())
+    report = detect_on(_constant_trace())
     with pytest.raises(ValueError, match="no blow-up"):
         fit_beta_law(report)
-
-
-def test_gradient_history_matches_pointwise():
-    trace = _constant_trace()
-    hist = gradient_history(trace.grid, trace.phis)
-    phi = trace.phis[0]
-    assert np.allclose(hist, (4.0 * phi[1] - phi[2]) / (2.0 * trace.grid.dr))
 
 
 def test_nonfinite_halt_flags_hard_overflow():
     trace = _constant_trace()
     trace.halted = True
     trace.halt_reason = "non-finite field"
-    report = detect(trace)  # gradient never crosses the cap, halt decides
+    report = detect_on(trace)  # gradient never crosses the cap, halt decides
     assert report.detected
     assert report.hard_overflow
     assert report.t_detect == pytest.approx(trace.times[-1])

@@ -572,6 +572,32 @@ def test_cli_sweep(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "results/b/report.json").exists()
 
 
+def test_cli_sweep_of_mixed_schemes_and_steps_writes_what_simulate_writes(tmp_path, monkeypatch):
+    # the four runs share one sweep batch, which simulate_batch marches in
+    # three (scheme, dt) groups; each run's files are those of running it
+    # alone, byte for byte
+    monkeypatch.chdir(tmp_path)
+    rk4 = TINY_GLOBAL.replace("scheme = semi_implicit", "scheme = explicit")
+    texts = {
+        "a": TINY_GLOBAL,
+        "b": TINY_GLOBAL.replace("dt = 1e-3", "dt = 5e-4"),
+        "c": rk4.replace("dt = 1e-3", "dt = 5e-5"),
+        "d": TINY_GLOBAL.replace("n_cells = 64", "n_cells = 32"),
+    }
+    configs = []
+    for name, text in texts.items():
+        (tmp_path / f"{name}.ini").write_text(text.format(out=f"sweep/{name}"))
+        configs.append(load_config(tmp_path / f"{name}.ini"))
+    assert experiments.axisym_batches(configs) == [[0, 1, 2, 3]]
+    assert main(["sweep", str(tmp_path / "*.ini")]) == 0
+    for name in texts:
+        assert main(["simulate", str(tmp_path / f"{name}.ini"), "--out", f"alone/{name}"]) == 0
+        swept, alone = tmp_path / "sweep" / name, tmp_path / "alone" / name
+        files = sorted(path.name for path in swept.iterdir())
+        assert files == sorted(path.name for path in alone.iterdir())
+        assert all((swept / f).read_bytes() == (alone / f).read_bytes() for f in files)
+
+
 def test_cli_sweep_rejects_shared_out_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _write_tiny(tmp_path, "a.ini", out="results/same")
