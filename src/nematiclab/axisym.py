@@ -42,9 +42,12 @@ formed once, which decides exactly as the gradient against the guard.
 ``simulate`` is a batch of one.  ``RunRecord`` holds the run-shape rules it
 shares with the Poiseuille loop and the buffer a run records into,
 allocated up front; ``plan_record`` checks a run against ``MAX_STEPS`` and
-``MAX_RECORD_BYTES`` without allocating (DECISIONS.md section 3).  ``energy``
-is the one walk over the ``(snapshots, nodes)`` array a run records, phi_r(0)
-included: it takes it in ``row_blocks``, with the same operations on each
+``MAX_RECORD_BYTES`` without allocating (DECISIONS.md section 3).  A run
+given a ``sink`` records into one block of ``row_blocks`` size and hands
+each block to the sink as it fills, and the last one when it ends, so it
+never holds its ``(snapshots, nodes)`` trace; a run without one keeps the
+whole trace.  ``energy`` is the one walk over recorded rows, phi_r(0)
+included: it takes them in ``row_blocks``, with the same operations on each
 row in the same order whatever the block size, so the numbers do not
 depend on it (DECISIONS.md section 4).
 """
@@ -52,7 +55,8 @@ depend on it (DECISIONS.md section 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
@@ -64,6 +68,7 @@ from .errors import SolverHalt
 _trapz = np.trapezoid
 
 Scheme = Literal["semi_implicit", "explicit"]
+Sink = Callable[[np.ndarray, np.ndarray], None]  # sink(times, rows) of a streamed record
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +273,49 @@ def plan_record(
     return n_steps, rows, nbytes
 
 
+# A run with a sink records, and every trace diagnostic walks, blocks of
+# about this many values, so neither grows with the run.  At 2**16 (512 KB)
+# a block and its few temporaries fit a 2 MB L2 cache: over the 26,001
+# streamed snapshots of blowup_dense (n = 512), energy() took 0.30 s in all
+# with it, 0.28 s at 2**14 and 0.42 s at 2**20 (one core of a 2-core x86-64
+# Xeon, best of three).
+CHUNK_VALUES = 2**16
+
+
+def row_blocks(n_rows: int, row_len: int) -> list[slice]:
+    """Consecutive row slices of an (n_rows, row_len) array, each under
+    ``CHUNK_VALUES`` values and at least one row long."""
+    rows = max(1, CHUNK_VALUES // row_len)
+    return [slice(i, i + rows) for i in range(0, n_rows, rows)]
+
+
 class RunRecord:
     """The run-shape rules both marching loops share, and the buffer a run
     records into.  Step k ends at t0 + k*dt, and the last step at t_end
     itself.  The rows are the initial state (``values[0]``, which the caller
-    fills), each stride step, and the last or halting step off the stride."""
+    fills), each stride step, and the last or halting step off the stride.
+
+    ``times`` holds the time of every row.  Without a ``sink``, ``values``
+    holds every row.  With one, it holds a block of the ``row_blocks`` size,
+    at most the rows the run records; ``flush`` hands the rows written since
+    the last flush to ``sink(times, values)`` as views, which ``add`` does
+    when a row is due and the block is full, and the run's owner once at the
+    end."""
 
     def __init__(
         self, t0: float, t_end: float, dt: float, stride: int,
-        row_shape: tuple[int, ...], row_values: int,
+        row_shape: tuple[int, ...], row_values: int, sink: Sink | None = None,
     ):
         self.n_steps, rows, _ = plan_record(t0, t_end, dt, stride, row_values)
         self.t0, self.t_end, self.dt, self.stride = t0, t_end, dt, stride
         self.times = np.empty(rows)
+        if sink is not None:
+            rows = min(rows, max(1, CHUNK_VALUES // row_values))
         self.values = np.empty((rows,) + row_shape)
+        self.sink = sink
         self.times[0] = t0
         self.j = 1  # rows written
+        self.flushed = 0  # rows handed to the sink
         self.next_record = min(stride, self.n_steps)
 
     def time(self, k: int) -> float:
@@ -292,15 +324,25 @@ class RunRecord:
     def add(self, k: int) -> int:
         """Record the time of step k, due or not; returns the row of
         ``values`` the caller fills with its state."""
+        if self.j - self.flushed == len(self.values):  # only a sink's block fills
+            self.flush()
         j = self.j
         self.times[j] = self.time(k)
         self.j = j + 1
         self.next_record = min(k + self.stride, self.n_steps)
-        return j
+        return j - self.flushed
 
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, values) of the rows written so far, as views."""
-        return self.times[: self.j], self.values[: self.j]
+    def flush(self) -> None:
+        """Hand the rows written since the last flush to the sink."""
+        if self.j > self.flushed:
+            self.sink(self.times[self.flushed : self.j], self.values[: self.j - self.flushed])
+            self.flushed = self.j
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(times, values) of the rows written so far, as views; no values
+        when a sink took them."""
+        values = self.values[: self.j] if self.sink is None else None
+        return self.times[: self.j], values
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +499,6 @@ def _step_cn(b: _Batch) -> list[_Run]:
 # ---------------------------------------------------------------------------
 # energies of every snapshot of a trace
 
-# Trace diagnostics walk the snapshots in blocks of about this many values
-# per temporary array, so their memory does not grow with the trace.  At
-# 2**16 (512 KB) a block's few temporaries fit a 2 MB L2 cache: on a
-# 26,001 x 513 trace, energy() took 0.47 s with it and 0.68 s at 2**20
-# (one core of a 2-core x86-64 Xeon).
-CHUNK_VALUES = 2**16
-
-
-def row_blocks(n_rows: int, row_len: int) -> list[slice]:
-    """Consecutive row slices of an (n_rows, row_len) array, each under
-    ``CHUNK_VALUES`` values and at least one row long."""
-    rows = max(1, CHUNK_VALUES // row_len)
-    return [slice(i, i + rows) for i in range(0, n_rows, rows)]
-
-
 def check_local_radius(grid: RadialGrid, R: float) -> None:
     """ValueError unless 2 dr <= R <= 1, the local radii ``energy`` resolves."""
     if R < 2.0 * grid.dr:
@@ -520,22 +547,19 @@ def energy(grid: RadialGrid, phis: np.ndarray, R: float):
 @dataclass
 class RunTrace:
     """Snapshots of one simulation, including the initial state and the
-    state at halt or t_end."""
+    state at halt or t_end; a run that streamed them to a sink keeps only
+    their times."""
 
     grid: RadialGrid
     params: SolverParams
     times: np.ndarray
-    phis: np.ndarray  # shape (n_snapshots, n_nodes)
+    phis: np.ndarray | None  # shape (n_snapshots, n_nodes)
     halted: bool = False
     halt_reason: str | None = None
 
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
-
-    def head(self, n: int) -> RunTrace:
-        """The same run cut after its first n snapshots."""
-        return replace(self, times=self.times[:n], phis=self.phis[:n])
 
 
 class _Run:
@@ -547,13 +571,14 @@ class _Run:
         c: LeslieCoefficients,
         p: SolverParams,
         snapshot_stride: int = 1,
+        sink: Sink | None = None,
     ):
         state0.validate()
         p.check_stability(state0.grid, c)
         self.grid, self.c, self.p = state0.grid, c, p
         self.threshold = _guard_threshold(p.guard_for(state0.grid), 2.0 * state0.grid.dr)
         n = len(state0.phi)
-        self.record = RunRecord(state0.t, p.t_end, p.dt, snapshot_stride, (n,), n)
+        self.record = RunRecord(state0.t, p.t_end, p.dt, snapshot_stride, (n,), n, sink)
         self.record.values[0] = state0.phi
         self.halted, self.halt_reason = False, None
         # the guard on the initial state, decided as ``_Batch.tripped`` decides
@@ -574,6 +599,10 @@ class _Run:
         return k == record.n_steps or tripped
 
     def trace(self) -> RunTrace:
+        """The run's trace, once it has ended; a sink first takes the rows
+        it has not had."""
+        if self.record.sink is not None:
+            self.record.flush()
         times, phis = self.record.rows()
         return RunTrace(self.grid, self.p, times, phis, self.halted, self.halt_reason)
 
@@ -693,8 +722,9 @@ class _Batch:
 
 def simulate_batch(runs) -> list[RunTrace]:
     """``simulate`` for each of ``runs``, (state0, c, p, snapshot_stride)
-    tuples of any scheme and dt; the runs that share (scheme, dt) march as
-    one system, and the traces come back in the order of ``runs``.
+    or (state0, c, p, snapshot_stride, sink) tuples of any scheme and dt;
+    the runs that share (scheme, dt) march as one system, and the traces
+    come back in the order of ``runs``.
 
     Every run keeps its own guard, stride, step count and halt record, and
     leaves its batch when it reaches t_end or halts.  Its trace is
@@ -742,13 +772,15 @@ def simulate(
     c: LeslieCoefficients,
     p: SolverParams,
     snapshot_stride: int = 1,
+    sink: Sink | None = None,
 ) -> RunTrace:
     """March to t_end, recording every ``snapshot_stride``-th state.
 
     Step k ends at t0 + k*dt and the last step at t_end itself, which must
     lie a whole number of steps after t0.  Halts (without raising) when
     max|phi_r| exceeds the gradient guard or the field goes non-finite; the
-    offending state is the last snapshot.  A batch of one run of
-    ``simulate_batch``.
+    offending state is the last snapshot.  With a ``sink``, the snapshots
+    go to it a ``RunRecord`` block at a time, and the trace keeps their
+    times only.  A batch of one run of ``simulate_batch``.
     """
-    return simulate_batch([(state0, c, p, snapshot_stride)])[0]
+    return simulate_batch([(state0, c, p, snapshot_stride, sink)])[0]

@@ -35,7 +35,7 @@ from typing import Literal
 
 import numpy as np
 
-from .axisym import RunTrace, row_blocks
+from .axisym import RadialGrid, row_blocks
 from .coeffs import LeslieCoefficients
 
 BarrierKind = Literal["super", "sub", "eta"]
@@ -156,7 +156,7 @@ def barrier_residual(spec: BarrierSpec, coeffs: LeslieCoefficients, r, t):
 
 @dataclass(frozen=True)
 class OrderingReport:
-    """Worst signed violations of sub <= phi <= super over a full trace.
+    """Worst signed violations of sub <= phi <= super over a run.
     Positive numbers are violations; the report passes when both stay at or
     below the discretisation tolerance."""
 
@@ -183,59 +183,73 @@ class OrderingReport:
         }
 
 
-def check_ordering(
-    sub: BarrierSpec | None, trace: RunTrace, sup: BarrierSpec | None
-) -> OrderingReport:
-    """Scan every snapshot and node of a simulation for violations of
-    sub <= phi <= super.  Either side may be None to check a one-sided
-    bound (no member of the bounded families dominates data exceeding pi,
-    so blow-up runs only carry the lower bound).
+class OrderingScan:
+    """The per-snapshot reductions ``check_ordering`` folds in, block by
+    block, for one run against sub <= phi <= super.  Either side may be
+    None to check a one-sided bound (no member of the bounded families
+    dominates data exceeding pi, so blow-up runs only carry the lower
+    bound).  The tolerance is 10 (dr^2 + dt)."""
 
-    Requires the ordering to hold at t = 0 and on r in {0, 1} within the
-    tolerance 10 (dr^2 + dt); a violated precondition means the harness was
-    misconfigured and raises instead of reporting a comparison failure.
+    def __init__(
+        self, sub: BarrierSpec | None, sup: BarrierSpec | None, grid: RadialGrid, dt: float
+    ):
+        if sub is None and sup is None:
+            raise ValueError("need at least one barrier")
+        self.sub, self.sup, self.grid = sub, sup, grid
+        self.tol = 10.0 * (grid.dr**2 + dt)
+        # per block: the times, and per side [lower 0, upper 1] and snapshot
+        # the worst violation, its first node and the worst edge violation
+        self.blocks: list[tuple[np.ndarray, ...]] = []
 
-    The trace is walked in the row blocks of ``row_blocks``, keeping per
-    snapshot and side the worst violation, its first node and the worst
-    edge violation; one ``np.argmax`` over the snapshots then reports the
-    first worst node in row-major order, a nan counting as worst.
-    """
-    if sub is None and sup is None:
-        raise ValueError("need at least one barrier")
-    grid = trace.grid
-    tol = 10.0 * (grid.dr**2 + trace.params.dt)
-    r = grid.r[np.newaxis, :]
+    def report(self) -> OrderingReport:
+        """The worst violations over every snapshot folded in.
 
-    # [side, snapshot] of the lower (0) and upper (1) violations
-    shape = (2, trace.n_snapshots)
-    worst, node, edge = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape)
-    for rows in row_blocks(trace.n_snapshots, len(grid.r)):
-        t = trace.times[rows, np.newaxis]
-        phi = trace.phis[rows]
+        Requires the ordering to hold at t = 0 and on r in {0, 1} within the
+        tolerance; a violated precondition means the harness was
+        misconfigured and raises instead of reporting a comparison failure.
+        One ``np.argmax`` over the snapshots reports the first worst node in
+        row-major order, a nan counting as worst."""
+        times, worst, node, edge = (
+            np.concatenate(part, axis=-1) for part in zip(*self.blocks)
+        )
+        tol = self.tol
+        precondition = max(worst[0, 0], worst[1, 0], np.max(edge[0]), np.max(edge[1]))
+        if precondition > tol:
+            raise ValueError(
+                "ordering precondition fails at t=0 or on the boundary "
+                f"(worst {precondition:.3e} > tol {tol:.3e})"
+            )
+
+        (lower_worst, lower_at), (upper_worst, upper_at) = (
+            (float(worst[side, i]), (float(times[i]), float(self.grid.r[node[side, i]])))
+            for side, i in enumerate(np.argmax(worst, axis=1))
+        )
+        return OrderingReport(
+            passed=max(lower_worst, upper_worst) <= tol,
+            tolerance=tol,
+            lower_worst=lower_worst,
+            lower_at=lower_at,
+            upper_worst=upper_worst,
+            upper_at=upper_at,
+        )
+
+
+def check_ordering(scan: OrderingScan, times: np.ndarray, phis: np.ndarray) -> None:
+    """Fold the snapshots ``phis`` (rows), at ``times``, into ``scan``,
+    walking them in the row blocks of ``row_blocks``: per snapshot and side
+    the worst violation, its first node and the worst edge violation."""
+    sub, sup = scan.sub, scan.sup
+    r = scan.grid.r[np.newaxis, :]
+    for rows in row_blocks(*phis.shape):
+        t = times[rows, np.newaxis]
+        phi = phis[rows]
         neg_inf = np.full_like(phi, -np.inf)
         low_viol = (barrier_value(sub, r, t) - phi) if sub is not None else neg_inf
         up_viol = (phi - barrier_value(sup, r, t)) if sup is not None else neg_inf
+        shape = (2, len(phi))
+        worst, node, edge = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape)
         for side, viol in enumerate((low_viol, up_viol)):
-            k = node[side, rows] = np.argmax(viol, axis=1)
-            worst[side, rows] = np.take_along_axis(viol, k[:, np.newaxis], axis=1)[:, 0]
-            edge[side, rows] = np.max(viol[:, [0, -1]], axis=1)
-
-    precondition = max(worst[0, 0], worst[1, 0], np.max(edge[0]), np.max(edge[1]))
-    if precondition > tol:
-        raise ValueError(
-            "ordering precondition fails at t=0 or on the boundary "
-            f"(worst {precondition:.3e} > tol {tol:.3e})"
-        )
-
-    (lower_worst, lower_at), (upper_worst, upper_at) = (
-        (float(worst[side, i]), (float(trace.times[i]), float(grid.r[node[side, i]])))
-        for side, i in enumerate(np.argmax(worst, axis=1))
-    )
-    return OrderingReport(
-        passed=max(lower_worst, upper_worst) <= tol,
-        tolerance=tol,
-        lower_worst=lower_worst,
-        lower_at=lower_at,
-        upper_worst=upper_worst,
-        upper_at=upper_at,
-    )
+            k = node[side] = np.argmax(viol, axis=1)
+            worst[side] = np.take_along_axis(viol, k[:, np.newaxis], axis=1)[:, 0]
+            edge[side] = np.max(viol[:, [0, -1]], axis=1)
+        scan.blocks.append((t[:, 0], worst, node, edge))

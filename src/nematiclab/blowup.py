@@ -65,13 +65,16 @@ class BlowupReport:
 
 
 def detect(
-    trace: RunTrace, grads: np.ndarray, local_energy_radius: float | None = 0.05
+    trace: RunTrace, grads: np.ndarray, row: np.ndarray,
+    local_energy_radius: float | None = 0.05,
 ) -> BlowupReport:
     """Scan a trace, whose origin gradient in each snapshot is ``grads``,
     for the first time that gradient exceeds the resolution cap 0.5/dr.
 
     A run that died on a non-finite field counts as detected with the
-    hard-overflow flag.  Histories stop at the detection snapshot.
+    hard-overflow flag.  Histories stop at the detection snapshot, and
+    ``row`` is that snapshot, the one the bubble profile is read from: the
+    first over the cap, else the last.
     """
     if trace.n_snapshots < MIN_SNAPSHOTS:
         raise ValueError(f"need {MIN_SNAPSHOTS} snapshots, trace has {trace.n_snapshots}")
@@ -94,7 +97,7 @@ def detect(
 
     profile_beta = profile_err = None
     if detected and grads[last] >= PROFILE_MIN_GRADIENT:
-        profile_beta, profile_err = extract_profile(trace.grid, trace.phis[last], grads[last])
+        profile_beta, profile_err = extract_profile(trace.grid, row, grads[last])
 
     return BlowupReport(
         detected=detected,

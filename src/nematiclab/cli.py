@@ -14,10 +14,9 @@ import glob
 import sys
 from pathlib import Path
 
-from .axisym import simulate_batch
-from .config import load_config, radial_run, serialize_config
+from .config import load_config, serialize_config
 from .errors import ConfigError, SolverHalt
-from .experiments import axisym_batches, make_out_dir, run
+from .experiments import RadialDiagnostics, axisym_batches, make_out_dir, march, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,7 +58,8 @@ def _sweep(args) -> int:
     if not paths:
         raise ConfigError(f"no configs match {args.pattern!r}")
     configs = [(p, load_config(Path(p))) for p in paths]
-    out_dirs = [c.out_dir for _, c in configs]
+    # two spellings of one directory would overwrite each other's files
+    out_dirs = [Path(c.out_dir).resolve() for _, c in configs]
     if len(set(out_dirs)) != len(out_dirs):
         raise ConfigError("sweep configs must use distinct out_dir values")
 
@@ -68,18 +68,19 @@ def _sweep(args) -> int:
         make_out_dir(Path(config.out_dir))
 
     # axisym configs march in batches; a batch marches when its first config
-    # comes up, so the sweep holds only the traces of the batches it started
+    # comes up, each run reduced into its diagnostics as it records
     batches = {batch[0]: batch for batch in axisym_batches([c for _, c in configs])}
-    traces = {}
+    marched = {}
     plots = None if not args.no_plots else False
     failures: list[str] = []
     for i, (path, config) in enumerate(configs):
         if i in batches:
-            runs = [radial_run(configs[j][1]) for j in batches[i]]
-            traces.update(zip(batches[i], simulate_batch(runs)))
-        trace = traces.pop(i, None)
+            radial = [RadialDiagnostics(configs[j][1]) for j in batches[i]]
+            march(radial)
+            marched.update(zip(batches[i], radial))
         try:
-            warnings = run(config, plots=plots, trace=trace).report.get("warnings")
+            result = run(config, plots=plots, radial=marched.pop(i, None))
+            warnings = result.report.get("warnings")
             status = f"ok ({len(warnings)} warnings)" if warnings else "ok"
         except SolverHalt as exc:  # keep sweeping, report at the end
             status = f"halt: {exc}"

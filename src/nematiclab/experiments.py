@@ -54,16 +54,17 @@ def run(
     config: ExperimentConfig,
     out_dir: Path | None = None,
     plots: bool | None = None,
-    trace: axisym.RunTrace | None = None,
+    radial: RadialDiagnostics | None = None,
 ) -> RunResult:
     """Execute the configured experiment and write its artifacts.  An axisym
-    config may come with its ``trace`` already marched, in a batch."""
+    config may come with its run already marched, in a batch, into
+    ``radial``."""
     target = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     do_plots = config.plots if plots is None else plots
     make_out_dir(target)
 
     if config.kind in AXISYM_KINDS:
-        report, artifacts = _run_axisym(config, trace)
+        report, artifacts = _run_axisym(config, radial)
     else:
         runner = {
             "barrier_check": _run_barrier_check,
@@ -127,57 +128,121 @@ def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
     return batches
 
 
-def axisym_series(trace: axisym.RunTrace, energies: tuple) -> TimeSeries:
+def axisym_series(times: np.ndarray, energies: tuple) -> TimeSeries:
     """One row per snapshot: its time, origin gradient, energies and local
     energy, from ``energies``, the columns of ``axisym.energy``."""
     *parts, grads = energies
     return TimeSeries(
         columns=("t", "phi_r_origin", "e_total", "e_grad", "e_sin", "local_energy_R"),
-        rows=np.column_stack([trace.times, grads, *parts]),
+        rows=np.column_stack([times, grads, *parts]),
     )
 
 
-def _ordering(sub, trace: axisym.RunTrace, sup) -> dict:
-    """The ordering report, or its error when the data break the ordering
-    at t = 0 or on the boundary, where the barriers do not apply."""
-    try:
-        return barriers.check_ordering(sub, trace, sup).as_dict()
-    except ValueError as exc:
-        return {"error": str(exc)}
+class RadialDiagnostics:
+    """What an axisym config reports of its run, reduced block by block as
+    the run records (the sink of ``axisym.RunRecord``), so no
+    ``(snapshots, nodes)`` trace is held.  Per block: the five columns of
+    ``axisym.energy``, the max and min of phi, the ordering scan (sub and
+    super on a global run; eta on a blow-up run up to the first row whose
+    phi_r(0) passes the detection cap 0.5/dr), and copies of that first row
+    and of the last.  ``args`` are the run's ``axisym.simulate``
+    arguments, this object its sink; ``trace``, set once the run has
+    ended, holds its times and halt."""
+
+    def __init__(self, config: ExperimentConfig):
+        self.args = radial_run(config)
+        state0, coeffs, params, _ = self.args
+        self.grid, self.radius = state0.grid, config.barrier.local_energy_radius
+        self.cap = 0.5 / self.grid.dr
+        self.trace: axisym.RunTrace | None = None
+        self.columns: list[tuple] = []
+        self.max_phi, self.min_phi = -np.inf, np.inf
+        self.eta_cut = config.kind == "axisym_blowup"  # its scan stops at detection
+        self.crossing = self.last = None  # copies of a snapshot
+        b = config.barrier
+        self.scan, self.scan_error = None, None
+        if config.kind == "axisym_global":
+            sub, sup = barriers.subsolution(b.c, coeffs), barriers.supersolution(b.c, coeffs)
+            self.scan = barriers.OrderingScan(sub, sup, self.grid, params.dt)
+        elif b.eta_beta0 is not None:
+            eta = barriers.eta_barrier(b.eta_beta0, coeffs)
+            self.scan = barriers.OrderingScan(eta, None, self.grid, params.dt)
+
+    def __call__(self, times: np.ndarray, block: np.ndarray) -> None:
+        """Reduce the next snapshots the run recorded, ``block``'s rows, at
+        ``times``."""
+        columns = axisym.energy(self.grid, block, self.radius)
+        self.columns.append(columns)
+        # np.maximum and np.minimum propagate a nan, as the max over the
+        # whole trace did
+        self.max_phi = np.maximum(self.max_phi, np.max(block))
+        self.min_phi = np.minimum(self.min_phi, np.min(block))
+        self.last = block[-1].copy()
+        scanned = len(block)
+        if self.crossing is None:
+            over = np.flatnonzero(columns[4] > self.cap)
+            if len(over):
+                self.crossing = block[over[0]].copy()
+                if self.eta_cut:
+                    scanned = over[0] + 1
+        elif self.eta_cut:
+            scanned = 0
+        if self.scan is not None and self.scan_error is None and scanned:
+            try:
+                barriers.check_ordering(self.scan, times[:scanned], block[:scanned])
+            except ValueError as exc:  # an eta clock expired: reported, not raised
+                self.scan_error = str(exc)
+
+    def ordering(self) -> dict:
+        """The ordering report, or its error when the data break the
+        ordering at t = 0 or on the boundary, where the barriers do not
+        apply, or outlive the eta clock."""
+        if self.scan_error is not None:
+            return {"error": self.scan_error}
+        try:
+            return self.scan.report().as_dict()
+        except ValueError as exc:
+            return {"error": str(exc)}
 
 
-def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
-    if trace is None:
-        trace = axisym.simulate(*radial_run(config))
+def march(radial: list[RadialDiagnostics]) -> None:
+    """March the runs of ``radial`` as one ``axisym.simulate_batch`` call."""
+    runs = [(*d.args, d) for d in radial]
+    for diagnostics, trace in zip(radial, axisym.simulate_batch(runs)):
+        diagnostics.trace = trace
+
+
+def _run_axisym(config: ExperimentConfig, radial: RadialDiagnostics | None):
+    if radial is None:
+        radial = RadialDiagnostics(config)
+        radial.trace = axisym.simulate(*radial.args, sink=radial)
+    trace = radial.trace
     if trace.n_snapshots < blowup.MIN_SNAPSHOTS:
         raise SolverHalt(
             f"trace too short for blow-up analysis ({trace.n_snapshots} snapshots); "
             "raise t_end, lower snapshot_stride, or loosen clip_guard",
             float(trace.times[-1]),
         )
-    coeffs = config.coefficients
     b = config.barrier
     report: dict = {
         "halted": trace.halted,
         "halt_reason": trace.halt_reason,
         "t_final": float(trace.times[-1]),
-        "max_phi": float(np.max(trace.phis)),
-        "min_phi": float(np.min(trace.phis)),
+        "max_phi": float(radial.max_phi),
+        "min_phi": float(radial.min_phi),
     }
 
-    energies = axisym.energy(trace.grid, trace.phis, b.local_energy_radius)
+    energies = tuple(np.concatenate(column) for column in zip(*radial.columns))
     grads = energies[4]
-    blow = blowup.detect(trace, grads, local_energy_radius=b.local_energy_radius)
+    row = radial.crossing if radial.crossing is not None else radial.last
+    blow = blowup.detect(trace, grads, row, local_energy_radius=b.local_energy_radius)
     report["blowup"] = blow.as_dict()
 
     if config.kind == "axisym_global":
-        sub = barriers.subsolution(b.c, coeffs)
-        sup = barriers.supersolution(b.c, coeffs)
-        report["ordering"] = _ordering(sub, trace, sup)
+        report["ordering"] = radial.ordering()
     else:
         if b.eta_beta0 is not None:
-            eta = barriers.eta_barrier(b.eta_beta0, coeffs)
-            report["eta_ordering"] = _ordering(eta, trace.head(len(blow.times)), None)
+            report["eta_ordering"] = radial.ordering()
         warnings = []
         if blow.detected:
             if len(blow.times) == 1:
@@ -193,7 +258,7 @@ def _run_axisym(config: ExperimentConfig, trace: axisym.RunTrace | None):
                 warnings.append(f"beta law not fitted: {exc}")
         report["warnings"] = warnings
 
-    artifacts = [Artifact("series", axisym_series(trace, energies))]
+    artifacts = [Artifact("series", axisym_series(trace.times, energies))]
     if config.kind == "axisym_blowup":
         # beta_hat only where the bubble scale is readable (gradient >= 100),
         # nan elsewhere

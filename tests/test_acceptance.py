@@ -45,7 +45,8 @@ def _detect(trace):
     """``blowup.detect`` on the origin gradient (4 phi_1 - phi_2) / (2 dr)
     of each snapshot."""
     grads = (4.0 * trace.phis[:, 1] - trace.phis[:, 2]) / (2.0 * trace.grid.dr)
-    return blowup.detect(trace, grads)
+    over = np.flatnonzero(grads > 0.5 / trace.grid.dr)
+    return blowup.detect(trace, grads, trace.phis[over[0] if len(over) else -1])
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +148,14 @@ def test_c3_global_existence(global_traces):
         bounds_ok = float(np.min(trace.phis)) >= 0.0 and float(
             np.max(trace.phis)
         ) <= np.pi + tol
-        ordering = barriers.check_ordering(
-            barriers.subsolution(0.05, coeffs), trace, barriers.supersolution(0.05, coeffs)
+        scan = barriers.OrderingScan(
+            barriers.subsolution(0.05, coeffs),
+            barriers.supersolution(0.05, coeffs),
+            trace.grid,
+            trace.params.dt,
         )
+        barriers.check_ordering(scan, trace.times, trace.phis)
+        ordering = scan.report()
         ok = (not detected) and bounds_ok and ordering.passed and elapsed < 120.0
         all_ok = all_ok and ok
         _report(

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from nematiclab.axisym import RadialGrid, SolverParams, initial_profile, make_state, simulate
 from nematiclab.barriers import (
     BetaClock,
+    OrderingScan,
     barrier_residual,
     barrier_value,
     check_ordering,
@@ -148,6 +149,13 @@ def test_super_residual_stable_under_exponent_overflow():
 # ordering harness
 
 
+def check_ordering_of(sub, trace, sup):
+    """``check_ordering`` over a whole trace, and its report."""
+    scan = OrderingScan(sub, sup, trace.grid, trace.params.dt)
+    check_ordering(scan, trace.times, trace.phis)
+    return scan.report()
+
+
 def _global_trace(n=128, t_end=0.3):
     grid = RadialGrid(n)
     state0 = make_state(grid, lambda r: (np.pi - 0.1) * r)
@@ -157,7 +165,7 @@ def _global_trace(n=128, t_end=0.3):
 
 def test_ordering_holds_on_global_run():
     trace = _global_trace()
-    report = check_ordering(
+    report = check_ordering_of(
         subsolution(0.05, L2_ZERO), trace, supersolution(0.05, L2_ZERO)
     )
     assert report.passed
@@ -169,13 +177,13 @@ def test_ordering_precondition_rejects_misconfiguration():
     trace = _global_trace(t_end=0.01)
     # c chosen so the "supersolution" starts below the data: harness error
     with pytest.raises(ValueError, match="precondition"):
-        check_ordering(None, trace, supersolution(30.0, L2_ZERO))
+        check_ordering_of(None, trace, supersolution(30.0, L2_ZERO))
 
 
 def test_ordering_requires_some_barrier():
     trace = _global_trace(t_end=0.01)
     with pytest.raises(ValueError, match="at least one"):
-        check_ordering(None, trace, None)
+        check_ordering_of(None, trace, None)
 
 
 def test_run_started_at_supersolution_falls_below_it():
@@ -185,7 +193,7 @@ def test_run_started_at_supersolution_falls_below_it():
     state0 = make_state(grid, lambda r: 2 * np.arctan(r / c))
     params = SolverParams(dt=1e-4, scheme="semi_implicit", t_end=0.2)
     trace = simulate(state0, L2_ZERO, params, snapshot_stride=20)
-    report = check_ordering(None, trace, supersolution(c, L2_ZERO))
+    report = check_ordering_of(None, trace, supersolution(c, L2_ZERO))
     assert report.passed  # never rises above
     final = trace.phis[-1]
     barrier = barrier_value(supersolution(c, L2_ZERO), grid.r, trace.times[-1])
@@ -203,10 +211,10 @@ def test_eta_ordering_up_to_detection_on_steep_data():
     from nematiclab.blowup import detect
 
     grads = (4.0 * trace.phis[:, 1] - trace.phis[:, 2]) / (2.0 * grid.dr)
-    report = detect(trace, grads)
+    report = detect(trace, grads, trace.phis[0])
     assert report.detected and report.t_detect == 0.0
     sliced = simulate(state0, L2_ZERO, params, snapshot_stride=10)
     sliced.times = sliced.times[:1]
     sliced.phis = sliced.phis[:1]
-    ordering = check_ordering(eta_barrier(1e-3, L2_ZERO), sliced, None)
+    ordering = check_ordering_of(eta_barrier(1e-3, L2_ZERO), sliced, None)
     assert ordering.passed

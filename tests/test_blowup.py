@@ -42,7 +42,9 @@ def reference_gradient(grid, phis):
 
 
 def detect_on(trace):
-    return detect(trace, reference_gradient(trace.grid, trace.phis))
+    grads = reference_gradient(trace.grid, trace.phis)
+    over = np.flatnonzero(grads > 0.5 / trace.grid.dr)
+    return detect(trace, grads, trace.phis[over[0] if len(over) else -1])
 
 
 # ---------------------------------------------------------------------------

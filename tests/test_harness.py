@@ -598,11 +598,17 @@ def test_cli_sweep_of_mixed_schemes_and_steps_writes_what_simulate_writes(tmp_pa
         assert all((swept / f).read_bytes() == (alone / f).read_bytes() for f in files)
 
 
-def test_cli_sweep_rejects_shared_out_dir(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "alias", ["results/same", "results/./same", "./results/same", "{tmp}/results/same"]
+)
+def test_cli_sweep_rejects_shared_out_dir(tmp_path, monkeypatch, alias):
+    # any spelling of one directory: the second config would overwrite the
+    # first one's files
     monkeypatch.chdir(tmp_path)
     _write_tiny(tmp_path, "a.ini", out="results/same")
-    _write_tiny(tmp_path, "b.ini", out="results/same")
+    _write_tiny(tmp_path, "b.ini", out=alias.format(tmp=tmp_path))
     assert main(["sweep", str(tmp_path / "*.ini")]) == 2
+    assert not (tmp_path / "results").exists()
 
 
 # scenario A: data dominating the concentrating barrier at beta0 = 1e-3

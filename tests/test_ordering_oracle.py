@@ -16,6 +16,7 @@ from nematiclab import axisym
 from nematiclab.axisym import RadialGrid, SolverParams, initial_profile, make_state, simulate
 from nematiclab.barriers import (
     OrderingReport,
+    OrderingScan,
     barrier_value,
     check_ordering,
     eta_barrier,
@@ -61,13 +62,20 @@ def reference_check_ordering(sub, trace, sup):
     )
 
 
+def ordering(sub, trace, sup):
+    """``check_ordering`` over a whole trace, in one call, and its report."""
+    scan = OrderingScan(sub, sup, trace.grid, trace.params.dt)
+    check_ordering(scan, trace.times, trace.phis)
+    return scan.report()
+
+
 def same(a, b):
     # repr tells nan from nan and -0.0 from 0.0 apart the way JSON output does
     return repr(dataclasses.astuple(a)) == repr(dataclasses.astuple(b))
 
 
 def assert_matches(sub, trace, sup):
-    assert same(check_ordering(sub, trace, sup), reference_check_ordering(sub, trace, sup))
+    assert same(ordering(sub, trace, sup), reference_check_ordering(sub, trace, sup))
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +112,7 @@ def test_global_trace_matches_reference(global_trace, monkeypatch, rows):
 @pytest.mark.parametrize("rows", ROWS)
 def test_one_sided_eta_trace_matches_reference(eta_trace, monkeypatch, rows):
     spec = eta_barrier(1e-3, L2_ZERO)
-    report = check_ordering(spec, eta_trace, None)
+    report = ordering(spec, eta_trace, None)
     assert report.upper_worst == -np.inf
     assert_matches(spec, eta_trace, None)
     monkeypatch.setattr(axisym, "CHUNK_VALUES", rows * eta_trace.phis.shape[1])
@@ -143,7 +151,7 @@ def test_precondition_error_matches_reference(global_trace, monkeypatch):
     for trace in (global_trace, _with(global_trace, {(1000, 128): 9.0})):
         sup = supersolution(30.0, L2_ZERO) if trace is global_trace else SUP
         with pytest.raises(ValueError) as got:
-            check_ordering(SUB, trace, sup)
+            ordering(SUB, trace, sup)
         with pytest.raises(ValueError) as want:
             reference_check_ordering(SUB, trace, sup)
         assert str(got.value) == str(want.value)

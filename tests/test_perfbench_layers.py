@@ -51,3 +51,65 @@ def test_simulate_calls_the_poiseuille_step_by_its_global_name(monkeypatch):
     trace = poiseuille.simulate(state0, c, dt, t_end, bc, stride)
     assert len(calls) == axisym.step_count(0.0, t_end, dt) > 1
     assert trace.times[-1] == t_end
+
+
+TINY_RADIAL = """[experiment]
+kind = {kind}
+out_dir = out
+snapshot_stride = 5
+
+[coefficients]
+mu1 = 0.0
+mu2 = -0.5
+mu3 = 0.5
+mu4 = 1.0
+mu5 = 0.0
+mu6 = 0.0
+
+[grid]
+n_cells = 64
+
+[time]
+dt = 1e-3
+t_end = 0.1
+
+[initial]
+preset = scaled_linear
+amplitude = 3.3
+"""
+
+
+def test_streamed_radial_runs_call_the_traced_layers_by_their_global_names(
+    tmp_path, monkeypatch
+):
+    # the tracer wraps axisym.simulate, axisym.energy, blowup.detect and
+    # barriers.check_ordering; a run whose diagnostics took its blocks
+    # another way would read 0 in those layers
+    from nematiclab import axisym, barriers, blowup, experiments
+    from nematiclab.config import parse_config
+
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.setdefault(name, []).append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((axisym, "simulate"), (axisym, "energy"),
+                         (blowup, "detect"), (barriers, "check_ordering")):
+        count(module, name)
+    for kind in ("axisym_blowup", "axisym_global"):
+        calls.clear()
+        config = parse_config(TINY_RADIAL.format(kind=kind))
+        experiments.run(config, out_dir=tmp_path / kind, plots=False)
+        (simulate,) = calls["simulate"]
+        assert simulate["sink"] is not None  # streamed
+        assert len(calls["energy"]) >= 1
+        if kind == "axisym_blowup":
+            assert len(calls["detect"]) == 1
+        else:
+            assert len(calls["check_ordering"]) >= 1
