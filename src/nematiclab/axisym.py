@@ -42,7 +42,8 @@ formed once, which decides exactly as the gradient against the guard.
 ``simulate`` is a batch of one.  ``RunRecord`` holds the run-shape rules it
 shares with the Poiseuille loop and the buffer a run records into,
 allocated up front; ``plan_record`` checks a run against ``MAX_STEPS`` and
-``MAX_RECORD_BYTES`` without allocating (DECISIONS.md section 3).  A run
+``MAX_RECORD_BYTES`` without allocating (DECISIONS.md section 3), counting
+what a streamed run holds rather than its whole record.  A run
 given a ``sink`` records into one block of ``row_blocks`` size and hands
 each block to the sink as it fills, and the last one when it ends, so it
 never holds its ``(snapshots, nodes)`` trace; a run without one keeps the
@@ -227,6 +228,20 @@ def whole_step_dt(t_end: float, dt_max: float) -> float:
 MAX_STEPS = 10**9
 MAX_RECORD_BYTES = 2**30
 
+# What an experiment's streamed radial run holds at most, in floats, which
+# the ceiling counts for it (DECISIONS.md section 4).  Per snapshot: its
+# time (1); the five energy columns and the ordering fold's worst value,
+# node and edge per side, which experiments.RadialDiagnostics fills in place
+# (11); the columns of series.csv and of blowup_history.csv and its plot
+# (6 + 3 + 2); and the plot writer's copy of a series with its masks and
+# x text (9).  Per node: the initial state, its radii, the record block's
+# one row and the batch's node vector (4), and the Crank-Nicolson bands,
+# coefficients and step buffers with the temporaries _Batch._build forms
+# them from (27, of which 14 stay).  tests/test_stream_oracle.py bounds the
+# traced growth of a run by both (30.1 and 30.3 measured).
+STREAM_SNAPSHOT_VALUES = 32
+STREAM_NODE_VALUES = 31
+
 
 def step_count(t0: float, t_end: float, dt: float) -> int:
     """The number of dt steps from t0 to t_end; ValueError unless it is a
@@ -248,12 +263,15 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
 
 def plan_record(
     t0: float, t_end: float, dt: float, stride: int, row_values: int,
-    min_rows: int = 0,
+    min_rows: int = 0, streamed: bool = False,
 ) -> tuple[int, int, int]:
     """(steps, rows, bytes) of a run recording rows of ``row_values``
     floats, without allocating: ValueError for a stride below 1, from
     ``step_count``, when the run would record fewer than ``min_rows``
-    snapshots, or when the buffer would pass MAX_RECORD_BYTES."""
+    snapshots, or when the bytes would pass MAX_RECORD_BYTES.  The bytes
+    are the whole record's, or with ``streamed`` those of an experiment's
+    streamed radial run on ``row_values`` nodes: STREAM_SNAPSHOT_VALUES
+    floats a snapshot and STREAM_NODE_VALUES a node."""
     if stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     n_steps = step_count(t0, t_end, dt)
@@ -264,12 +282,17 @@ def plan_record(
             f"snapshot_stride {stride} record {recorded}"
         )
     rows = 2 + n_steps // stride
-    nbytes = rows * row_values * 8
-    if nbytes > MAX_RECORD_BYTES:
-        raise ValueError(
-            f"{rows} snapshots of {row_values} values exceed the "
-            f"{MAX_RECORD_BYTES}-byte record buffer"
+    if streamed:
+        nbytes = (rows * STREAM_SNAPSHOT_VALUES + row_values * STREAM_NODE_VALUES) * 8
+        held = (
+            f"{rows} snapshots of {STREAM_SNAPSHOT_VALUES} values and "
+            f"{row_values} nodes of {STREAM_NODE_VALUES} values"
         )
+    else:
+        nbytes = rows * row_values * 8
+        held = f"{rows} snapshots of {row_values} values"
+    if nbytes > MAX_RECORD_BYTES:
+        raise ValueError(f"{held} exceed the {MAX_RECORD_BYTES}-byte record buffer")
     return n_steps, rows, nbytes
 
 
@@ -306,7 +329,9 @@ class RunRecord:
         self, t0: float, t_end: float, dt: float, stride: int,
         row_shape: tuple[int, ...], row_values: int, sink: Sink | None = None,
     ):
-        self.n_steps, rows, _ = plan_record(t0, t_end, dt, stride, row_values)
+        self.n_steps, rows, _ = plan_record(
+            t0, t_end, dt, stride, row_values, streamed=sink is not None
+        )
         self.t0, self.t_end, self.dt, self.stride = t0, t_end, dt, stride
         self.times = np.empty(rows)
         if sink is not None:

@@ -185,33 +185,38 @@ class OrderingReport:
 
 class OrderingScan:
     """The per-snapshot reductions ``check_ordering`` folds in, block by
-    block, for one run against sub <= phi <= super.  Either side may be
-    None to check a one-sided bound (no member of the bounded families
-    dominates data exceeding pi, so blow-up runs only carry the lower
-    bound).  The tolerance is 10 (dr^2 + dt)."""
+    block, for one run of at most ``rows`` snapshots against
+    sub <= phi <= super.  Either side may be None to check a one-sided
+    bound (no member of the bounded families dominates data exceeding pi,
+    so blow-up runs only carry the lower bound).  The tolerance is
+    10 (dr^2 + dt)."""
 
     def __init__(
-        self, sub: BarrierSpec | None, sup: BarrierSpec | None, grid: RadialGrid, dt: float
+        self, sub: BarrierSpec | None, sup: BarrierSpec | None, grid: RadialGrid, dt: float,
+        rows: int,
     ):
         if sub is None and sup is None:
             raise ValueError("need at least one barrier")
         self.sub, self.sup, self.grid = sub, sup, grid
         self.tol = 10.0 * (grid.dr**2 + dt)
-        # per block: the times, and per side [lower 0, upper 1] and snapshot
-        # the worst violation, its first node and the worst edge violation
-        self.blocks: list[tuple[np.ndarray, ...]] = []
+        # per side [lower 0, upper 1] and snapshot: the worst violation, its
+        # first node and the worst edge violation, filled in place so that no
+        # block leaves arrays behind
+        self.worst, self.edge = np.empty((2, rows)), np.empty((2, rows))
+        self.node = np.empty((2, rows), dtype=int)
+        self.rows = 0  # snapshots folded in
 
-    def report(self) -> OrderingReport:
-        """The worst violations over every snapshot folded in.
+    def report(self, times: np.ndarray) -> OrderingReport:
+        """The worst violations over every snapshot folded in, whose times
+        begin ``times``.
 
         Requires the ordering to hold at t = 0 and on r in {0, 1} within the
         tolerance; a violated precondition means the harness was
         misconfigured and raises instead of reporting a comparison failure.
         One ``np.argmax`` over the snapshots reports the first worst node in
         row-major order, a nan counting as worst."""
-        times, worst, node, edge = (
-            np.concatenate(part, axis=-1) for part in zip(*self.blocks)
-        )
+        n = self.rows
+        worst, node, edge = self.worst[:, :n], self.node[:, :n], self.edge[:, :n]
         tol = self.tol
         precondition = max(worst[0, 0], worst[1, 0], np.max(edge[0]), np.max(edge[1]))
         if precondition > tol:
@@ -246,10 +251,9 @@ def check_ordering(scan: OrderingScan, times: np.ndarray, phis: np.ndarray) -> N
         neg_inf = np.full_like(phi, -np.inf)
         low_viol = (barrier_value(sub, r, t) - phi) if sub is not None else neg_inf
         up_viol = (phi - barrier_value(sup, r, t)) if sup is not None else neg_inf
-        shape = (2, len(phi))
-        worst, node, edge = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape)
+        at = slice(scan.rows, scan.rows + len(phi))
         for side, viol in enumerate((low_viol, up_viol)):
-            k = node[side] = np.argmax(viol, axis=1)
-            worst[side] = np.take_along_axis(viol, k[:, np.newaxis], axis=1)[:, 0]
-            edge[side] = np.max(viol[:, [0, -1]], axis=1)
-        scan.blocks.append((t[:, 0], worst, node, edge))
+            k = scan.node[side, at] = np.argmax(viol, axis=1)
+            scan.worst[side, at] = np.take_along_axis(viol, k[:, np.newaxis], axis=1)[:, 0]
+            scan.edge[side, at] = np.max(viol[:, [0, -1]], axis=1)
+        scan.rows = at.stop

@@ -227,8 +227,9 @@ def _read(cp, section: str) -> dict:
 def radial_run(config: ExperimentConfig) -> tuple:
     """The (state0, coeffs, params, snapshot_stride) run of an axisym config;
     an unset ``dt`` is resolved by ``default_dt``.  ValueError when it
-    cannot march, records fewer than MIN_SNAPSHOTS snapshots, or would pass
-    the record buffer ceiling, which is checked before the nodes exist."""
+    cannot march, records fewer than MIN_SNAPSHOTS snapshots, or would hold
+    more than the record buffer ceiling when streamed, which is checked
+    before the nodes exist."""
     a, coeffs, stride = config.axisym, config.coefficients, config.snapshot_stride
     grid = RadialGrid(a.n_cells)
     dt = default_dt(grid, coeffs, a.scheme, a.t_end) if a.dt is None else a.dt
@@ -237,7 +238,7 @@ def radial_run(config: ExperimentConfig) -> tuple:
         guard = BLOWUP_GUARD_FACTOR / grid.dr
     params = SolverParams(dt=dt, scheme=a.scheme, t_end=a.t_end, clip_guard=guard)
     params.check_stability(grid, coeffs)
-    plan_record(0.0, a.t_end, dt, stride, a.n_cells + 1, MIN_SNAPSHOTS)
+    plan_record(0.0, a.t_end, dt, stride, a.n_cells + 1, MIN_SNAPSHOTS, streamed=True)
     phi0 = initial_profile(grid, a.preset, **a.preset_params())
     return make_state(grid, phi0), coeffs, params, stride
 

@@ -108,7 +108,7 @@ def run(
 
 def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
     """The positions of the axisym configs among ``configs``, in batches in
-    order, each closed before its record buffers would pass
+    order, each closed before what its streamed runs hold would pass
     ``axisym.MAX_RECORD_BYTES``; ``axisym.simulate_batch`` groups a batch's
     runs by (scheme, dt)."""
     batches: list[list[int]] = []
@@ -118,7 +118,7 @@ def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
             continue
         a = config.axisym
         _, _, size = axisym.plan_record(
-            0.0, a.t_end, a.dt, config.snapshot_stride, a.n_cells + 1
+            0.0, a.t_end, a.dt, config.snapshot_stride, a.n_cells + 1, streamed=True
         )
         if not batches or used + size > axisym.MAX_RECORD_BYTES:
             batches.append([])
@@ -142,20 +142,26 @@ class RadialDiagnostics:
     """What an axisym config reports of its run, reduced block by block as
     the run records (the sink of ``axisym.RunRecord``), so no
     ``(snapshots, nodes)`` trace is held.  Per block: the five columns of
-    ``axisym.energy``, the max and min of phi, the ordering scan (sub and
-    super on a global run; eta on a blow-up run up to the first row whose
-    phi_r(0) passes the detection cap 0.5/dr), and copies of that first row
-    and of the last.  ``args`` are the run's ``axisym.simulate``
-    arguments, this object its sink; ``trace``, set once the run has
-    ended, holds its times and halt."""
+    ``axisym.energy``, written into ``columns`` in place, the max and min of
+    phi, the ordering scan (sub and super on a global run; eta on a blow-up
+    run up to the first row whose phi_r(0) passes the detection cap
+    0.5/dr), and copies of that first row and of the last.  ``args`` are
+    the run's ``axisym.simulate`` arguments, this object its sink;
+    ``trace``, set once the run has ended, holds its times and halt."""
 
     def __init__(self, config: ExperimentConfig):
         self.args = radial_run(config)
-        state0, coeffs, params, _ = self.args
+        state0, coeffs, params, stride = self.args
         self.grid, self.radius = state0.grid, config.barrier.local_energy_radius
         self.cap = 0.5 / self.grid.dr
         self.trace: axisym.RunTrace | None = None
-        self.columns: list[tuple] = []
+        # one row per snapshot the run can record, so no block leaves arrays
+        # behind (DECISIONS.md section 4)
+        _, rows, _ = axisym.plan_record(
+            0.0, params.t_end, params.dt, stride, len(state0.phi), streamed=True
+        )
+        self.columns = np.empty((5, rows))
+        self.rows = 0  # snapshots reduced
         self.max_phi, self.min_phi = -np.inf, np.inf
         self.eta_cut = config.kind == "axisym_blowup"  # its scan stops at detection
         self.crossing = self.last = None  # copies of a snapshot
@@ -163,16 +169,17 @@ class RadialDiagnostics:
         self.scan, self.scan_error = None, None
         if config.kind == "axisym_global":
             sub, sup = barriers.subsolution(b.c, coeffs), barriers.supersolution(b.c, coeffs)
-            self.scan = barriers.OrderingScan(sub, sup, self.grid, params.dt)
+            self.scan = barriers.OrderingScan(sub, sup, self.grid, params.dt, rows)
         elif b.eta_beta0 is not None:
             eta = barriers.eta_barrier(b.eta_beta0, coeffs)
-            self.scan = barriers.OrderingScan(eta, None, self.grid, params.dt)
+            self.scan = barriers.OrderingScan(eta, None, self.grid, params.dt, rows)
 
     def __call__(self, times: np.ndarray, block: np.ndarray) -> None:
         """Reduce the next snapshots the run recorded, ``block``'s rows, at
         ``times``."""
-        columns = axisym.energy(self.grid, block, self.radius)
-        self.columns.append(columns)
+        at = slice(self.rows, self.rows + len(block))
+        self.columns[:, at] = columns = axisym.energy(self.grid, block, self.radius)
+        self.rows = at.stop
         # np.maximum and np.minimum propagate a nan, as the max over the
         # whole trace did
         self.max_phi = np.maximum(self.max_phi, np.max(block))
@@ -200,7 +207,7 @@ class RadialDiagnostics:
         if self.scan_error is not None:
             return {"error": self.scan_error}
         try:
-            return self.scan.report().as_dict()
+            return self.scan.report(self.trace.times).as_dict()
         except ValueError as exc:
             return {"error": str(exc)}
 
@@ -232,7 +239,7 @@ def _run_axisym(config: ExperimentConfig, radial: RadialDiagnostics | None):
         "min_phi": float(radial.min_phi),
     }
 
-    energies = tuple(np.concatenate(column) for column in zip(*radial.columns))
+    energies = tuple(radial.columns[:, : radial.rows])
     grads = energies[4]
     row = radial.crossing if radial.crossing is not None else radial.last
     blow = blowup.detect(trace, grads, row, local_energy_radius=b.local_energy_radius)

@@ -1,6 +1,9 @@
 """Deterministic SVG line plots: fixed canvas, labelled axes, one polyline
 per data column.  No plotting dependency; byte-identical output for
-identical input, coordinates quantised to 1/100 px."""
+identical input, coordinates quantised to 1/100 px.  The points are
+computed, formatted and written in blocks of ``reporting.BLOCK_ROWS`` rows,
+each x formatted once, so the writer never holds a polyline's text
+(DECISIONS.md section 4)."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .reporting import TimeSeries
+from .reporting import BLOCK_ROWS, TimeSeries
 
 WIDTH, HEIGHT = 640.0, 480.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 20.0, 30.0, 50.0
@@ -118,20 +121,24 @@ def emit_plot(
         f'font-family="sans-serif" font-size="12">{series.columns[0]}</text>'
     )
 
-    # px and py take whole columns too, with the same operations per point
-    xs = [_fmt(x) for x in px(t).tolist()]
-    for j, name in enumerate(names):
-        colour = PALETTE[j % len(PALETTE)]
-        pts = " ".join(map("{},{:.2f}".format, xs, py(ys[:, j]).tolist()))
-        parts.append(
-            f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" '
-            f'points="{pts}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x1 - 6)}" y="{_fmt(y1 + 14 + 14 * j)}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11" '
-            f'fill="{colour}">{name}</text>'
-        )
-
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    # px and py take a block of a column, with the same operations per point
+    # as on one point.  Each x is formatted once: a block's x text is kept
+    # joined, about 7 bytes a point, and split again for each polyline.
+    starts = range(0, len(t), BLOCK_ROWS)
+    x_text = [" ".join(map(_fmt, px(t[i : i + BLOCK_ROWS]).tolist())) for i in starts]
+    with path.open("w", encoding="utf-8") as f:
+        f.write("\n".join(parts) + "\n")
+        for j, name in enumerate(names):
+            colour = PALETTE[j % len(PALETTE)]
+            f.write(f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" points="')
+            for i, xs in zip(starts, x_text):
+                y_px = py(ys[i : i + BLOCK_ROWS, j]).tolist()
+                points = map("{},{:.2f}".format, xs.split(" "), y_px)
+                f.write((" " if i else "") + " ".join(points))
+            f.write(
+                '"/>\n'
+                f'<text x="{_fmt(x1 - 6)}" y="{_fmt(y1 + 14 + 14 * j)}" '
+                f'text-anchor="end" font-family="sans-serif" font-size="11" '
+                f'fill="{colour}">{name}</text>\n'
+            )
+        f.write("</svg>\n")

@@ -153,9 +153,10 @@ def test_c3_global_existence(global_traces):
             barriers.supersolution(0.05, coeffs),
             trace.grid,
             trace.params.dt,
+            trace.n_snapshots,
         )
         barriers.check_ordering(scan, trace.times, trace.phis)
-        ordering = scan.report()
+        ordering = scan.report(trace.times)
         ok = (not detected) and bounds_ok and ordering.passed and elapsed < 120.0
         all_ok = all_ok and ok
         _report(

@@ -151,9 +151,9 @@ def test_super_residual_stable_under_exponent_overflow():
 
 def check_ordering_of(sub, trace, sup):
     """``check_ordering`` over a whole trace, and its report."""
-    scan = OrderingScan(sub, sup, trace.grid, trace.params.dt)
+    scan = OrderingScan(sub, sup, trace.grid, trace.params.dt, trace.n_snapshots)
     check_ordering(scan, trace.times, trace.phis)
-    return scan.report()
+    return scan.report(trace.times)
 
 
 def _global_trace(n=128, t_end=0.3):

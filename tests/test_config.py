@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nematiclab.axisym import PRESET_PARAMS
+from nematiclab.axisym import PRESET_PARAMS, STREAM_NODE_VALUES, STREAM_SNAPSHOT_VALUES
 from nematiclab.cli import main
 from nematiclab.coeffs import sample_validated
 from nematiclab.config import load_config, parse_config, serialize_config
@@ -106,15 +106,18 @@ def test_step_quotient_that_underflows_to_zero_is_a_config_error():
         parse_config(text)
 
 
-# The record buffer of a radial run holds (2 + steps // stride) rows of
-# n_cells + 1 floats.  n_cells = 2**20 - 1 gives rows of 2**23 bytes, so 128
-# rows (126 steps at stride 1) fill the 2**30-byte ceiling exactly.
+# A radial experiment streams its record, so the ceiling counts what it
+# holds: STREAM_SNAPSHOT_VALUES (32) floats for each of its 2 + steps // stride
+# rows and STREAM_NODE_VALUES (31) for each of its n_cells + 1 nodes.  At
+# 2**20 nodes, 3,178,496 rows (3,178,494 steps at stride 1) fill the
+# 2**30-byte ceiling exactly.
 @pytest.mark.parametrize(
     "n_cells, t_end, ok",
     [
-        (2**20 - 1, "0.126", True),
-        (2**20 - 1, "0.127", False),
-        (2**22, "0.1", False),  # 32 MB of nodes, 3.4 GB of record buffer
+        (2**20 - 1, "3178.494", True),
+        (2**20 - 1, "3178.495", False),
+        (2**22, "0.1", True),  # 32 MB of nodes, 1.04 GB held; 3.4 GB of whole record
+        (2**23, "0.1", False),  # 2.08 GB held by the nodes alone
     ],
 )
 def test_radial_record_buffer_ceiling(n_cells, t_end, ok):
@@ -648,12 +651,14 @@ def test_random_config_in_the_documented_ranges_validates_to_exit_0_or_2(text):
 @st.composite
 def radial_schedules_past_a_ceiling(draw):
     """(n_cells, snapshot_stride, dt, t_end) of a Crank-Nicolson run on 2**17
-    to 2**40 cells that records at least 10 snapshots, whose record buffer
-    passes MAX_RECORD_BYTES or whose step count passes MAX_STEPS."""
+    to 2**40 cells that records at least 10 snapshots, whose streamed
+    buffers pass MAX_RECORD_BYTES or whose step count passes MAX_STEPS."""
     n_cells = int(draw(_log_int(2**17, 2**40)))
     stride = int(draw(_log_int(1, 1e12)))
     dt = draw(st.sampled_from([1e-3, 1e-4, 2e-5, 1e-5]))
-    rows = 2**27 // (n_cells + 1) + 1  # rows of 8 (n_cells + 1) bytes past 2**30
+    # rows of STREAM_SNAPSHOT_VALUES floats past 2**30 bytes beside the nodes'
+    nodes_share = STREAM_NODE_VALUES * (n_cells + 1)
+    rows = max(0, 2**27 - nodes_share) // STREAM_SNAPSHOT_VALUES + 1
     steps = max(9, rows - 2) * stride * draw(st.integers(1, 10))
     return n_cells, stride, dt, steps * dt
 

@@ -431,6 +431,19 @@ def test_cli_simulate_artifact_that_cannot_be_written_is_config_error(
     assert "cannot write results/h/report.json" in capsys.readouterr().err
 
 
+def test_cli_simulate_plot_that_cannot_be_written_is_config_error(
+    tmp_path, monkeypatch, capsys
+):
+    # the SVG writer opens its file once and writes it in blocks; an
+    # OSError there still ends the run with exit 2, as for the CSV below
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results/h/decay.svg").mkdir(parents=True)
+    cfg = tmp_path / "h.ini"
+    cfg.write_text(TINY_HOPF.format(out="results/h"))
+    assert main(["simulate", str(cfg)]) == 2
+    assert "cannot write results/h/decay.svg" in capsys.readouterr().err
+
+
 def test_cli_sweep_artifact_that_cannot_be_written_is_config_error(
     tmp_path, monkeypatch, capsys
 ):

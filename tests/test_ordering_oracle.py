@@ -64,9 +64,9 @@ def reference_check_ordering(sub, trace, sup):
 
 def ordering(sub, trace, sup):
     """``check_ordering`` over a whole trace, in one call, and its report."""
-    scan = OrderingScan(sub, sup, trace.grid, trace.params.dt)
+    scan = OrderingScan(sub, sup, trace.grid, trace.params.dt, trace.n_snapshots)
     check_ordering(scan, trace.times, trace.phis)
-    return scan.report()
+    return scan.report(trace.times)
 
 
 def same(a, b):

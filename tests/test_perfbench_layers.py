@@ -83,8 +83,9 @@ def test_streamed_radial_runs_call_the_traced_layers_by_their_global_names(
     tmp_path, monkeypatch
 ):
     # the tracer wraps axisym.simulate, axisym.energy, blowup.detect and
-    # barriers.check_ordering; a run whose diagnostics took its blocks
-    # another way would read 0 in those layers
+    # barriers.check_ordering, and the writers by their names in
+    # experiments; a run whose diagnostics took its blocks, or whose files
+    # were written, another way would read 0 in those layers
     from nematiclab import axisym, barriers, blowup, experiments
     from nematiclab.config import parse_config
 
@@ -100,16 +101,20 @@ def test_streamed_radial_runs_call_the_traced_layers_by_their_global_names(
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((axisym, "simulate"), (axisym, "energy"),
-                         (blowup, "detect"), (barriers, "check_ordering")):
+                         (blowup, "detect"), (barriers, "check_ordering"),
+                         (experiments, "write_csv"), (experiments, "emit_plot")):
         count(module, name)
     for kind in ("axisym_blowup", "axisym_global"):
         calls.clear()
         config = parse_config(TINY_RADIAL.format(kind=kind))
-        experiments.run(config, out_dir=tmp_path / kind, plots=False)
+        experiments.run(config, out_dir=tmp_path / kind, plots=True)
         (simulate,) = calls["simulate"]
         assert simulate["sink"] is not None  # streamed
         assert len(calls["energy"]) >= 1
+        csvs = sorted(path.stem for path in (tmp_path / kind).glob("*.csv"))
+        assert len(calls["write_csv"]) == len(calls["emit_plot"]) == len(csvs)
         if kind == "axisym_blowup":
             assert len(calls["detect"]) == 1
+            assert csvs == ["blowup_history", "series"]
         else:
             assert len(calls["check_ordering"]) >= 1

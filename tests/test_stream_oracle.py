@@ -11,12 +11,14 @@ guard halts inside a block and at its end, a guard trip at t0, a mixed-size
 sweep batch, and an eta ordering whose detection row lies inside a block.
 """
 
+import importlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nematiclab import axisym, barriers, blowup, experiments
+from nematiclab import axisym, barriers, blowup, experiments, reporting, svgplot
 from nematiclab.cli import main
 from nematiclab.config import parse_config, radial_run
 from nematiclab.errors import SolverHalt
@@ -148,9 +150,9 @@ def stored_run_axisym(config, radial=None):
 
     def ordering(sub, phis, sup):
         try:
-            scan = barriers.OrderingScan(sub, sup, trace.grid, trace.params.dt)
+            scan = barriers.OrderingScan(sub, sup, trace.grid, trace.params.dt, len(phis))
             barriers.check_ordering(scan, trace.times[: len(phis)], phis)
-            return scan.report().as_dict()
+            return scan.report(trace.times).as_dict()
         except ValueError as exc:
             return {"error": str(exc)}
 
@@ -346,3 +348,114 @@ def test_streamed_blowup_run_does_not_hold_its_trace(tmp_path):
         tracemalloc.stop()
     assert not report["halted"] and snapshots(tmp_path) == rows - 1
     assert peak < nbytes / 4, peak
+
+
+# ---------------------------------------------------------------------------
+# the ceiling on what a streamed run holds
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def validate_quietly(text, tmp_path, capsys):
+    """(exit code, stderr, traced peak) of ``validate`` on ``text``."""
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["validate", str(cfg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().err, peak
+
+
+def test_a_fine_streamed_run_validates_by_what_it_holds(tmp_path, capsys):
+    # n = 8192 for 20,000 steps at stride 1: a whole record of 1.3 GB,
+    # past the ceiling, of which the streamed run holds one 7-row block
+    text = (ROOT / "configs" / "axisym_blowup.ini").read_text()
+    for old, new in [
+        ("n_cells = 256", "n_cells = 8192"),
+        ("dt = 5e-4", "dt = 1e-4"),
+        ("t_end = 2.5", "t_end = 2.0"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(ValueError, match="20002 snapshots of 8193 values exceed"):
+        axisym.plan_record(0.0, 2.0, 1e-4, 1, 8193)
+    code, err, _ = validate_quietly(text, tmp_path, capsys)
+    assert code == 0, err
+    _, rows, held = axisym.plan_record(0.0, 2.0, 1e-4, 1, 8193, streamed=True)
+    assert rows == 20002 and held < 10e6
+    # the grid whose per-node buffers alone pass 2**30 bytes is still
+    # rejected, before any node array exists
+    nodes = axisym.MAX_RECORD_BYTES // (8 * axisym.STREAM_NODE_VALUES) + 1
+    coarse = text.replace("n_cells = 8192", f"n_cells = {nodes - 1}")
+    coarse = coarse.replace("t_end = 2.0", "t_end = 0.01")
+    code, err, peak = validate_quietly(coarse, tmp_path, capsys)
+    assert code == 2 and "record buffer" in err, err
+    assert peak < 2**20
+
+
+def test_the_benchmark_radial_ensemble_is_one_sweep_batch(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for seed in (7, 11):
+        ops = workloads.radial_ensemble(workloads.pass_rng(seed, 0), Path("out"))
+        configs = [parse_config(op.ini()) for op in ops]
+        assert len(configs) == 6
+        assert experiments.axisym_batches(configs) == [list(range(6))]
+
+
+def sweep_peak(text: str) -> int:
+    """Traced peak of one config run as a sweep runs it: marched into its
+    diagnostics, then reported and written with them held."""
+    config = parse_config(text)
+    tracemalloc.start()
+    try:
+        radial = experiments.RadialDiagnostics(config)
+        experiments.march([radial])
+        experiments.run(config, radial=radial)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def eta_scan_text(out, n_cells, dt, steps):
+    """A blow-up run whose eta scan covers every snapshot: ramp data that
+    never reach the detection cap, at stride 1."""
+    text = BLOWUP_ETA.format(out=out)
+    for old, new in [
+        ("snapshot_stride = 7", "snapshot_stride = 1"),
+        ("n_cells = 128", f"n_cells = {n_cells}"),
+        ("dt = 2e-4", f"dt = {dt!r}"),
+        ("t_end = 0.3", f"t_end = {steps * dt!r}"),
+        ("preset = bubble_linear_max\nbeta0 = 0.04\namplitude = 3.3", "preset = scaled_linear\namplitude = 0.5"),
+        ("eta_beta0 = 0.04", "eta_beta0 = 0.04\nlocal_energy_radius = 0.25"),
+    ]:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def test_the_stream_counts_bound_the_traced_growth_of_a_run(tmp_path, monkeypatch):
+    # Such a run, held as a sweep holds it, holds the most per snapshot
+    # (30.1 floats measured); a Crank-Nicolson run, the most per node
+    # (30.3).  The growth between two sizes leaves out what does not grow:
+    # imports, and blocks made small here (7-row record blocks, as at
+    # n = 8192; 64-row writer blocks) so that both sizes are past them.
+    sweep_peak(eta_scan_text(tmp_path / "warm", 16, 1e-3, 10))
+    monkeypatch.setattr(axisym, "CHUNK_VALUES", 7 * 17)
+    monkeypatch.setattr(reporting, "BLOCK_ROWS", 64)
+    monkeypatch.setattr(svgplot, "BLOCK_ROWS", 64)
+    small, large = (
+        sweep_peak(eta_scan_text(tmp_path / str(steps), 16, 1e-5, steps))
+        for steps in (1_000, 2_000)
+    )
+    per_snapshot = (large - small) / (1_000 * 8)
+    assert 25 < per_snapshot <= axisym.STREAM_SNAPSHOT_VALUES, per_snapshot
+    small, large = (
+        sweep_peak(eta_scan_text(tmp_path / str(n), n, 1e-3, 10)) for n in (2**16, 2**18)
+    )
+    per_node = (large - small) / ((2**18 - 2**16) * 8)
+    assert 25 < per_node <= axisym.STREAM_NODE_VALUES, per_node
