@@ -232,14 +232,15 @@ MAX_RECORD_BYTES = 2**30
 # the ceiling counts for it (DECISIONS.md section 4).  Per snapshot: its
 # time (1); the five energy columns and the ordering fold's worst value,
 # node and edge per side, which experiments.RadialDiagnostics fills in place
-# (11); the columns of series.csv and of blowup_history.csv and its plot
-# (6 + 3 + 2); and the plot writer's copy of a series with its masks and
-# x text (9).  Per node: the initial state, its radii, the record block's
-# one row and the batch's node vector (4), and the Crank-Nicolson bands,
-# coefficients and step buffers with the temporaries _Batch._build forms
-# them from (27, of which 14 stay).  tests/test_stream_oracle.py bounds the
-# traced growth of a run by both (30.1 and 30.3 measured).
-STREAM_SNAPSHOT_VALUES = 32
+# (11); the columns of series.csv and of blowup_history.csv, whose plot
+# takes a view of the latter (6 + 3); and the plot writer's masks and x text
+# (4 with 64-row writer blocks); with one spare.  Per node: the initial
+# state, its radii, the record block's one row and the batch's node vector
+# (4), and the Crank-Nicolson bands, coefficients and step buffers with the
+# temporaries _Batch._build forms them from (27, of which 14 stay).
+# tests/test_stream_oracle.py bounds the traced growth of a run by both
+# (24.3 and 30.3 measured).
+STREAM_SNAPSHOT_VALUES = 26
 STREAM_NODE_VALUES = 31
 
 
@@ -261,17 +262,24 @@ def step_count(t0: float, t_end: float, dt: float) -> int:
     return n
 
 
+def stream_held(nodes: int) -> tuple[int, int]:
+    """(floats per snapshot, fixed floats) an experiment's streamed radial
+    run on ``nodes`` nodes holds, the ``streamed`` counts of
+    ``plan_record``."""
+    return STREAM_SNAPSHOT_VALUES, STREAM_NODE_VALUES * nodes
+
+
 def plan_record(
     t0: float, t_end: float, dt: float, stride: int, row_values: int,
-    min_rows: int = 0, streamed: bool = False,
+    min_rows: int = 0, streamed: tuple[int, int] | None = None,
 ) -> tuple[int, int, int]:
     """(steps, rows, bytes) of a run recording rows of ``row_values``
     floats, without allocating: ValueError for a stride below 1, from
     ``step_count``, when the run would record fewer than ``min_rows``
     snapshots, or when the bytes would pass MAX_RECORD_BYTES.  The bytes
-    are the whole record's, or with ``streamed`` those of an experiment's
-    streamed radial run on ``row_values`` nodes: STREAM_SNAPSHOT_VALUES
-    floats a snapshot and STREAM_NODE_VALUES a node."""
+    are the whole record's, or with ``streamed``, the (floats per snapshot,
+    fixed floats) of an experiment's streamed run (``stream_held`` here and
+    in ``poiseuille``), what that run holds."""
     if stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
     n_steps = step_count(t0, t_end, dt)
@@ -282,12 +290,10 @@ def plan_record(
             f"snapshot_stride {stride} record {recorded}"
         )
     rows = 2 + n_steps // stride
-    if streamed:
-        nbytes = (rows * STREAM_SNAPSHOT_VALUES + row_values * STREAM_NODE_VALUES) * 8
-        held = (
-            f"{rows} snapshots of {STREAM_SNAPSHOT_VALUES} values and "
-            f"{row_values} nodes of {STREAM_NODE_VALUES} values"
-        )
+    if streamed is not None:
+        per_row, fixed = streamed
+        nbytes = (rows * per_row + fixed) * 8
+        held = f"{rows} snapshots of {per_row} values and {fixed} values more"
     else:
         nbytes = rows * row_values * 8
         held = f"{rows} snapshots of {row_values} values"
@@ -323,15 +329,15 @@ class RunRecord:
     at most the rows the run records; ``flush`` hands the rows written since
     the last flush to ``sink(times, values)`` as views, which ``add`` does
     when a row is due and the block is full, and the run's owner once at the
-    end."""
+    end.  A sink comes with the ``held`` counts of its run, which the
+    ceiling checks (``plan_record``)."""
 
     def __init__(
         self, t0: float, t_end: float, dt: float, stride: int,
         row_shape: tuple[int, ...], row_values: int, sink: Sink | None = None,
+        held: tuple[int, int] | None = None,
     ):
-        self.n_steps, rows, _ = plan_record(
-            t0, t_end, dt, stride, row_values, streamed=sink is not None
-        )
+        self.n_steps, rows, _ = plan_record(t0, t_end, dt, stride, row_values, streamed=held)
         self.t0, self.t_end, self.dt, self.stride = t0, t_end, dt, stride
         self.times = np.empty(rows)
         if sink is not None:
@@ -603,7 +609,8 @@ class _Run:
         self.grid, self.c, self.p = state0.grid, c, p
         self.threshold = _guard_threshold(p.guard_for(state0.grid), 2.0 * state0.grid.dr)
         n = len(state0.phi)
-        self.record = RunRecord(state0.t, p.t_end, p.dt, snapshot_stride, (n,), n, sink)
+        held = None if sink is None else stream_held(n)
+        self.record = RunRecord(state0.t, p.t_end, p.dt, snapshot_stride, (n,), n, sink, held)
         self.record.values[0] = state0.phi
         self.halted, self.halt_reason = False, None
         # the guard on the initial state, decided as ``_Batch.tripped`` decides

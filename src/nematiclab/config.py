@@ -36,6 +36,7 @@ from .axisym import (
     initial_profile,
     make_state,
     plan_record,
+    stream_held,
 )
 from .barriers import eta_barrier, supersolution
 from .blowup import MIN_SNAPSHOTS
@@ -238,7 +239,9 @@ def radial_run(config: ExperimentConfig) -> tuple:
         guard = BLOWUP_GUARD_FACTOR / grid.dr
     params = SolverParams(dt=dt, scheme=a.scheme, t_end=a.t_end, clip_guard=guard)
     params.check_stability(grid, coeffs)
-    plan_record(0.0, a.t_end, dt, stride, a.n_cells + 1, MIN_SNAPSHOTS, streamed=True)
+    plan_record(
+        0.0, a.t_end, dt, stride, a.n_cells + 1, MIN_SNAPSHOTS, stream_held(a.n_cells + 1)
+    )
     phi0 = initial_profile(grid, a.preset, **a.preset_params())
     return make_state(grid, phi0), coeffs, params, stride
 

@@ -5,6 +5,12 @@ an output path that cannot be a directory is a config error (exit 2) rather
 than a failure after the computation; no file is written into it until the
 run finished.  A file that cannot be written after the run is a config
 error too, naming its path.
+
+Every marching run streams its record: a radial run into a
+``RadialDiagnostics``, a Poiseuille run into a
+``poiseuille.PoiseuilleDiagnostics``, each fed one record block at a time,
+so no experiment holds a ``(snapshots, nodes)`` trace (DECISIONS.md
+section 4).
 """
 
 from __future__ import annotations
@@ -118,7 +124,8 @@ def axisym_batches(configs: list[ExperimentConfig]) -> list[list[int]]:
             continue
         a = config.axisym
         _, _, size = axisym.plan_record(
-            0.0, a.t_end, a.dt, config.snapshot_stride, a.n_cells + 1, streamed=True
+            0.0, a.t_end, a.dt, config.snapshot_stride, a.n_cells + 1,
+            streamed=axisym.stream_held(a.n_cells + 1),
         )
         if not batches or used + size > axisym.MAX_RECORD_BYTES:
             batches.append([])
@@ -158,7 +165,8 @@ class RadialDiagnostics:
         # one row per snapshot the run can record, so no block leaves arrays
         # behind (DECISIONS.md section 4)
         _, rows, _ = axisym.plan_record(
-            0.0, params.t_end, params.dt, stride, len(state0.phi), streamed=True
+            0.0, params.t_end, params.dt, stride, len(state0.phi),
+            streamed=axisym.stream_held(len(state0.phi)),
         )
         self.columns = np.empty((5, rows))
         self.rows = 0  # snapshots reduced
@@ -272,13 +280,9 @@ def _run_axisym(config: ExperimentConfig, radial: RadialDiagnostics | None):
         beta_hat = np.where(
             grads >= blowup.PROFILE_MIN_GRADIENT, 2.0 / np.maximum(grads, 1e-300), np.nan
         )
-        full = TimeSeries(
-            ("t", "phi_r_origin", "beta_hat"),
-            np.column_stack([trace.times, grads, beta_hat]),
-        )
-        grad_only = TimeSeries(
-            ("t", "phi_r_origin"), np.column_stack([trace.times, grads])
-        )
+        history = np.column_stack([trace.times, grads, beta_hat])
+        full = TimeSeries(("t", "phi_r_origin", "beta_hat"), history)
+        grad_only = TimeSeries(("t", "phi_r_origin"), history[:, :2])  # a view
         artifacts.append(Artifact("blowup_history", full, plot_series=grad_only))
     return report, artifacts
 
@@ -350,13 +354,29 @@ def _run_barrier_check(config: ExperimentConfig):
 # Poiseuille experiments
 
 
-def _poiseuille_series(
-    trace: poiseuille.PoiseuilleTrace, e: np.ndarray, d: np.ndarray, exact_w=None
-) -> TimeSeries:
-    """One row per snapshot, from the energies (E, D) of the whole trace."""
-    cols = {"t": trace.times, "max_abs_phi": np.max(np.abs(trace.phis), axis=1)}
-    if exact_w is not None:
-        cols["max_err_w"] = np.max(np.abs(trace.ws - exact_w(trace.grid.x)), axis=1)
+def _march_poiseuille(args: tuple, exact_w: bool = False):
+    """(trace, fold) of a run of ``poiseuille.simulate``'s ``args``, reduced
+    block by block into a ``poiseuille.PoiseuilleDiagnostics`` as it
+    records, so no trace is held: the trace keeps the times only."""
+    state0, c, dt, t_end, bc, stride = args
+    _, rows, _ = axisym.plan_record(
+        state0.t, t_end, dt, stride, 0, streamed=poiseuille.stream_held(state0.grid)
+    )
+    fold = poiseuille.PoiseuilleDiagnostics(state0.grid, bc, c, state0.a, rows, exact_w)
+
+    def sink(times: np.ndarray, block: np.ndarray) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):  # _require_finite halts on these
+            fold(times, block)
+
+    return poiseuille.simulate(*args, sink=sink), fold
+
+
+def _poiseuille_series(times: np.ndarray, fold: poiseuille.PoiseuilleDiagnostics) -> TimeSeries:
+    """One row per snapshot, from the columns of the run's fold."""
+    e, d, _, max_abs_phi, *err_w = fold.columns[:, : fold.rows]
+    cols = {"t": times, "max_abs_phi": max_abs_phi}
+    if err_w:
+        cols["max_err_w"] = err_w[0]
     cols["energy"], cols["dissipation"] = e, d
     return TimeSeries(tuple(cols), np.column_stack(list(cols.values())))
 
@@ -375,21 +395,20 @@ def _require_finite(trace, e: np.ndarray, d: np.ndarray, **residuals) -> None:
 
 
 def _run_poiseuille_counterexample(config: ExperimentConfig):
-    trace = poiseuille.simulate(*poiseuille_run(config))
+    trace, fold = _march_poiseuille(poiseuille_run(config), exact_w=True)
     with np.errstate(over="ignore", invalid="ignore"):  # _require_finite halts on these
-        report_obj = poiseuille.counterexample_report(trace)
-        e, d = poiseuille.energies(trace)
+        report_obj = fold.counterexample_report(float(trace.times[-1]))
+    e, d = fold.columns[:2, : fold.rows]
     _require_finite(trace, e, d, heat_residual=report_obj.heat_residual)
-    series = _poiseuille_series(trace, e, d, exact_w=lambda x: -2.0 * x)
-    return report_obj.as_dict(), [Artifact("series", series)]
+    return report_obj.as_dict(), [Artifact("series", _poiseuille_series(trace.times, fold))]
 
 
 def _run_poiseuille_generic(config: ExperimentConfig):
     run_args = poiseuille_run(config)
     dt = run_args[2]
-    trace = poiseuille.simulate(*run_args)
+    trace, fold = _march_poiseuille(run_args)
     with np.errstate(over="ignore", invalid="ignore"):  # _require_finite halts on these
-        energy_res = poiseuille.energy_identity_residual(trace)
+        energy_res = fold.energy_identity(trace.times)
         report = {
             "energy_identity_residual": energy_res.residual,
             "boundary_warning": energy_res.boundary_warning,
@@ -398,10 +417,7 @@ def _run_poiseuille_generic(config: ExperimentConfig):
                 bool(np.all(np.diff(energy_res.energies) <= energy_res.residual * dt + 1e-14))
                 if trace.a == 0.0 else None
             ),
-            "heat_reduction_residual": (
-                poiseuille.heat_reduction_check(trace)
-                if poiseuille.heat_reduction_applies(trace) else None
-            ),
+            "heat_reduction_residual": fold.heat_residual if fold.heat else None,
             "dt": dt,
         }
     _require_finite(
@@ -411,8 +427,7 @@ def _run_poiseuille_generic(config: ExperimentConfig):
         energy_identity_residual=energy_res.residual,
         heat_reduction_residual=report["heat_reduction_residual"],
     )
-    series = _poiseuille_series(trace, energy_res.energies, energy_res.dissipations)
-    return report, [Artifact("series", series)]
+    return report, [Artifact("series", _poiseuille_series(trace.times, fold))]
 
 
 # ---------------------------------------------------------------------------

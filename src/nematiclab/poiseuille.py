@@ -20,6 +20,13 @@ and the step makes no trig call.  Both paths give the same doubles.  The
 folded order rounds differently from the per-term formulas, by at most a
 few units in the last place of the terms (DECISIONS.md section 6).
 
+A run records w, phi and phi_t through ``axisym.RunRecord``: the whole
+``(snapshots, 3, nodes)`` record, or one block at a time handed to a sink.
+``PoiseuilleDiagnostics`` is the one fold of what the experiments report,
+block by block as a run records; ``energies``, ``energy_identity_residual``,
+``heat_reduction_check`` and ``counterexample_report`` apply it to a whole
+trace, with the same numbers at any block size (DECISIONS.md section 4).
+
 The whole-line problem is truncated with Dirichlet data; supplying the data
 of the exact pair w = -2x, phi = t (simplified coefficients) preserves that
 solution identically, which is the maximum-principle counterexample: phi
@@ -37,6 +44,7 @@ import numpy as np
 
 from .axisym import (
     RunRecord,
+    Sink,
     all_finite,
     first_derivative,
     plan_record,
@@ -251,14 +259,37 @@ class PoiseuilleTrace:
     coeffs: LeslieCoefficients
     a: float  # the pressure term of the run
     times: np.ndarray
-    # (snapshots, nodes) views of the one buffer a run records into
-    ws: np.ndarray
-    phis: np.ndarray
-    phi_ts: np.ndarray  # the scheme's own update at each snapshot
+    # (snapshots, nodes) views of the one buffer a run records into; None
+    # when a sink took the snapshots
+    ws: np.ndarray | None
+    phis: np.ndarray | None
+    phi_ts: np.ndarray | None  # the scheme's own update at each snapshot
 
     @property
     def n_snapshots(self) -> int:
         return len(self.times)
+
+
+# What an experiment's streamed Poiseuille run holds at most, in floats,
+# which the ceiling counts for it (DECISIONS.md section 4).  Per snapshot:
+# its time (1); the columns of PoiseuilleDiagnostics, five for the
+# counterexample (5); the columns of series.csv (5); and the plot writer's
+# masks and x text (2); with one spare.  The energy identity's pair
+# temporaries (4) come before series.csv exists.  Per node: the initial
+# state and its grid (3); the record block's one row and the
+# counterexample's exact w (4); the march's state, increment and step
+# buffers (8); the fold's first, last and carried rows (4); and the heat
+# check's temporaries on a one-row block (6); with one spare.
+# tests/test_poiseuille_stream.py bounds the traced growth of a run by both
+# (10.9 and 25.0 measured).
+STREAM_SNAPSHOT_VALUES = 14
+STREAM_NODE_VALUES = 26
+
+
+def stream_held(grid: IntervalGrid) -> tuple[int, int]:
+    """(floats per snapshot, fixed floats) an experiment's streamed run on
+    ``grid`` holds, the ``streamed`` counts of ``axisym.plan_record``."""
+    return STREAM_SNAPSHOT_VALUES, STREAM_NODE_VALUES * (grid.n_cells + 1)
 
 
 def plan_run(
@@ -273,8 +304,8 @@ def plan_run(
     defaults to about 200 recorded steps.  ValueError unless t_end and dt
     are positive, when dt exceeds the step bound, which holds for every phi,
     when step_count rejects the run, when it would record fewer than the 3
-    snapshots the energy and heat checks use, or when the buffers simulate
-    records into would exceed MAX_RECORD_BYTES."""
+    snapshots the energy and heat checks use, or when what its streamed
+    experiment run holds (``stream_held``) would exceed MAX_RECORD_BYTES."""
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
     if dt is not None and dt <= 0.0:
@@ -287,7 +318,7 @@ def plan_run(
     n_steps = step_count(0.0, t_end, dt)
     if snapshot_stride is None:
         snapshot_stride = max(1, n_steps // 200)
-    plan_record(0.0, t_end, dt, snapshot_stride, _row_values(grid), 3)
+    plan_record(0.0, t_end, dt, snapshot_stride, _row_values(grid), 3, stream_held(grid))
     return dt, snapshot_stride
 
 
@@ -303,14 +334,19 @@ def simulate(
     t_end: float,
     bc: BoundaryData,
     snapshot_stride: int = 1,
+    sink: Sink | None = None,
 ) -> PoiseuilleTrace:
     """March to t_end, recording every ``snapshot_stride``-th state under
     the rules of ``axisym.RunRecord``; t_end must lie a whole number of
-    steps after t0."""
+    steps after t0.  With a ``sink``, such as a ``PoiseuilleDiagnostics``,
+    the snapshots go to it a block of (rows, 3, nodes) at a time, and the
+    trace keeps their times only."""
     state0.validate()
     grid = state0.grid
+    held = None if sink is None else stream_held(grid)
     record = RunRecord(
-        state0.t, t_end, dt, snapshot_stride, (3, grid.n_cells + 1), _row_values(grid)
+        state0.t, t_end, dt, snapshot_stride, (3, grid.n_cells + 1), _row_values(grid),
+        sink, held,
     )
     march = _March(state0, c, dt, bc)
     march.fill(record.values[0])
@@ -318,67 +354,41 @@ def simulate(
         step_general(march, record.time(k))
         if k == record.next_record:
             march.fill(record.values[record.add(k)])
+    if sink is not None:
+        record.flush()
     times, values = record.rows()
-    return PoiseuilleTrace(grid, bc, c, state0.a, times, *np.moveaxis(values, 1, 0))
+    rows = (None,) * 3 if values is None else np.moveaxis(values, 1, 0)
+    return PoiseuilleTrace(grid, bc, c, state0.a, times, *rows)
 
 
-def velocity_potential(trace: PoiseuilleTrace) -> np.ndarray:
-    """v at every snapshot, (snapshots, nodes): cumulative trapezoid of w
-    from the left end (scipy's ``cumulative_trapezoid``, operation for
-    operation; DECISIONS.md section 8) plus the configured left value."""
-    ws = trace.ws
+def _potential(x: np.ndarray, bc: BoundaryData, times: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """v at each of ``times``, one row per row of ``ws``: cumulative
+    trapezoid of w from the left end (scipy's ``cumulative_trapezoid``,
+    operation for operation; DECISIONS.md section 8) plus the configured
+    left value."""
     v = np.zeros(ws.shape)
-    np.cumsum(np.diff(trace.grid.x) * (ws[:, 1:] + ws[:, :-1]) / 2.0, axis=1, out=v[:, 1:])
-    v_left = np.array([trace.bc.v_left(float(t)) for t in trace.times])
+    np.cumsum(np.diff(x) * (ws[:, 1:] + ws[:, :-1]) / 2.0, axis=1, out=v[:, 1:])
+    v_left = np.array([bc.v_left(float(t)) for t in times])
     return v + v_left[:, np.newaxis]
 
 
-def heat_reduction_applies(trace: PoiseuilleTrace) -> bool:
-    """Whether (v + phi)_t = (v + phi)_xx holds: a = 0 (a adds -a x), g == 2
-    and h == 1, which are constant exactly when mu1 = 0, g's sin^2 and cos^2
-    weights are equal and mu2 + mu3 = 0."""
+def velocity_potential(trace: PoiseuilleTrace) -> np.ndarray:
+    """v at every snapshot, (snapshots, nodes): the potential the heat check
+    of ``PoiseuilleDiagnostics`` forms, of the whole trace."""
+    return _potential(trace.grid.x, trace.bc, trace.times, trace.ws)
+
+
+def heat_reduction_applies(trace) -> bool:
+    """Whether (v + phi)_t = (v + phi)_xx holds for a trace or a
+    ``PoiseuilleDiagnostics`` (its ``coeffs`` and ``a``): a = 0 (a adds
+    -a x), g == 2 and h == 1, which are constant exactly when mu1 = 0, g's
+    sin^2 and cos^2 weights are equal and mu2 + mu3 = 0."""
     c = trace.coeffs
     g_sin, g_cos = c.g_weights
     return trace.a == 0.0 and all(
         abs(x) < 1e-12
         for x in (c.mu1, g_cos - g_sin, c.mu2 + c.mu3, g_coeff(c, 0.0) - 2.0, h_coeff(c, 0.0) - 1.0)
     )
-
-
-def heat_reduction_check(trace: PoiseuilleTrace) -> float:
-    """Max discrete residual of (v + phi)_t = (v + phi)_xx over snapshot
-    pairs: forward difference in time, central second difference in space."""
-    if trace.n_snapshots < 3:
-        raise ValueError("need at least 3 snapshots")
-    s = velocity_potential(trace) + trace.phis
-    s_t = (s[1:, 1:-1] - s[:-1, 1:-1]) / np.diff(trace.times)[:, np.newaxis]
-    s_xx = (s[:-1, 2:] - 2.0 * s[:-1, 1:-1] + s[:-1, :-2]) / trace.grid.dx**2
-    worst = np.max(np.abs(s_t - s_xx), axis=1)
-    # a nan pair is passed over, as a running max() would; all nan gives nan
-    worst = worst[~np.isnan(worst)]
-    return float(worst.max()) if worst.size else math.nan
-
-
-def energies(trace: PoiseuilleTrace) -> tuple[np.ndarray, np.ndarray]:
-    """(E, D) at every snapshot, with dE/dt + D = -a int w under homogeneous
-    data: E = 0.5 int(w^2 + phi_x^2), D = int(g w_x^2 + 2 h w_x phi_t +
-    lambda1 phi_t^2); trapezoidal quadrature in ``axisym.row_blocks``.  D is
-    summed so that the simplified set gives the doubles of its own form
-    int(w_x^2 + phi_t^2 + (w_x + phi_t)^2) (DECISIONS.md sections 4, 6)."""
-    x, dx, c = trace.grid.x, trace.grid.dx, trace.coeffs
-    gh = c.constant_gh
-    e, d = [], []
-    for rows in row_blocks(trace.n_snapshots, len(x)):
-        w, phi, phi_t = trace.ws[rows], trace.phis[rows], trace.phi_ts[rows]
-        phi_x = first_derivative(phi, dx, axis=1)
-        w_x = first_derivative(w, dx, axis=1)
-        g, h = (g_coeff(c, phi), h_coeff(c, phi)) if gh is None else gh
-        e.append(0.5 * _trapz(w**2 + phi_x**2, x, axis=1))
-        d.append(_trapz(
-            ((g - 1.0) * w_x**2 + (c.lambda1 - 1.0) * phi_t**2)
-            + (w_x + phi_t) ** 2 + 2.0 * (h - 1.0) * w_x * phi_t, x, axis=1
-        ))
-    return np.concatenate(e), np.concatenate(d)
 
 
 @dataclass(frozen=True)
@@ -389,26 +399,146 @@ class EnergyIdentityResult:
     dissipations: np.ndarray
 
 
+class PoiseuilleDiagnostics:
+    """What the Poiseuille experiments report of a run, reduced block by
+    block as it records (the sink of ``axisym.RunRecord``), so no
+    ``(snapshots, 3, nodes)`` trace is held.  The whole-trace diagnostics
+    below are this fold over a trace's ``axisym.row_blocks``.
+
+    Per snapshot, written into ``columns`` in place: E, D, int w and
+    max|phi|, and with ``exact_w`` max|w + 2x|, the error against the
+    counterexample's w = -2x.  E = 0.5 int(w^2 + phi_x^2) and D = int(g w_x^2
+    + 2 h w_x phi_t + lambda1 phi_t^2), with dE/dt + D = -a int w under
+    homogeneous data; trapezoidal quadrature.  D is summed so that the
+    simplified set gives the doubles of its own form int(w_x^2 + phi_t^2 +
+    (w_x + phi_t)^2) (DECISIONS.md sections 4, 6).  Over the run: the
+    largest |w| and |phi_t| at the two ends, for the boundary warning;
+    with ``heat`` (by default where ``heat_reduction_applies``), the largest
+    residual of (v + phi)_t = (v + phi)_xx over snapshot pairs, carrying the
+    last row of s = v + phi into the next block so that the pair across a
+    block boundary is checked; and copies of the first phi row and of the
+    last w and phi rows.  ``rows`` is the most snapshots the run records."""
+
+    def __init__(
+        self, grid: IntervalGrid, bc: BoundaryData, c: LeslieCoefficients, a: float,
+        rows: int, exact_w: bool = False, heat: bool | None = None,
+    ):
+        self.grid, self.bc, self.coeffs, self.a = grid, bc, c, a
+        self.heat = heat_reduction_applies(self) if heat is None else heat
+        self.exact_w = -2.0 * grid.x if exact_w else None
+        self.columns = np.empty((5 if exact_w else 4, rows))
+        self.rows = 0  # snapshots reduced
+        self.edge_w = self.edge_phi_t = -np.inf
+        self.heat_residual = math.nan  # while no pair is, or every pair is nan
+        self.s_last = self.t_last = None  # the last s row and its time
+        self.first_phi = self.last_w = self.last_phi = None
+
+    def __call__(self, times: np.ndarray, block: np.ndarray) -> None:
+        """Reduce the next (rows, 3, nodes) block the run recorded."""
+        self.take(times, *np.moveaxis(block, 1, 0))
+
+    def take(self, times: np.ndarray, w: np.ndarray, phi: np.ndarray, phi_t: np.ndarray) -> None:
+        """Reduce the next snapshots, at ``times``, one row each of ``w``,
+        ``phi`` and ``phi_t``."""
+        if self.heat:  # before the energies' temporaries exist
+            self._heat_pairs(times, w, phi)
+        x, dx, c = self.grid.x, self.grid.dx, self.coeffs
+        at = slice(self.rows, self.rows + len(times))
+        self.rows = at.stop
+        phi_x = first_derivative(phi, dx, axis=1)
+        w_x = first_derivative(w, dx, axis=1)
+        gh = c.constant_gh
+        g, h = (g_coeff(c, phi), h_coeff(c, phi)) if gh is None else gh
+        cols = self.columns
+        cols[0, at] = 0.5 * _trapz(w**2 + phi_x**2, x, axis=1)
+        cols[1, at] = _trapz(
+            ((g - 1.0) * w_x**2 + (c.lambda1 - 1.0) * phi_t**2)
+            + (w_x + phi_t) ** 2 + 2.0 * (h - 1.0) * w_x * phi_t, x, axis=1
+        )
+        cols[2, at] = _trapz(w, x, axis=1)
+        cols[3, at] = np.max(np.abs(phi), axis=1)
+        if self.exact_w is not None:
+            cols[4, at] = np.max(np.abs(w - self.exact_w), axis=1)
+        # np.maximum propagates a nan, as the max over the whole trace did
+        self.edge_w = np.maximum(self.edge_w, np.max(np.abs(w[:, [0, -1]])))
+        self.edge_phi_t = np.maximum(self.edge_phi_t, np.max(np.abs(phi_t[:, [0, -1]])))
+        if self.first_phi is None:
+            self.first_phi = phi[0].copy()
+        self.last_w, self.last_phi = w[-1].copy(), phi[-1].copy()
+
+    def _heat_pairs(self, times: np.ndarray, w: np.ndarray, phi: np.ndarray) -> None:
+        """Fold in the heat residual of each snapshot pair that ends in this
+        block: forward difference in time, central second difference in
+        space."""
+        s = _potential(self.grid.x, self.bc, times, w) + phi
+        if self.s_last is not None:
+            s = np.concatenate([self.s_last[np.newaxis], s])
+            times = np.concatenate([[self.t_last], times])
+        self.s_last, self.t_last = s[-1].copy(), times[-1]
+        s_t = (s[1:, 1:-1] - s[:-1, 1:-1]) / np.diff(times)[:, np.newaxis]
+        s_xx = (s[:-1, 2:] - 2.0 * s[:-1, 1:-1] + s[:-1, :-2]) / self.grid.dx**2
+        worst = np.max(np.abs(s_t - s_xx), axis=1)
+        # fmax passes over a nan pair, as a running max() would
+        self.heat_residual = float(np.fmax.reduce(worst, initial=self.heat_residual))
+
+    def energy_identity(self, times: np.ndarray) -> EnergyIdentityResult:
+        """Max over snapshot pairs, at the run's ``times``, of |dE/dt + D +
+        a int w|, with D and the pressure work a int w averaged between the
+        two snapshots.  Nonzero boundary data make the identity inexact on
+        the truncated interval; that raises the warning flag, not an
+        error."""
+        e, d, w_int = self.columns[:3, : self.rows]
+        de = np.diff(e) / np.diff(times)
+        work = self.a * (0.5 * (w_int[:-1] + w_int[1:]))  # +-0 when a = 0
+        resid = float(np.max(np.abs(de + 0.5 * (d[:-1] + d[1:]) + work)))
+        edge = max(float(self.edge_w), float(self.edge_phi_t))
+        return EnergyIdentityResult(
+            residual=resid, boundary_warning=edge > 1e-12, energies=e, dissipations=d
+        )
+
+    def counterexample_report(self, t_end: float) -> CounterexampleReport:
+        """Compare the run's last snapshot, at ``t_end``, against w = -2x,
+        phi = t."""
+        phi_fin = self.last_phi
+        return CounterexampleReport(
+            max_phi_initial=float(np.max(self.first_phi)),
+            max_phi_final=float(np.max(phi_fin)),
+            max_phi_error=float(np.max(np.abs(phi_fin - t_end))),
+            max_w_error=float(np.max(np.abs(self.last_w + 2.0 * self.grid.x))),
+            heat_residual=self.heat_residual,
+            maximum_principle_violated=bool(np.max(phi_fin) > np.max(self.first_phi)),
+            t_end=t_end,
+        )
+
+
+def _fold(trace: PoiseuilleTrace, heat: bool, min_rows: int = 0) -> PoiseuilleDiagnostics:
+    """``PoiseuilleDiagnostics`` over a whole trace, in ``row_blocks``;
+    ValueError when it has fewer than ``min_rows`` snapshots."""
+    if trace.n_snapshots < min_rows:
+        raise ValueError(f"need at least {min_rows} snapshots")
+    fold = PoiseuilleDiagnostics(
+        trace.grid, trace.bc, trace.coeffs, trace.a, trace.n_snapshots, heat=heat
+    )
+    for rows in row_blocks(trace.n_snapshots, len(trace.grid.x)):
+        fold.take(trace.times[rows], trace.ws[rows], trace.phis[rows], trace.phi_ts[rows])
+    return fold
+
+
+def heat_reduction_check(trace: PoiseuilleTrace) -> float:
+    """Max discrete residual of (v + phi)_t = (v + phi)_xx over snapshot
+    pairs (``PoiseuilleDiagnostics``); nan when every pair's is."""
+    return _fold(trace, True, 3).heat_residual
+
+
+def energies(trace: PoiseuilleTrace) -> tuple[np.ndarray, np.ndarray]:
+    """(E, D) at every snapshot (``PoiseuilleDiagnostics``)."""
+    e, d = _fold(trace, False).columns[:2]
+    return e, d
+
+
 def energy_identity_residual(trace: PoiseuilleTrace) -> EnergyIdentityResult:
-    """Max over snapshot pairs of |dE/dt + D + a int w|, with D and the
-    pressure work a int w averaged between the two snapshots.  Nonzero
-    boundary data makes the identity inexact on the truncated interval;
-    that raises the warning flag, not an error."""
-    if trace.n_snapshots < 3:
-        raise ValueError("need at least 3 snapshots")
-    e, d = energies(trace)
-    blocks = row_blocks(*trace.ws.shape)
-    w_int = np.concatenate([_trapz(trace.ws[rows], trace.grid.x, axis=1) for rows in blocks])
-    de = np.diff(e) / np.diff(trace.times)
-    work = trace.a * (0.5 * (w_int[:-1] + w_int[1:]))  # +-0 when a = 0
-    resid = float(np.max(np.abs(de + 0.5 * (d[:-1] + d[1:]) + work)))
-    edge = max(
-        float(np.max(np.abs(trace.ws[:, [0, -1]]))),
-        float(np.max(np.abs(trace.phi_ts[:, [0, -1]]))),
-    )
-    return EnergyIdentityResult(
-        residual=resid, boundary_warning=edge > 1e-12, energies=e, dissipations=d
-    )
+    """``PoiseuilleDiagnostics.energy_identity`` of a whole trace."""
+    return _fold(trace, False, 3).energy_identity(trace.times)
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +572,4 @@ def counterexample_setup(L: float, n: int, t_end: float, dt: float | None = None
 
 def counterexample_report(trace: PoiseuilleTrace) -> CounterexampleReport:
     """Compare a counterexample trace at its end against w = -2x, phi = t."""
-    t_end = float(trace.times[-1])
-    phi_fin = trace.phis[-1]
-    return CounterexampleReport(
-        max_phi_initial=float(np.max(trace.phis[0])),
-        max_phi_final=float(np.max(phi_fin)),
-        max_phi_error=float(np.max(np.abs(phi_fin - t_end))),
-        max_w_error=float(np.max(np.abs(trace.ws[-1] + 2.0 * trace.grid.x))),
-        heat_residual=heat_reduction_check(trace),
-        maximum_principle_violated=bool(np.max(phi_fin) > np.max(trace.phis[0])),
-        t_end=t_end,
-    )
+    return _fold(trace, True, 3).counterexample_report(float(trace.times[-1]))

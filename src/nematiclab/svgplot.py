@@ -54,8 +54,8 @@ def emit_plot(
     if kind == "loglog":
         finite &= (t_raw > 0) & np.all(ys_raw > 0, axis=1)
     dropped = int(np.sum(~finite))
-    t = t_raw[finite]
-    ys = ys_raw[finite]
+    # the rows themselves when none is dropped, else a copy of the kept ones
+    t, ys = (t_raw[finite], ys_raw[finite]) if dropped else (t_raw, ys_raw)
     if len(t) == 0:
         raise ValueError("no plottable points")
     if kind == "loglog":

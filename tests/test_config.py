@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nematiclab import poiseuille
 from nematiclab.axisym import PRESET_PARAMS, STREAM_NODE_VALUES, STREAM_SNAPSHOT_VALUES
 from nematiclab.cli import main
 from nematiclab.coeffs import sample_validated
@@ -107,15 +108,15 @@ def test_step_quotient_that_underflows_to_zero_is_a_config_error():
 
 
 # A radial experiment streams its record, so the ceiling counts what it
-# holds: STREAM_SNAPSHOT_VALUES (32) floats for each of its 2 + steps // stride
+# holds: STREAM_SNAPSHOT_VALUES (26) floats for each of its 2 + steps // stride
 # rows and STREAM_NODE_VALUES (31) for each of its n_cells + 1 nodes.  At
-# 2**20 nodes, 3,178,496 rows (3,178,494 steps at stride 1) fill the
-# 2**30-byte ceiling exactly.
+# 2**20 nodes, 3,911,995 rows (3,911,993 steps at stride 1) fit under the
+# 2**30-byte ceiling, 16 bytes short, and one more row does not.
 @pytest.mark.parametrize(
     "n_cells, t_end, ok",
     [
-        (2**20 - 1, "3178.494", True),
-        (2**20 - 1, "3178.495", False),
+        (2**20 - 1, "3911.993", True),
+        (2**20 - 1, "3911.994", False),
         (2**22, "0.1", True),  # 32 MB of nodes, 1.04 GB held; 3.4 GB of whole record
         (2**23, "0.1", False),  # 2.08 GB held by the nodes alone
     ],
@@ -262,8 +263,12 @@ def test_step_ceiling_applies_to_poiseuille_runs():
 
 
 def test_poiseuille_record_buffer_ceiling(tmp_path, capsys):
-    # 10**8 steps at stride 1 would record 10**8 snapshots of w, phi and
-    # phi_t on 65 nodes: 156 GB, under the step ceiling
+    # A Poiseuille experiment streams its record, so the ceiling counts what
+    # it holds: poiseuille.STREAM_SNAPSHOT_VALUES (14) floats for each of its
+    # 2 + steps // stride rows and STREAM_NODE_VALUES (26) for each of its
+    # n_cells + 1 nodes.  On 65 nodes, 9,586,859 rows (9,586,857 steps at
+    # stride 1) fit under 2**30 bytes and one more does not.
+    assert (poiseuille.STREAM_SNAPSHOT_VALUES, poiseuille.STREAM_NODE_VALUES) == (14, 26)
     text = (ROOT / "configs" / "poiseuille_generic.ini").read_text()
     for old, new in [
         ("snapshot_stride = 50", "snapshot_stride = 1"),
@@ -273,14 +278,19 @@ def test_poiseuille_record_buffer_ceiling(tmp_path, capsys):
     ]:
         assert old in text
         text = text.replace(old, new)
+    # 10**8 snapshots: 11 GB held, under the step ceiling
     cfg = tmp_path / "long.ini"
     cfg.write_text(text)
     assert main(["validate", str(cfg)]) == 2
     assert "record buffer" in capsys.readouterr().err
-    shorter = text.replace("t_end = 1e5", "t_end = 1e3")  # 10**6 snapshots, 1.6 GB
-    with pytest.raises(ConfigError, match="record buffer"):
-        parse_config(shorter)
-    assert parse_config(shorter.replace("snapshot_stride = 1", "snapshot_stride = 2"))
+    # 10**6 snapshots: a whole record of 1.6 GB, which exited 2 when the
+    # ceiling counted it; the streamed run holds 112 MB
+    assert parse_config(text.replace("t_end = 1e5", "t_end = 1e3"))
+    cfg.write_text(text.replace("t_end = 1e5", "t_end = 9586.857"))
+    assert main(["validate", str(cfg)]) == 0
+    cfg.write_text(text.replace("t_end = 1e5", "t_end = 9586.858"))
+    assert main(["validate", str(cfg)]) == 2
+    assert "record buffer" in capsys.readouterr().err
 
 
 # Both quadratures accept meshes 16 to 406 (hopf.MESH_RANGE).
